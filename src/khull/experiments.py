@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import faces, formulas, tessellation
+from . import faces, formulas, hull, tessellation
 from .body import Ball, ConvexBody, Ellipsoid, PNormBall, Polytope, uniform_sample
 from .errors import (ConfigError, DomainError, GeneralPositionError,
                      GeneralPositionWarning, NumericError)
@@ -208,16 +208,19 @@ def _hull_row(K: ConvexBody, experiment: str, n: int, resolution: int,
     pts = uniform_sample(K, n, rng)
     row: dict = {"replicate": replicate, "seed": seed_word, "n": n}
     if isinstance(K, Ball) and K.dim == 2:
+        # One X cycle per replicate: the general-position check builds it,
+        # and the f-vector and the hull stage read it from the report.
         report = faces.general_position_check_2d(K, pts)
         if not report.ok:
             return None
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            xb = faces.disk_intersection_boundary(K, pts)
-            fv = faces.fvector_exact_2d(xb)
-            kf = faces.kfacet_count_2d(K, pts)
-        if any(issubclass(w.category, GeneralPositionWarning) for w in caught):
+        xb = report.boundary
+        if xb is None:
+            raise NumericError("the intersection-body arc cycle failed to close")
+        qb, hull_witnesses = hull._hull_stage(K, pts, xb)
+        kf = faces._facet_count(xb, qb)
+        if hull_witnesses:
             return None
+        fv = faces.fvector_exact_2d(xb)
         row.update(f0=fv[0], f1=fv[1], kfacets=kf)
         if experiment == "sample-hull":
             row.update(arcs=len(xb.arcs), vertices=len(xb.vertices))
@@ -372,18 +375,15 @@ def _dump_first_replicate(cfg: ExperimentConfig, out_dir: Path) -> None:
     if cfg.experiment == "sample-hull":
         pts = uniform_sample(K, cfg.n, rng)
         if isinstance(K, Ball) and K.dim == 2:
-            from .hull import disk_intersection_boundary, khull_boundary_2d
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", GeneralPositionWarning)
-                payload = {
-                    "intersection": disk_intersection_boundary(K, pts).to_json_dict(),
-                    "khull": khull_boundary_2d(K, pts).to_json_dict(),
-                }
+                xb, qb = hull._khull_pair(K, pts)
+            payload = {"intersection": xb.to_json_dict(), "khull": qb.to_json_dict()}
             (out_dir / "boundary.json").write_text(json.dumps(payload, indent=1))
         else:
-            hull = faces.owner_tagged_hull(
+            polar_hull = faces.owner_tagged_hull(
                 faces.polar_family(K, pts, m=cfg.resolution))
-            (out_dir / "polar_hull.off").write_text(hull.to_off_text())
+            (out_dir / "polar_hull.off").write_text(polar_hull.to_off_text())
     elif cfg.experiment == "zerocell-mc":
         z = tessellation.zero_cell(K, rng, T0=cfg.T0)
         (out_dir / "zero_cell.off").write_text(z.cell.to_off_text())

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .body import Ball, ConvexBody, direction_grid
+from .body import ConvexBody, direction_grid
 from .errors import DomainError, GeneralPositionError, NumericError
-from .hull import (EPS_GEO, EPS_GP, ArcBoundary, DegeneracyWitness, _prune_to_hull,
-                   _dedupe_rows, _disk_cycle, _require_disk, disk_intersection_boundary,
-                   khull_boundary_2d)
+from .hull import (EPS_GEO, EPS_GP, ArcBoundary, DegeneracyWitness, _disk_pass,
+                   _khull_pair)
 
 Array = np.ndarray
 
@@ -37,10 +36,16 @@ def fvector_bound_ok(fv: FVector) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class GeneralPositionReport:
-    """Outcome of the planar general-position diagnostic."""
+    """Outcome of the planar general-position diagnostic.
+
+    `boundary` is the X arc cycle the check built, so callers can read the
+    f-vector from it without building it again; it is None when the cycle
+    failed to close or when the report was not made by the check.
+    """
 
     ok: bool
     witnesses: tuple[DegeneracyWitness, ...]
+    boundary: ArcBoundary | None = None
 
     def describe(self) -> str:
         if self.ok:
@@ -55,20 +60,13 @@ def general_position_check_2d(K: ConvexBody, points: Array,
     Flags duplicated points, near-tangent circle pairs among the active
     constraints, and corner candidates with a third circle within eps_gp
     (near-cocircular triples whose translate covers the whole sample).
+    A cycle anomaly is recorded as a witness.
     """
-    K = _require_disk(K)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    witnesses: list[DegeneracyWitness] = []
-    unique = _dedupe_rows(pts)
-    if unique.size < pts.shape[0]:
-        witnesses.append(DegeneracyWitness("duplicate", (), None, 0.0))
-    active = unique[_prune_to_hull(pts[unique])]
-    centers_all = K.center[None, :] - pts
-    try:
-        _disk_cycle(K.radius, centers_all, active, EPS_GEO, eps_gp, witnesses)
-    except NumericError:
-        pass  # the cycle anomaly itself is recorded as a witness
-    return GeneralPositionReport(not witnesses, tuple(witnesses))
+    xpass = _disk_pass(K, points, EPS_GEO, eps_gp)
+    witnesses = xpass.witnesses
+    if xpass.duplicates:
+        witnesses = (DegeneracyWitness("duplicate", (), None, 0.0),) + witnesses
+    return GeneralPositionReport(not witnesses, witnesses, xpass.boundary)
 
 
 def fvector_exact_2d(boundary: ArcBoundary,
@@ -316,18 +314,21 @@ def polytope_fvector(points: Array) -> FVector:
     return tagged_hull_from_points(points).fvector()
 
 
+def _facet_count(xb: ArcBoundary, qb: ArcBoundary) -> int:
+    """Facet arcs of the hull cycle qb, cross-checked against the corner
+    count of the X cycle xb of the same sample."""
+    if qb.is_degenerate:
+        return 0
+    if len(qb.arcs) != len(xb.vertices):
+        raise NumericError(
+            f"facet count mismatch: {len(qb.arcs)} hull arcs vs {len(xb.vertices)} corners")
+    return len(qb.arcs)
+
+
 def kfacet_count_2d(K: ConvexBody, points: Array) -> int:
     """Number of facet arcs of the hull of a planar disk sample.
 
     Equals the corner count of the intersection-body cycle; both are
     computed and cross-checked. A single-point hull has no facets.
     """
-    xb = disk_intersection_boundary(K, points)
-    if len(xb.vertices) < 2:
-        return 0
-    qb = khull_boundary_2d(K, points)
-    n_arcs = len(qb.arcs)
-    if n_arcs != len(xb.vertices):
-        raise NumericError(
-            f"facet count mismatch: {n_arcs} hull arcs vs {len(xb.vertices)} corners")
-    return n_arcs
+    return _facet_count(*_khull_pair(K, points))

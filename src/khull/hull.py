@@ -238,9 +238,48 @@ def _require_disk(K: ConvexBody) -> Ball:
 
 
 def _dedupe_rows(pts: Array) -> Array:
-    """Indices of first occurrences of distinct rows, original order."""
-    _, first = np.unique(pts, axis=0, return_index=True)
-    return np.sort(first)
+    """Indices of first occurrences of distinct rows, original order.
+
+    A stable lexicographic sort puts equal rows next to each other with
+    the earliest one first, so the rows that differ from their sorted
+    predecessor are exactly the first occurrences. Rows are compared as
+    floats, -0.0 equal to 0.0, which is how np.unique(axis=0) compares
+    them; the indices are the same as np.unique's return_index, sorted.
+    """
+    order = np.lexsort(pts.T[::-1])
+    ranked = pts[order]
+    first = np.ones(pts.shape[0], dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    return np.sort(order[first])
+
+
+# Disks the first stage of the corner screen tests every candidate against.
+SCREEN_PROBES = 8
+
+
+def _corner_keep(cand: Array, centers: Array, limit: float) -> Array:
+    """Mask of the candidate corners within `limit` of every center.
+
+    Most candidates lie outside some disk on the far side of the
+    intersection, so a first stage against SCREEN_PROBES disks spread
+    around the convex position of the centers drops nearly all of them,
+    and only the survivors meet every disk. Both stages evaluate the same
+    `norm <= limit` on each (candidate, disk) pair they test, and a
+    candidate is kept only if every pair passes, so the mask is the one a
+    single full (candidates x disks) test gives.
+    """
+    def inside(points: Array, disks: Array) -> Array:
+        return np.all(np.linalg.norm(points[:, None, :] - disks[None, :, :], axis=2)
+                      <= limit, axis=1)
+
+    m = centers.shape[0]
+    if m <= SCREEN_PROBES:
+        return inside(cand, centers)
+    rel = centers - centers.mean(axis=0)
+    around = np.argsort(np.arctan2(rel[:, 1], rel[:, 0]))
+    keep = inside(cand, centers[around[np.arange(SCREEN_PROBES) * m // SCREEN_PROBES]])
+    keep[keep] = inside(cand[keep], centers)
+    return keep
 
 
 def _disk_cycle(radius: float, centers_all: Array, active: Array,
@@ -251,6 +290,9 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array,
 
     Owner indices in the returned cycle refer to positions in centers_all.
     Cocircularity is screened against every disk, not only active ones.
+    The corners are the pair intersections inside every active disk; the
+    two-stage screen in `_corner_keep` finds the same ones as testing
+    every candidate against every disk, at a fraction of the cost.
     """
     r = radius
     act = centers_all[active]
@@ -280,8 +322,7 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array,
     cand_i = np.concatenate([iu, iu])
     cand_j = np.concatenate([ju, ju])
 
-    inside = np.linalg.norm(cand[:, None, :] - act[None, :, :], axis=2) <= r + eps_geo
-    keep = inside.all(axis=1)
+    keep = _corner_keep(cand, act, r + eps_geo)
     pts = cand[keep]
     own_i = cand_i[keep]
     own_j = cand_j[keep]
@@ -361,6 +402,91 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array,
     return cycle, verts
 
 
+@dataclass(frozen=True, eq=False)
+class _DiskPass:
+    """One build of the X arc cycle of a planar disk sample: the interior
+    check, the dedupe, the hull prune and the corner construction.
+
+    `boundary` is None when the cycle failed to close, and `error` then
+    holds the NumericError. `witnesses` are the near-degeneracies of the
+    cycle; `duplicates` counts the repeated rows dropped before it.
+    """
+
+    points: Array
+    duplicates: int
+    witnesses: tuple[DegeneracyWitness, ...]
+    boundary: ArcBoundary | None
+    error: NumericError | None
+
+    def checked_boundary(self) -> ArcBoundary:
+        """The cycle, after the warnings disk_intersection_boundary gives;
+        a cycle that failed to close raises its NumericError here."""
+        if self.duplicates:
+            warnings.warn(f"deduplicated {self.duplicates} repeated sample points",
+                          GeneralPositionWarning, stacklevel=3)
+        if self.error is not None:
+            raise self.error
+        for w in self.witnesses:
+            warnings.warn(w.describe(), GeneralPositionWarning, stacklevel=3)
+        return self.boundary
+
+
+def _disk_pass(K: ConvexBody, points: Array, eps_geo: float = EPS_GEO,
+               eps_gp: float = EPS_GP) -> _DiskPass:
+    """Build the X arc cycle of a sample interior to a planar disk K.
+
+    Interiority is tested against the disk itself, so K need not contain
+    the origin. Arc owners index the original sample.
+    """
+    K = _require_disk(K)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(K._interior_batch(pts)):
+        raise DomainError("all sample points must lie in the interior of K")
+    unique = _dedupe_rows(pts)
+    active = unique[_prune_to_hull(pts[unique])]
+    witnesses: list[DegeneracyWitness] = []
+    boundary = error = None
+    try:
+        arcs, verts = _disk_cycle(K.radius, K.center[None, :] - pts, active,
+                                  eps_geo, eps_gp, witnesses)
+        boundary = ArcBoundary(tuple(arcs), tuple(verts), K.radius)
+    except NumericError as exc:
+        error = exc
+    return _DiskPass(pts, pts.shape[0] - unique.size, tuple(witnesses), boundary, error)
+
+
+def _hull_stage(K: Ball, points: Array, xb: ArcBoundary, eps_geo: float = EPS_GEO,
+                eps_gp: float = EPS_GP) -> tuple[ArcBoundary, tuple[DegeneracyWitness, ...]]:
+    """Hull cycle of a disk sample from its X cycle xb, and the hull-stage
+    near-degeneracies, returned rather than warned.
+
+    The hull cycle is validated against the sample; a failure raises
+    NumericError.
+    """
+    if len(xb.vertices) < 2:
+        # X has no corners only when every sample row is the same point.
+        return ArcBoundary((), (), K.radius, degenerate_point=points[0]), ()
+    vpts = np.array([v.point for v in xb.vertices])
+    witnesses: list[DegeneracyWitness] = []
+    arcs, verts = _disk_cycle(K.radius, K.center[None, :] - vpts, np.arange(vpts.shape[0]),
+                              eps_geo, eps_gp, witnesses)
+    qb = ArcBoundary(tuple(arcs), tuple(verts), K.radius)
+    _validate_hull_boundary(K, points, xb, qb, eps_geo)
+    return qb, tuple(witnesses)
+
+
+def _khull_pair(K: ConvexBody, points: Array, eps_geo: float = EPS_GEO,
+                eps_gp: float = EPS_GP) -> tuple[ArcBoundary, ArcBoundary]:
+    """X cycle and hull cycle of a disk sample from one X build, with the
+    warnings of disk_intersection_boundary and khull_boundary_2d."""
+    xpass = _disk_pass(K, points, eps_geo, eps_gp)
+    xb = xpass.checked_boundary()
+    qb, witnesses = _hull_stage(K, xpass.points, xb, eps_geo, eps_gp)
+    for w in witnesses:
+        warnings.warn("hull stage: " + w.describe(), GeneralPositionWarning, stacklevel=3)
+    return xb, qb
+
+
 def disk_intersection_boundary(K: ConvexBody, points: Array,
                                eps_geo: float = EPS_GEO,
                                eps_gp: float = EPS_GP) -> ArcBoundary:
@@ -371,23 +497,7 @@ def disk_intersection_boundary(K: ConvexBody, points: Array,
     GeneralPositionWarning but the cycle is still returned when it closes.
     Arc owners are indices into the original sample.
     """
-    K = _require_disk(K)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if np.any(K.gauge_batch(pts) >= 1.0):
-        raise DomainError("all sample points must lie in the interior of K")
-    unique = _dedupe_rows(pts)
-    if unique.size < pts.shape[0]:
-        warnings.warn(f"deduplicated {pts.shape[0] - unique.size} repeated sample points",
-                      GeneralPositionWarning, stacklevel=2)
-    active = unique[_prune_to_hull(pts[unique])]
-    centers_all = K.center[None, :] - pts
-    witnesses: list[DegeneracyWitness] = []
-    arcs, verts = _disk_cycle(K.radius, centers_all, active, eps_geo, eps_gp, witnesses)
-    for w in witnesses:
-        warnings.warn(w.describe(), GeneralPositionWarning, stacklevel=2)
-    if len(arcs) == 1 and not verts:
-        return ArcBoundary(tuple(arcs), (), K.radius)
-    return ArcBoundary(tuple(arcs), tuple(verts), K.radius)
+    return _disk_pass(K, points, eps_geo, eps_gp).checked_boundary()
 
 
 def khull_boundary_2d(K: ConvexBody, points: Array,
@@ -401,22 +511,7 @@ def khull_boundary_2d(K: ConvexBody, points: Array,
     returned arcs index the corner list of the X boundary. A sample whose
     X boundary has no corners hulls to the single sample point itself.
     """
-    K = _require_disk(K)
-    xb = disk_intersection_boundary(K, points, eps_geo, eps_gp)
-    if len(xb.vertices) < 2:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        point = pts[_dedupe_rows(pts)[0]]
-        return ArcBoundary((), (), K.radius, degenerate_point=point)
-    vpts = np.array([v.point for v in xb.vertices])
-    centers_all = K.center[None, :] - vpts
-    witnesses: list[DegeneracyWitness] = []
-    arcs, verts = _disk_cycle(K.radius, centers_all, np.arange(vpts.shape[0]),
-                              eps_geo, eps_gp, witnesses)
-    for w in witnesses:
-        warnings.warn("hull stage: " + w.describe(), GeneralPositionWarning, stacklevel=2)
-    qb = ArcBoundary(tuple(arcs), tuple(verts), K.radius)
-    _validate_hull_boundary(K, points, xb, qb, eps_geo)
-    return qb
+    return _khull_pair(K, points, eps_geo, eps_gp)[1]
 
 
 def _validate_hull_boundary(K: Ball, points: Array, xb: ArcBoundary,

@@ -16,7 +16,7 @@ import numpy as np
 from .body import Ball, ConvexBody, SurfaceMeasureSampler, direction_grid
 from .errors import DomainError, NumericError
 from .faces import FVector, TaggedPolytope, tagged_hull_from_points
-from .hull import IntersectionBody
+from .hull import IntersectionBody, disk_intersection_boundary
 from . import faces
 
 Array = np.ndarray
@@ -205,7 +205,7 @@ def scaled_sample_statistics(K: ConvexBody, points: Array, n_scale: int | None =
 
     exact = isinstance(K, Ball) and d == 2
     if exact:
-        fv = faces.fvector_exact_2d(faces.disk_intersection_boundary(K, pts))
+        fv = faces.fvector_exact_2d(disk_intersection_boundary(K, pts))
     else:
         fv = faces.fvector_approx(K, pts, m=fvector_resolution)
     return ScaledSampleStatistics(n=n, volumes=vols, fvector=fv,

@@ -199,3 +199,11 @@ def arc_max_norm(center: np.ndarray, radius: float, a0: float, a1: float,
         p = c + radius * np.array([math.cos(t), math.sin(t)])
         best = max(best, float(np.linalg.norm(p)))
     return best
+
+
+def full_corner_keep(cand: np.ndarray, centers: np.ndarray, limit: float) -> np.ndarray:
+    """Corner screen of the planar arc pipeline as one dense test: keep a
+    candidate when it lies within `limit` of every center, each of the
+    (candidates x centers) pairs evaluated."""
+    inside = np.linalg.norm(cand[:, None, :] - centers[None, :, :], axis=2) <= limit
+    return inside.all(axis=1)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -224,6 +225,25 @@ class TestRunExperiment:
         assert summary["mean"]["f0"] == summary["mean"]["f1"]
         assert summary["mean"]["gp_ok"] == 1.0
 
+    @pytest.mark.parametrize("n, replicates, seed, digest, reasons", [
+        # replicate 0 of master seed 256 has a near-cocircular witness
+        (5000, 5, 256,
+         "84aadb2a626ed2e9ae084d8e5616bfe863057c417bc7e6f0fd6b67b061a00c7c",
+         {"general-position": 1}),
+        (3, 50, 42,
+         "771c4c075acdce31bd84e0d194a6fe378c46904de4c2336b90d59035415515b7", {}),
+    ])
+    def test_frozen_seed_csv_digest(self, tmp_path, monkeypatch, n, replicates,
+                                    seed, digest, reasons):
+        # every column is an integer or a flag, so the bytes are stable
+        monkeypatch.setenv("KHULL_THREADS", "1")
+        cfg = ExperimentConfig(experiment="fvector-mc", body=DISK, n=n,
+                               replicates=replicates, seed=seed)
+        summary = run_experiment(cfg, out_dir=str(tmp_path))
+        data = (tmp_path / "fvector-mc.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+        assert summary["exclusion_reasons"] == reasons
+
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig(experiment="zerocell-mc", body=DISK, T0=2.0,
                                replicates=8, seed=77)
@@ -337,6 +357,23 @@ class TestCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["seed"] == 123
         assert (out_dir / "zerocell-mc.csv").exists()
+
+    def test_off_centre_disk_matches_centred(self, tmp_path, monkeypatch):
+        # the exact pipeline tests interiority against the disk itself, so
+        # a disk that does not contain the origin runs, with the same faces
+        monkeypatch.setenv("KHULL_THREADS", "1")
+        faces = {}
+        for name, center in (("centred", [0.0, 0.0]), ("shifted", [5.0, 5.0])):
+            path = write_config(tmp_path, f"{name}.json", experiment="fvector-mc",
+                                body={"kind": "ball", "r": 1.0, "center": center},
+                                n=2000, replicates=100, seed=31)
+            rc = main(["fvector-mc", "--config", path, "--out", str(tmp_path / name)])
+            assert rc == 0
+            with (tmp_path / name / "fvector-mc.csv").open() as fh:
+                faces[name] = [(r["replicate"], r["f0"], r["f1"], r["kfacets"])
+                               for r in csv.DictReader(fh)]
+        assert len(faces["centred"]) >= 95
+        assert faces["shifted"] == faces["centred"]
 
     def test_config_error_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path, experiment="zerocell-mc", body=DISK,

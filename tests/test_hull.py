@@ -8,7 +8,7 @@ import pytest
 import oracles
 from conftest import smooth_kinds_2d
 from khull import (ArcBoundary, Ball, DomainError, GeneralPositionWarning,
-                   IntersectionBody, Polytope, direction_grid,
+                   IntersectionBody, NumericError, Polytope, direction_grid,
                    disk_intersection_boundary, khull_boundary_2d,
                    khull_contains, mink_diff_contains, uniform_sample)
 
@@ -300,3 +300,104 @@ class TestArcBoundaryJson:
         for v0, v1 in zip(b.vertices, back.vertices):
             assert v0.owners == v1.owners
             np.testing.assert_allclose(v0.point, v1.point, atol=0.0)
+
+
+def _same_cycle(got: ArcBoundary, want: ArcBoundary) -> bool:
+    """Identical arcs (owner, a0, a1) and corners (owners, point), exactly."""
+    return (len(got.arcs) == len(want.arcs)
+            and len(got.vertices) == len(want.vertices)
+            and all(a.owner == b.owner and a.a0 == b.a0 and a.a1 == b.a1
+                    for a, b in zip(got.arcs, want.arcs))
+            and all(u.owners == v.owners and np.array_equal(u.point, v.point)
+                    for u, v in zip(got.vertices, want.vertices)))
+
+
+class TestCornerScreen:
+    """The two-stage corner screen against the full screen it replaced."""
+
+    @staticmethod
+    def samples():
+        c = np.array([-0.3, 0.0])
+        cases = [np.array([[0.2, -0.1]]),
+                 np.array([[0.0, A_LENS], [0.0, -A_LENS]]),
+                 np.array([c + [math.cos(t), math.sin(t)] for t in (0.0, 0.45, -0.45)])]
+        disk = Ball(1.0, np.zeros(2))
+        rng = np.random.default_rng(5151)
+        return cases + [uniform_sample(disk, 5000, rng) for _ in range(20)]
+
+    @staticmethod
+    def boundaries(disk, samples):
+        """(X cycle, hull cycle) per sample, or the message of the
+        NumericError a cycle that fails to close raises."""
+        out = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GeneralPositionWarning)
+            for pts in samples:
+                try:
+                    out.append((disk_intersection_boundary(disk, pts),
+                                khull_boundary_2d(disk, pts)))
+                except NumericError as exc:
+                    out.append(str(exc))
+        return out
+
+    def test_same_masks_and_cycles_as_full_screen(self, unit_disk, monkeypatch):
+        import khull.hull as hull
+
+        screen = hull._corner_keep
+        screened = []
+
+        def checked(cand, centers, limit):
+            keep = screen(cand, centers, limit)
+            assert np.array_equal(keep, oracles.full_corner_keep(cand, centers, limit))
+            screened.append(centers.shape[0])
+            return keep
+
+        samples = self.samples()
+        monkeypatch.setattr(hull, "_corner_keep", checked)
+        got = self.boundaries(unit_disk, samples)
+        assert max(screened) > hull.SCREEN_PROBES  # the two-stage path ran
+        monkeypatch.setattr(hull, "_corner_keep", oracles.full_corner_keep)
+        want = self.boundaries(unit_disk, samples)
+        # the cocircular triple meets a third circle at a corner; both
+        # screens keep the same three corners and the cycle fails alike
+        assert isinstance(want[2], str)
+        for g, w in zip(got, want):
+            if isinstance(w, str):
+                assert g == w
+                continue
+            assert _same_cycle(g[0], w[0])
+            assert _same_cycle(g[1], w[1])
+
+
+class TestDedupeRows:
+    @staticmethod
+    def reference(pts):
+        return np.sort(np.unique(pts, axis=0, return_index=True)[1])
+
+    def test_matches_unique_with_injected_repeats(self, unit_disk, rng):
+        from khull.hull import _dedupe_rows
+
+        base = uniform_sample(unit_disk, 200, rng)
+        for pos in (0, 100, 199):
+            for src in (0, 57, 199):
+                if src == pos:
+                    continue
+                pts = base.copy()
+                pts[pos] = pts[src]
+                got = _dedupe_rows(pts)
+                np.testing.assert_array_equal(got, self.reference(pts))
+                assert got.size == 199
+
+    def test_signed_zero_and_tied_first_column(self):
+        from khull.hull import _dedupe_rows
+
+        pts = np.array([[0.0, 0.5], [0.3, -0.0], [-0.0, 0.5], [0.3, 0.0],
+                        [0.3, 0.1], [0.3, -0.0]])
+        np.testing.assert_array_equal(_dedupe_rows(pts), self.reference(pts))
+        np.testing.assert_array_equal(_dedupe_rows(pts), [0, 1, 4])
+
+    def test_single_row(self):
+        from khull.hull import _dedupe_rows
+
+        pts = np.array([[0.25, -0.5]])
+        np.testing.assert_array_equal(_dedupe_rows(pts), self.reference(pts))
