@@ -381,8 +381,7 @@ def _dump_first_replicate(cfg: ExperimentConfig, out_dir: Path) -> None:
             payload = {"intersection": xb.to_json_dict(), "khull": qb.to_json_dict()}
             (out_dir / "boundary.json").write_text(json.dumps(payload, indent=1))
         else:
-            polar_hull = faces.owner_tagged_hull(
-                faces.polar_family(K, pts, m=cfg.resolution))
+            polar_hull = faces._polar_hull(K, pts, m=cfg.resolution)
             (out_dir / "polar_hull.off").write_text(polar_hull.to_off_text())
     elif cfg.experiment == "zerocell-mc":
         z = tessellation.zero_cell(K, rng, T0=cfg.T0)

@@ -18,7 +18,7 @@ from scipy.spatial import ConvexHull, QhullError
 from .body import ConvexBody, direction_grid
 from .errors import DomainError, GeneralPositionError, NumericError
 from .hull import (EPS_GEO, EPS_GP, ArcBoundary, DegeneracyWitness, _disk_pass,
-                   _khull_pair)
+                   _khull_pair, _prune_to_hull)
 
 Array = np.ndarray
 
@@ -83,22 +83,34 @@ def fvector_exact_2d(boundary: ArcBoundary,
     return (len(boundary.arc_owners()), len(boundary.vertex_owner_pairs()))
 
 
+def _polar_grid(K: ConvexBody, points: Array, m: int) -> tuple[Array, Array, Array]:
+    """Sample rows, direction grid W and support values h_K(W) shared by
+    every member of the polar family; the sample must be interior to K."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(K._interior_batch(pts)):
+        raise DomainError("polar family requires sample points interior to K")
+    W = direction_grid(K.dim, m)
+    return pts, W, K.support_batch(W)
+
+
+def _support_gaps(W: Array, base: Array, x: Array) -> Array:
+    """h(K - x, w_j) = h_K(w_j) - <w_j, x> on the grid; positive for interior x."""
+    return base - W @ x
+
+
+def _polar_vertices(W: Array, h: Array) -> Array:
+    """Polar boundary points w_j / h(K - x, w_j) of one member."""
+    return W / h[:, None]
+
+
 def polar_family(K: ConvexBody, points: Array, m: int = 256) -> list[tuple[int, Array]]:
     """Inscribed m-vertex polytopal models of the polars (K - x_i)^o.
 
     All members share one direction grid; vertex j of member i is
     w_j / h(K - x_i, w_j), which lies on the polar's boundary exactly.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if np.any(K.gauge_batch(pts) >= 1.0):
-        raise DomainError("polar family requires sample points interior to K")
-    W = direction_grid(K.dim, m)
-    base = K.support_batch(W)
-    family = []
-    for i, x in enumerate(pts):
-        h = base - W @ x
-        family.append((i, W / h[:, None]))
-    return family
+    pts, W, base = _polar_grid(K, points, m)
+    return [(i, _polar_vertices(W, _support_gaps(W, base, x))) for i, x in enumerate(pts)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,9 +316,55 @@ def fvector_from_tagged_hull(T: TaggedPolytope) -> FVector:
     return (f0, len(pairs), len(triples))
 
 
+def _with_copies(pts: Array, members: Array) -> Array:
+    """`members` plus every other row equal to one of theirs, ascending.
+
+    qhull reports one copy of a repeated point as a hull vertex; the other
+    copies tie with it on every ray, so they are winners too.
+    """
+    keys = np.sort(pts[members, 0])
+    pos = np.minimum(np.searchsorted(keys, pts[:, 0]), keys.size - 1)
+    cand = np.flatnonzero(keys[pos] == pts[:, 0])
+    if cand.size == members.size:
+        return members
+    return cand[(pts[cand, None] == pts[members]).all(axis=2).any(axis=1)]
+
+
+def _polar_hull(K: ConvexBody, points: Array, m: int = 256) -> TaggedPolytope:
+    """owner_tagged_hull(polar_family(K, points, m)), built from about m points.
+
+    Member i's vertex on the ray through w_j sits at radius
+    1 / (h_K(w_j) - <w_j, x_i>), a convex function of x_i. Two reductions
+    follow, and neither changes the hull:
+
+    - On each ray the radius is largest at a convex-hull vertex of the
+      sample, since a convex function on a polytope peaks at a vertex.
+      Only the members at those vertices, and repeated copies of them,
+      are kept.
+    - On each ray only the member(s) of least support gap, the farthest
+      out, are kept; exact ties keep every tied member. Any other
+      member's vertex on that ray lies strictly between the origin and
+      the winner's, and the origin is interior to every polar model, so
+      that vertex is strictly inside the hull.
+
+    The kept points stay in member-major, direction-minor order, so the
+    hull lists its vertices, with their owners, in the same order as the
+    hull of the full family. In d = 3 qhull may list the facets in another
+    order, or triangulate a merged facet another way, because its
+    processing order depends on the points it is given.
+    """
+    pts, W, base = _polar_grid(K, points, m)
+    members = _with_copies(pts, _prune_to_hull(pts))
+    gaps = np.array([_support_gaps(W, base, pts[i]) for i in members])
+    wins = gaps == gaps.min(axis=0)
+    family = [(int(i), _polar_vertices(W[won], h[won]))
+              for i, h, won in zip(members, gaps, wins) if won.any()]
+    return owner_tagged_hull(family)
+
+
 def fvector_approx(K: ConvexBody, points: Array, m: int = 256) -> FVector:
     """Family f-vector via the polar-family hull at resolution m."""
-    return fvector_from_tagged_hull(owner_tagged_hull(polar_family(K, points, m)))
+    return fvector_from_tagged_hull(_polar_hull(K, points, m))
 
 
 def polytope_fvector(points: Array) -> FVector:

@@ -65,7 +65,7 @@ class IntersectionBody:
             raise DomainError("sample dimension does not match the body")
         if pts.shape[0] == 0:
             raise DomainError("empty sample")
-        if np.any(self.base.gauge_batch(pts) >= 1.0):
+        if not np.all(self.base._interior_batch(pts)):
             raise DomainError("all sample points must lie in the interior of K")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "active", _prune_to_hull(pts))

@@ -13,6 +13,8 @@ from khull.cli import main
 from khull.faces import GeneralPositionReport
 
 DISK = {"kind": "ball", "r": 1.0, "center": [0.0, 0.0]}
+ELLIPSE = {"kind": "ellipsoid", "axes": [2.0, 1.0], "center": [0.0, 0.0]}
+BALL3 = {"kind": "ball", "r": 1.0, "center": [0.0, 0.0, 0.0]}
 
 
 def write_config(tmp_path, name="config.json", **payload):
@@ -244,6 +246,27 @@ class TestRunExperiment:
         assert hashlib.sha256(data).hexdigest() == digest
         assert summary["exclusion_reasons"] == reasons
 
+    @pytest.mark.parametrize("experiment, body, n, replicates, name, digest", [
+        ("fvector-mc", ELLIPSE, 400, 4, "fvector-mc.csv",
+         "be93f533f64fd5cff2b21e784940358d3ff46f96daa5c6c30a4ec61e371b819f"),
+        ("fvector-mc", BALL3, 1000, 3, "fvector-mc.csv",
+         "8e1b050f7042d50dcd8e878a617820fc0af62eba4557bfd94aefab709feb5048"),
+        ("sample-hull", ELLIPSE, 400, 1, "polar_hull.off",
+         "5b0bc7c7238e3d8efe097cacc02790724beb1e973a2c8c6a6f98b3f91c366b9b"),
+        ("sample-hull", BALL3, 1000, 1, "polar_hull.off",
+         "84eebd7eab9b4223adb0d3de6f58e188ebc3ae1bae74913198ee73f2dadc8ec2"),
+    ])
+    def test_frozen_seed_polar_digest(self, tmp_path, monkeypatch, experiment,
+                                      body, n, replicates, name, digest):
+        # the approximate pipeline at resolution 256; the OFF file holds
+        # repr'd floats, so its bytes also pin the polar vertex arithmetic
+        monkeypatch.setenv("KHULL_THREADS", "1")
+        cfg = ExperimentConfig(experiment=experiment, body=body, n=n,
+                               replicates=replicates, seed=2024)
+        run_experiment(cfg, out_dir=str(tmp_path))
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig(experiment="zerocell-mc", body=DISK, T0=2.0,
                                replicates=8, seed=77)
@@ -374,6 +397,38 @@ class TestCli:
                                for r in csv.DictReader(fh)]
         assert len(faces["centred"]) >= 95
         assert faces["shifted"] == faces["centred"]
+
+    @pytest.mark.parametrize("experiment, body, shift, settings, rows_expected", [
+        ("convergence", DISK, [5.0, 5.0],
+         {"n_values": [100, 500, 2000], "replicates": 20}, 60),
+        ("fvector-mc", ELLIPSE, [5.0, 5.0], {"n": 400, "replicates": 20}, 20),
+        ("fvector-mc", BALL3, [5.0, 5.0, 5.0], {"n": 1000, "replicates": 20}, 20),
+    ], ids=["disk-convergence", "ellipse-fvector-mc", "ball3-fvector-mc"])
+    def test_off_centre_polar_paths_match_centred(self, tmp_path, monkeypatch, experiment,
+                                                  body, shift, settings, rows_expected):
+        # interiority is tested against the body, not through the gauge,
+        # so a body that does not contain the origin runs with the same faces
+        monkeypatch.setenv("KHULL_THREADS", "1")
+        rows = {}
+        for name, center in (("centred", body["center"]), ("shifted", shift)):
+            path = write_config(tmp_path, f"{name}.json", experiment=experiment,
+                                body=dict(body, center=center), seed=47, **settings)
+            rc = main([experiment, "--config", path, "--out", str(tmp_path / name)])
+            assert rc == 0
+            with (tmp_path / name / f"{experiment}.csv").open() as fh:
+                rows[name] = list(csv.DictReader(fh))
+        centred, shifted = rows["centred"], rows["shifted"]
+        assert len(shifted) == len(centred) == rows_expected
+        exact = [c for c in centred[0]
+                 if c[0] == "f" or c in ("replicate", "seed", "n", "gp_ok")]
+        volumes = [c for c in centred[0] if c[0] == "V"]
+
+        def table(rows, cols, cast=str):
+            return [[cast(r[c]) for c in cols] for r in rows]
+
+        assert table(shifted, exact) == table(centred, exact)
+        np.testing.assert_allclose(table(shifted, volumes, float),
+                                   table(centred, volumes, float), rtol=1e-9)
 
     def test_config_error_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path, experiment="zerocell-mc", body=DISK,

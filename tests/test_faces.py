@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from khull import (Ball, DomainError, GeneralPositionError, Polytope,
-                   direction_grid, disk_intersection_boundary, fvector_approx,
+from khull import (Ball, DomainError, Ellipsoid, GeneralPositionError, PNormBall,
+                   Polytope, direction_grid, disk_intersection_boundary, fvector_approx,
                    fvector_bound_ok, fvector_exact_2d, fvector_from_tagged_hull,
                    general_position_check_2d, kfacet_count_2d,
                    khull_boundary_2d, owner_tagged_hull, polar_family,
                    polytope_fvector, tagged_hull_from_points, uniform_sample)
+from khull import faces
+from khull.faces import _polar_hull
 
 LENS = np.array([[0.0, 0.6], [0.0, -0.6]])
 
@@ -117,6 +119,113 @@ class TestPolarFamily:
     def test_point_outside_interior_rejected(self, unit_disk):
         with pytest.raises(DomainError):
             polar_family(unit_disk, np.array([[1.0, 0.0]]), m=64)
+
+
+def full_polar_hull(K, pts, m):
+    """The reference: the hull of all n x m polar vertices."""
+    return owner_tagged_hull(polar_family(K, pts, m))
+
+
+def assert_same_polar_hull(K, pts, m):
+    T, R = _polar_hull(K, pts, m), full_polar_hull(K, pts, m)
+    np.testing.assert_array_equal(T.points, R.points)
+    np.testing.assert_array_equal(T.owners, R.owners)
+    assert fvector_from_tagged_hull(T) == fvector_from_tagged_hull(R)
+    # qhull may list the facets of a d = 3 hull in another order
+    assert set(T.facets) == set(R.facets)
+    return T
+
+
+# Every body kind in d = 2 and 3, plus a polygon.
+PARITY_BODIES = {
+    "disk": Ball(1.0, np.zeros(2)),
+    "ball3": Ball(1.0, np.zeros(3)),
+    "ellipse": Ellipsoid([2.0, 1.0], np.zeros(2)),
+    "ellipsoid3": Ellipsoid([1.5, 1.0, 0.7], np.zeros(3)),
+    "pball2": PNormBall(4.0, 1.0, np.zeros(2)),
+    "pball3": PNormBall(3.0, 1.0, np.zeros(3)),
+    "polygon": Polytope([[-1.0, -0.8], [1.2, -0.5], [0.3, 1.1], [-0.7, 0.9]]),
+}
+
+
+def hull_inputs(monkeypatch):
+    """Point counts of every family owner_tagged_hull is given."""
+    sizes = []
+    original = faces.owner_tagged_hull
+
+    def counting(family):
+        sizes.append(sum(len(cloud) for _, cloud in family))
+        return original(family)
+
+    monkeypatch.setattr(faces, "owner_tagged_hull", counting)
+    return sizes
+
+
+class TestPolarHull:
+    @pytest.mark.parametrize("m", [64, 256])
+    @pytest.mark.parametrize("n", [2, 3, 10, 300])
+    @pytest.mark.parametrize("body", PARITY_BODIES)
+    def test_matches_full_family(self, body, n, m, rng):
+        K = PARITY_BODIES[body]
+        assert_same_polar_hull(K, uniform_sample(K, n, rng), m)
+
+    def test_lens(self, unit_disk):
+        T = assert_same_polar_hull(unit_disk, LENS, 256)
+        assert fvector_from_tagged_hull(T) == (2, 1)
+
+    def test_d3_antipodal_pair(self, unit_ball3):
+        pts = np.array([[0.0, 0.0, 0.55], [0.0, 0.0, -0.55]])
+        T = assert_same_polar_hull(unit_ball3, pts, 400)
+        assert fvector_from_tagged_hull(T) == (2, 1, 0)
+
+    def test_one_point_per_direction(self, monkeypatch, ellipse21, rng):
+        sizes = hull_inputs(monkeypatch)
+        _polar_hull(ellipse21, uniform_sample(ellipse21, 400, rng), 256)
+        assert sizes == [256]
+
+    def test_tied_direction_keeps_both_members_2d(self, monkeypatch, ellipse21, rng):
+        # y sits on the line through x orthogonal to w_0, so both members
+        # have the same support gap there, bit for bit
+        m = 64
+        W = direction_grid(2, m)
+        x = np.array([1.5, 0.2])
+        perp = np.array([-W[0, 1], W[0, 0]])
+        y = next(x + s * perp for s in np.arange(1, 400) / 256.0
+                 if (W @ (x + s * perp))[0] == (W @ x)[0])
+        pts = np.vstack([0.5 * uniform_sample(ellipse21, 50, rng), x, y])
+        sizes = hull_inputs(monkeypatch)
+        assert_same_polar_hull(ellipse21, pts, m)
+        assert sizes[0] == m + 1
+
+    def test_tied_direction_keeps_both_members_3d(self, monkeypatch, unit_ball3, rng):
+        # w_0 has a zero y component, so mirror images in y tie on it
+        m = 256
+        assert direction_grid(3, m)[0, 1] == 0.0
+        pts = np.vstack([0.5 * uniform_sample(unit_ball3, 30, rng),
+                         [[0.1, 0.3, 0.6], [0.1, -0.3, 0.6]]])
+        sizes = hull_inputs(monkeypatch)
+        assert_same_polar_hull(unit_ball3, pts, m)
+        assert sizes[0] == m + 1
+
+    def test_repeated_points_keep_every_copy(self, ellipse21, rng):
+        pts = uniform_sample(ellipse21, 30, rng)
+        assert_same_polar_hull(ellipse21, np.vstack([pts, pts[:5]]), 64)
+
+    def test_off_centre_body(self, ellipse21, rng):
+        # (K + c) - (x + c) = K - x: the family does not see the shift
+        c = np.array([5.0, 5.0])
+        pts = uniform_sample(ellipse21, 200, rng)
+        T = _polar_hull(ellipse21.translate(c), pts + c, 256)
+        R = _polar_hull(ellipse21, pts, 256)
+        assert fvector_from_tagged_hull(T) == fvector_from_tagged_hull(R)
+        np.testing.assert_allclose(T.points, R.points, rtol=1e-9)
+
+    def test_point_outside_interior_rejected(self, unit_disk):
+        with pytest.raises(DomainError):
+            _polar_hull(unit_disk, np.array([[0.0, 0.0], [1.0, 0.0]]), m=64)
+        with pytest.raises(DomainError):
+            _polar_hull(unit_disk.translate([5.0, 5.0]),
+                        np.array([[5.0, 5.0], [0.0, 0.0]]), m=64)
 
 
 class TestOwnerTaggedHull:

@@ -106,6 +106,19 @@ class TestIntersectionBody:
     def test_sample_point_outside_base_rejected(self, unit_disk):
         with pytest.raises(DomainError):
             IntersectionBody(unit_disk, np.array([[1.5, 0.0]]))
+        with pytest.raises(DomainError):
+            IntersectionBody(unit_disk.translate([5.0, 5.0]), np.array([[0.0, 0.0]]))
+
+    def test_off_centre_base_matches_centred(self, ellipse21, rng):
+        # X is made of translations, so shifting K and the sample with it
+        # leaves X unchanged; K need not contain the origin
+        c = np.array([5.0, 5.0])
+        pts = uniform_sample(ellipse21, 50, rng)
+        U = direction_grid(2, 64)
+        X = IntersectionBody(ellipse21, pts)
+        Y = IntersectionBody(ellipse21.translate(c), pts + c)
+        np.testing.assert_array_equal(Y.active, X.active)
+        np.testing.assert_allclose(Y.radial_batch(U), X.radial_batch(U), rtol=1e-9)
 
 
 class TestKhullContains:
