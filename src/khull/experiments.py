@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import faces, formulas, hull, tessellation
-from .body import Ball, ConvexBody, Ellipsoid, PNormBall, Polytope, uniform_sample
+from .body import (Ball, ConvexBody, Ellipsoid, PNormBall, Polytope,
+                   SurfaceMeasureSampler, uniform_sample)
 from .errors import (ConfigError, DomainError, GeneralPositionError,
                      GeneralPositionWarning, NumericError)
 
@@ -188,9 +189,23 @@ def load_config(path, experiment: str | None = None,
         raise ConfigError(f"bad config value: {exc}") from exc
 
 
+def _body_key(cfg: ExperimentConfig) -> str:
+    return json.dumps(cfg.body, sort_keys=True)
+
+
 @lru_cache(maxsize=16)
 def _cached_body(body_json: str) -> ConvexBody:
     return body_from_spec(json.loads(body_json))
+
+
+@lru_cache(maxsize=16)
+def _cached_sampler(body_json: str) -> SurfaceMeasureSampler:
+    """The body's surface sampler, built on first use in each process.
+
+    Sharing it changes no output: the Monte Carlo mass estimate runs on
+    its own fixed generator, and draws use only the caller's generator.
+    """
+    return _cached_body(body_json).surface_sampler()
 
 
 def _replicate_rng(master_seed: int, job_index: int):
@@ -231,9 +246,9 @@ def _hull_row(K: ConvexBody, experiment: str, n: int, resolution: int,
     return row
 
 
-def _zerocell_row(K: ConvexBody, T0: float, replicate: int, seed_word: int,
-                  rng) -> dict:
-    z = tessellation.zero_cell(K, rng, T0=T0)
+def _zerocell_row(K: ConvexBody, sampler: SurfaceMeasureSampler, T0: float,
+                  replicate: int, seed_word: int, rng) -> dict:
+    z = tessellation.zero_cell(K, rng, T0=T0, sampler=sampler)
     fv = z.fvector()
     vols = tessellation.intrinsic_volumes_of_cell(z)
     row = {"replicate": replicate, "seed": seed_word, "T": z.truncation,
@@ -274,7 +289,8 @@ def _run_job(job: tuple) -> tuple[int, dict | None, str | None]:
                 return job_index, None, "general-position"
         elif experiment == "zerocell-mc":
             (T0,) = params
-            row = _zerocell_row(K, T0, replicate, seed_word, rng)
+            row = _zerocell_row(K, _cached_sampler(body_json), T0,
+                                replicate, seed_word, rng)
         elif experiment == "convergence":
             n, directions, resolution = params
             row = _convergence_row(K, n, directions, resolution,
@@ -289,7 +305,7 @@ def _run_job(job: tuple) -> tuple[int, dict | None, str | None]:
 
 
 def _jobs_for(cfg: ExperimentConfig) -> list[tuple]:
-    body_json = json.dumps(cfg.body, sort_keys=True)
+    body_json = _body_key(cfg)
     jobs = []
     idx = 0
     if cfg.experiment == "zerocell-mc":
@@ -370,7 +386,8 @@ def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
 
 def _dump_first_replicate(cfg: ExperimentConfig, out_dir: Path) -> None:
     """Write the geometry of replicate 0 next to the statistics."""
-    K = body_from_spec(cfg.body)
+    body_json = _body_key(cfg)
+    K = _cached_body(body_json)
     rng, _ = _replicate_rng(cfg.seed, 0)
     if cfg.experiment == "sample-hull":
         pts = uniform_sample(K, cfg.n, rng)
@@ -384,7 +401,8 @@ def _dump_first_replicate(cfg: ExperimentConfig, out_dir: Path) -> None:
             polar_hull = faces._polar_hull(K, pts, m=cfg.resolution)
             (out_dir / "polar_hull.off").write_text(polar_hull.to_off_text())
     elif cfg.experiment == "zerocell-mc":
-        z = tessellation.zero_cell(K, rng, T0=cfg.T0)
+        z = tessellation.zero_cell(K, rng, T0=cfg.T0,
+                                   sampler=_cached_sampler(body_json))
         (out_dir / "zero_cell.off").write_text(z.cell.to_off_text())
 
 

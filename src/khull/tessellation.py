@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,10 +46,18 @@ def sample_hyperplanes(K: ConvexBody, T: float, rng: np.random.Generator,
     if sampler is None:
         sampler = K.surface_sampler()
     rate = T * sampler.total_mass / K.volume()
-    n = int(rng.poisson(rate))
-    t = rng.uniform(0.0, T, n)
-    u = sampler.draw(rng, n) if n else np.empty((0, K.dim))
+    t, u = _draw_layer(sampler, rate, 0.0, T, rng, K.dim)
     return HyperplaneSample(K, T, t, u)
+
+
+def _draw_layer(sampler: SurfaceMeasureSampler, rate: float, lo: float, hi: float,
+                rng: np.random.Generator, d: int) -> tuple[Array, Array]:
+    """One Poisson layer of hyperplanes with distances in (lo, hi]: the
+    count, then the distances, then the normals, in that generator order."""
+    n = int(rng.poisson(rate))
+    t = rng.uniform(lo, hi, n)
+    u = sampler.draw(rng, n) if n else np.empty((0, d))
+    return t, u
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,9 +98,7 @@ def zero_cell(K: ConvexBody, rng: np.random.Generator, T0: float = 5.0,
     d = K.dim
     layer_rate = T0 * sampler.total_mass / K.volume()
 
-    n = int(rng.poisson(layer_rate))
-    t = rng.uniform(0.0, T0, n)
-    u = sampler.draw(rng, n) if n else np.empty((0, d))
+    t, u = _draw_layer(sampler, layer_rate, 0.0, T0, rng, d)
     T = T0
     for _ in range(max_doublings):
         dual = _try_dual_hull(u, t, d)
@@ -99,9 +106,8 @@ def zero_cell(K: ConvexBody, rng: np.random.Generator, T0: float = 5.0,
             radius = float(np.max(np.linalg.norm(_polar_vertices(dual), axis=1)))
             if radius <= T:
                 break
-        n2 = int(rng.poisson(layer_rate * (T / T0)))  # measure of (T, 2T] is T
-        t2 = rng.uniform(T, 2.0 * T, n2)
-        u2 = sampler.draw(rng, n2) if n2 else np.empty((0, d))
+        # the measure of (T, 2T] is T
+        t2, u2 = _draw_layer(sampler, layer_rate * (T / T0), T, 2.0 * T, rng, d)
         t = np.concatenate([t, t2])
         u = np.concatenate([u, u2])
         T *= 2.0
@@ -200,7 +206,7 @@ def scaled_sample_statistics(K: ConvexBody, points: Array, n_scale: int | None =
     r = X.radial_batch(U) * n
     inner = tagged_hull_from_points(r[:, None] * U)
     vols = intrinsic_volumes(inner)
-    r_out = _radial_min(U, X.outer_support_bound_batch(U) * n)
+    r_out = _radial_min(d, directions, X.outer_support_bound_batch(U) * n)
     gap = _radial_volume(r_out, d) - _radial_volume(r, d)
 
     exact = isinstance(K, Ball) and d == 2
@@ -212,13 +218,28 @@ def scaled_sample_statistics(K: ConvexBody, points: Array, n_scale: int | None =
                                   fvector_exact=exact, outer_gap=float(gap))
 
 
-def _radial_min(U: Array, h: Array) -> Array:
-    """Exact radial function of {x : <x, u_k> <= h_k for all k} at the
-    grid directions themselves; the support values need not be convex."""
+@lru_cache(maxsize=8)
+def _grid_pairs(d: int, m: int) -> tuple[Array, Array, Array]:
+    """The pairs (k, j) of `direction_grid(d, m)` with <u_k, u_j> > 1e-12,
+    in row-major order: their dot products, their columns j, and the
+    index where each row k starts. The diagonal keeps every row non-empty.
+    The arrays are shared between calls, so they are read-only."""
+    U = direction_grid(d, m)
     dots = U @ U.T
-    with np.errstate(divide="ignore"):
-        ratios = np.where(dots > 1e-12, h[None, :] / dots, np.inf)
-    r = ratios.min(axis=1)
+    rows, cols = np.nonzero(dots > 1e-12)
+    pair_dots = dots[rows, cols]
+    starts = np.searchsorted(rows, np.arange(m))
+    for a in (pair_dots, cols, starts):
+        a.setflags(write=False)
+    return pair_dots, cols, starts
+
+
+def _radial_min(d: int, m: int, h: Array) -> Array:
+    """Exact radial function of {x : <x, u_k> <= h_k for all k} at the
+    directions u_k of `direction_grid(d, m)` themselves; the support
+    values need not be convex."""
+    dots, cols, starts = _grid_pairs(d, m)
+    r = np.minimum.reduceat(h[cols] / dots, starts)
     if not np.all(np.isfinite(r)):
         raise NumericError("outer support bounds do not enclose a bounded region")
     return r

@@ -12,6 +12,8 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 from scipy.special import ellipe
 
+from khull.errors import NumericError
+
 
 def lp_gauge(vertices: np.ndarray, x) -> float:
     """Gauge of conv(vertices) at x: the least t with x in t * conv(V),
@@ -207,3 +209,16 @@ def full_corner_keep(cand: np.ndarray, centers: np.ndarray, limit: float) -> np.
     (candidates x centers) pairs evaluated."""
     inside = np.linalg.norm(cand[:, None, :] - centers[None, :, :], axis=2) <= limit
     return inside.all(axis=1)
+
+
+def full_radial_min(U: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Radial function of {x : <x, u_k> <= h_k for all k} at the rows of U,
+    from the full (directions x directions) table of ratios h_j / <u_k, u_j>
+    over the pairs with <u_k, u_j> > 1e-12."""
+    dots = U @ U.T
+    with np.errstate(divide="ignore"):
+        ratios = np.where(dots > 1e-12, h[None, :] / dots, np.inf)
+    r = ratios.min(axis=1)
+    if not np.all(np.isfinite(r)):
+        raise NumericError("outer support bounds do not enclose a bounded region")
+    return r

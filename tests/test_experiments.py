@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from khull import (Ball, ConfigError, DomainError, ExperimentConfig,
+from khull import (Ball, ConfigError, DomainError, Ellipsoid, ExperimentConfig,
                    NumericError, Polytope, body_from_spec, load_config,
                    run_experiment, summarize)
 from khull.cli import main
@@ -266,6 +266,68 @@ class TestRunExperiment:
         run_experiment(cfg, out_dir=str(tmp_path))
         data = (tmp_path / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("experiment, body, params, digests", [
+        ("zerocell-mc", DISK, {"replicates": 5}, {
+            "zerocell-mc.csv":
+            "209db9ddede57a7025a8f059e4abd965759f8b6faa91a8672efd1434e737e0ee",
+            "zero_cell.off":
+            "ff1ef6acc904009c4abc56d758f458cd0f3eeaf244f27df05e0f36a71fdf45b5"}),
+        ("zerocell-mc", BALL3, {"replicates": 4}, {
+            "zerocell-mc.csv":
+            "6a24953d564a3b366e1da908a259713a0d06f8b9d2720e4e6fc8937c6477c56c",
+            "zero_cell.off":
+            "fd30ed6047903df8954b2101e99077217fe71092815506dc41aa9f665b2cc37a"}),
+        ("zerocell-mc", ELLIPSE, {"replicates": 4}, {
+            "zerocell-mc.csv":
+            "46e9a24e3d4c60ea41679b68661eed04be12f6c645e240ace6b890d03430c3db",
+            "zero_cell.off":
+            "eba6c4264f12d287df9aa29de1fbfa0fdc22e658260a187345b78c452283b597"}),
+        # 512 grid directions
+        ("convergence", DISK, {"n": 2000, "replicates": 3}, {
+            "convergence.csv":
+            "7ad28d62348652e6ffe220dd313132e5819790dcf50c96ca3275f63cc7a4372f"}),
+        # 2048 grid directions
+        ("convergence", BALL3, {"n": 300, "replicates": 2}, {
+            "convergence.csv":
+            "4a11bad4c10951e84ec62aa80ca9e64009466ef36d0bb785242b2597cbc740c6"}),
+    ])
+    def test_frozen_seed_zero_cell_digest(self, tmp_path, monkeypatch, experiment,
+                                          body, params, digests):
+        # repr'd floats pin the hyperplane draws, the certification loop,
+        # the intrinsic volumes and the outer-gap radial bound
+        monkeypatch.setenv("KHULL_THREADS", "1")
+        cfg = ExperimentConfig(experiment=experiment, body=body, seed=2024,
+                               **params)
+        summary = run_experiment(cfg, out_dir=str(tmp_path))
+        assert summary["exclusion_reasons"] == {}
+        for name, digest in digests.items():
+            data = (tmp_path / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+
+    def test_surface_sampler_built_once(self, tmp_path, monkeypatch):
+        import khull.experiments as exp
+        calls = []
+        build = Ellipsoid.surface_sampler
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return build(self, *args, **kwargs)
+
+        monkeypatch.setattr(Ellipsoid, "surface_sampler", counted)
+        exp._cached_sampler.cache_clear()
+        cfg = ExperimentConfig(experiment="zerocell-mc", body=ELLIPSE,
+                               replicates=20, seed=19)
+        monkeypatch.setenv("KHULL_THREADS", "1")
+        run_experiment(cfg, out_dir=str(tmp_path / "serial"))
+        assert len(calls) == 1  # the zero_cell.off dump included
+        # each worker then builds its own sampler
+        exp._cached_sampler.cache_clear()
+        monkeypatch.setenv("KHULL_THREADS", "2")
+        run_experiment(cfg, out_dir=str(tmp_path / "pooled"))
+        for name in ("zerocell-mc.csv", "zero_cell.off"):
+            serial = (tmp_path / "serial" / name).read_bytes()
+            assert serial == (tmp_path / "pooled" / name).read_bytes()
 
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig(experiment="zerocell-mc", body=DISK, T0=2.0,

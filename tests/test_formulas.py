@@ -226,7 +226,8 @@ class TestEndToEndEllipse:
         # anisotropic cross-check at module scale; the acceptance suite
         # repeats this with the full budget
         rng = np.random.default_rng(23)
-        f0 = np.array([zero_cell(ellipse21, rng, T0=5.0).fvector()[0]
+        sampler = ellipse21.surface_sampler()
+        f0 = np.array([zero_cell(ellipse21, rng, T0=5.0, sampler=sampler).fvector()[0]
                        for _ in range(1200)])
         mc_se = f0.std(ddof=1) / math.sqrt(f0.size)
         est = ef0_general(ellipse21, FAST)

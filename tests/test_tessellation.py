@@ -5,10 +5,11 @@ import pytest
 from scipy.stats import ks_2samp
 
 import oracles
-from khull import (Ball, DomainError, NumericError, Polytope, kappa,
-                   intrinsic_volumes, intrinsic_volumes_of_cell,
+from khull import (Ball, DomainError, NumericError, Polytope, direction_grid,
+                   kappa, intrinsic_volumes, intrinsic_volumes_of_cell,
                    sample_hyperplanes, scaled_sample_statistics,
                    tagged_hull_from_points, uniform_sample, zero_cell)
+from khull.tessellation import _grid_pairs, _radial_min
 
 TRIANGLE = Polytope([[-1.0, -1.0], [2.0, -0.5], [0.0, 1.5]])
 
@@ -239,3 +240,30 @@ class TestScaledSampleStatistics:
         assert not stats.fvector_exact
         assert len(stats.fvector) == 3
         assert stats.volumes[3] > 0.0
+
+
+class TestRadialMin:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("m", [8, 64, 512, 2048])
+    def test_matches_full_table(self, d, m):
+        U = direction_grid(d, m)
+        rng = np.random.default_rng(10 * m + d)
+        for scale in (1.0, 2000.0):
+            for _ in range(3):
+                h = scale * rng.uniform(0.2, 1.8, m)
+                assert np.array_equal(_radial_min(d, m, h),
+                                      oracles.full_radial_min(U, h))
+
+    @pytest.mark.parametrize("d, m", [(2, 64), (3, 64)])
+    def test_unbounded_region_raises(self, d, m):
+        h = np.full(m, np.inf)
+        with pytest.raises(NumericError):
+            _radial_min(d, m, h)
+        with pytest.raises(NumericError):
+            oracles.full_radial_min(direction_grid(d, m), h)
+
+    def test_cached_arrays_read_only(self):
+        for a in _grid_pairs(2, 64):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
