@@ -247,7 +247,8 @@ def _hull_row(K: ConvexBody, experiment: str, n: int, resolution: int,
 
 
 def _zerocell_row(K: ConvexBody, sampler: SurfaceMeasureSampler, T0: float,
-                  replicate: int, seed_word: int, rng) -> dict:
+                  replicate: int, seed_word: int, rng) -> tuple[dict, tessellation.ZeroCell]:
+    """The CSV row of one zero cell, and the cell."""
     z = tessellation.zero_cell(K, rng, T0=T0, sampler=sampler)
     fv = z.fvector()
     vols = tessellation.intrinsic_volumes_of_cell(z)
@@ -256,7 +257,7 @@ def _zerocell_row(K: ConvexBody, sampler: SurfaceMeasureSampler, T0: float,
     row.update({f"f{k}": fv[k] for k in range(len(fv))})
     row.update({f"V{j}": float(vols[j]) for j in range(K.dim + 1)})
     row["certified"] = z.certified
-    return row
+    return row, z
 
 
 def _convergence_row(K: ConvexBody, n: int, directions: int | None,
@@ -277,31 +278,36 @@ def _convergence_row(K: ConvexBody, n: int, directions: int | None,
     return row
 
 
-def _run_job(job: tuple) -> tuple[int, dict | None, str | None]:
+def _run_job(job: tuple) -> tuple[int, dict | None, str | None, str | None]:
+    """(job index, row or None, exclusion reason or None, OFF text of the
+    zero cell of job 0 of a zerocell-mc campaign or None)."""
     experiment, body_json, master_seed, job_index, replicate, params = job
     K = _cached_body(body_json)
     rng, seed_word = _replicate_rng(master_seed, job_index)
+    off = None
     try:
         if experiment in ("fvector-mc", "sample-hull"):
             n, resolution = params
             row = _hull_row(K, experiment, n, resolution, replicate, seed_word, rng)
             if row is None:
-                return job_index, None, "general-position"
+                return job_index, None, "general-position", None
         elif experiment == "zerocell-mc":
             (T0,) = params
-            row = _zerocell_row(K, _cached_sampler(body_json), T0,
-                                replicate, seed_word, rng)
+            row, z = _zerocell_row(K, _cached_sampler(body_json), T0,
+                                   replicate, seed_word, rng)
+            if job_index == 0:
+                off = z.cell.to_off_text()
         elif experiment == "convergence":
             n, directions, resolution = params
             row = _convergence_row(K, n, directions, resolution,
                                    replicate, seed_word, rng)
         else:
             raise ConfigError(f"experiment {experiment!r} has no replicate jobs")
-        return job_index, row, None
+        return job_index, row, None, off
     except GeneralPositionError:
-        return job_index, None, "general-position"
+        return job_index, None, "general-position", None
     except NumericError:
-        return job_index, None, "numeric"
+        return job_index, None, "numeric", None
 
 
 def _jobs_for(cfg: ExperimentConfig) -> list[tuple]:
@@ -384,8 +390,20 @@ def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
             writer.writerow([_format_cell(row[c]) for c in columns])
 
 
-def _dump_first_replicate(cfg: ExperimentConfig, out_dir: Path) -> None:
-    """Write the geometry of replicate 0 next to the statistics."""
+def _dump_first_replicate(cfg: ExperimentConfig, out_dir: Path,
+                          cell_off: str | None) -> None:
+    """Write the geometry of replicate 0 next to the statistics.
+
+    A zero cell is not computed again: `cell_off` is the OFF text replicate
+    0's job returned. When that replicate was excluded there is no cell to
+    write, and NumericError is raised after the CSV and the summary are
+    written, as a recomputation would have raised it.
+    """
+    if cfg.experiment == "zerocell-mc":
+        if cell_off is None:
+            raise NumericError("replicate 0 was excluded, so zero_cell.off has no cell")
+        (out_dir / "zero_cell.off").write_text(cell_off)
+        return
     body_json = _body_key(cfg)
     K = _cached_body(body_json)
     rng, _ = _replicate_rng(cfg.seed, 0)
@@ -400,10 +418,6 @@ def _dump_first_replicate(cfg: ExperimentConfig, out_dir: Path) -> None:
         else:
             polar_hull = faces._polar_hull(K, pts, m=cfg.resolution)
             (out_dir / "polar_hull.off").write_text(polar_hull.to_off_text())
-    elif cfg.experiment == "zerocell-mc":
-        z = tessellation.zero_cell(K, rng, T0=cfg.T0,
-                                   sampler=_cached_sampler(body_json))
-        (out_dir / "zero_cell.off").write_text(z.cell.to_off_text())
 
 
 def _run_expected_facets(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
@@ -440,6 +454,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     started = time.perf_counter()
     target = out_dir if out_dir is not None else cfg.out
     excluded: dict[str, int] = {}
+    first_off = None
 
     if cfg.experiment == "expected-facets":
         rows, summary = _run_expected_facets(cfg)
@@ -454,8 +469,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         else:
             results = [_run_job(job) for job in jobs]
         results.sort(key=lambda item: item[0])
+        first_off = results[0][3]
         rows = []
-        for _, row, reason in results:
+        for _, row, reason, _ in results:
             if row is None:
                 excluded[reason] = excluded.get(reason, 0) + 1
             else:
@@ -491,5 +507,5 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         (out_path / f"{cfg.experiment}_summary.json").write_text(
             json.dumps(summary, indent=1, sort_keys=True))
         if cfg.experiment in ("sample-hull", "zerocell-mc"):
-            _dump_first_replicate(cfg, out_path)
+            _dump_first_replicate(cfg, out_path, first_off)
     return summary

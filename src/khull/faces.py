@@ -120,6 +120,14 @@ class TaggedPolytope:
     Facets are merged over coplanar triangulation pieces; `edges` pairs
     hull-vertex indices and `edge_facets` the two merged facets meeting
     there. For d=2 facets and edges coincide.
+
+    It is built in two stages. The bare stage (`_bare_hull`) finds the hull
+    vertices and one normal and offset per facet, which is all a zero-cell
+    certification attempt reads. The tagging stage (`_tag_hull`) adds the
+    owners, the facets, edges and simplices, the volume and the surface.
+    Both stages work on whole arrays but round every value as the
+    per-element reference builders in `tests/oracles.py` do, operation for
+    operation, so every field is bit-identical to theirs.
     """
 
     dim: int
@@ -154,20 +162,46 @@ class TaggedPolytope:
         return "\n".join(lines) + "\n"
 
 
+@dataclass(frozen=True, eq=False)
+class _BareHull:
+    """Bare stage of a tagged hull.
+
+    `vertices` indexes the input cloud in hull order (counter-clockwise
+    in d = 2, ascending in d = 3); the facets are {<a, y> = b} with a in
+    `normals` and b in `offsets`. In d = 3 a facet is a group of coplanar
+    triangles, listed in the order of its union-find root and carrying
+    the plane of its lowest-numbered triangle. The remaining fields are
+    what the tagging stage reuses in d = 3.
+    """
+
+    points: Array
+    vertices: Array
+    normals: Array
+    offsets: Array
+    qhull: ConvexHull | None = None
+    group: Array | None = None            # (F,) facet of each triangle
+    pairs: tuple[Array, Array, Array] | None = None  # adjacent (s, k, t), t > s
+
+
 def _monotone_chain(points: Array) -> list[int]:
-    """Indices of hull vertices in CCW order; collinear middles dropped."""
-    n = points.shape[0]
-    order = np.lexsort((points[:, 1], points[:, 0]))
+    """Indices of hull vertices in CCW order; collinear middles dropped.
+
+    The orientation test runs on Python floats, one IEEE operation at a
+    time, exactly as it would on numpy float64 scalars."""
+    order = np.lexsort((points[:, 1], points[:, 0])).tolist()
+    xy = points.tolist()
 
     def build(seq):
         out: list[int] = []
         for i in seq:
+            px, py = xy[i]
             while len(out) >= 2:
-                o, a = points[out[-2]], points[out[-1]]
-                if (a[0] - o[0]) * (points[i][1] - o[1]) - (a[1] - o[1]) * (points[i][0] - o[0]) > 0:
+                ox, oy = xy[out[-2]]
+                ax, ay = xy[out[-1]]
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
                     break
                 out.pop()
-            out.append(int(i))
+            out.append(i)
         return out
 
     lower = build(order)
@@ -178,40 +212,65 @@ def _monotone_chain(points: Array) -> list[int]:
     return hull
 
 
-def _tagged_hull_2d(points: Array, owners: Array) -> TaggedPolytope:
-    hull = _monotone_chain(points)
+def _roll(V: Array) -> Array:
+    """np.roll(V, -1, axis=0): each row replaced by the next, cyclically."""
+    return np.concatenate((V[1:], V[:1]))
+
+
+def _rownorm(x: Array) -> Array:
+    """np.linalg.norm(x, axis=1) by its own arithmetic, without its
+    argument handling: the root of the reduced squares of each row."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
+def _bare_hull_2d(points: Array) -> _BareHull:
+    hull = np.array(_monotone_chain(points))
     V = points[hull]
-    n = len(hull)
-    edges = tuple((k, (k + 1) % n) for k in range(n))
-    evec = V[[e[1] for e in edges]] - V[[e[0] for e in edges]]
+    evec = _roll(V) - V
     normals = np.column_stack([evec[:, 1], -evec[:, 0]])
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    offsets = np.sum(normals * V[[e[0] for e in edges]], axis=1)
-    area = 0.5 * float(np.sum(V[:, 0] * np.roll(V[:, 1], -1) - np.roll(V[:, 0], -1) * V[:, 1]))
-    perim = float(np.sum(np.linalg.norm(evec, axis=1)))
+    normals /= _rownorm(normals)[:, None]
+    offsets = np.add.reduce(normals * V, axis=1)
+    return _BareHull(points, hull, normals, offsets)
+
+
+def _tag_hull_2d(bare: _BareHull, owners: Array) -> TaggedPolytope:
+    V = bare.points[bare.vertices]
+    n = V.shape[0]
+    edges = tuple(zip(range(n), [*range(1, n), 0]))
+    W = _roll(V)
+    evec = W - V
+    area = 0.5 * float(np.add.reduce(V[:, 0] * W[:, 1] - W[:, 0] * V[:, 1]))
+    perim = float(np.add.reduce(_rownorm(evec)))
     return TaggedPolytope(
-        dim=2, points=V, owners=np.asarray(owners)[hull],
-        facets=tuple((e[0], e[1]) for e in edges),
-        facet_normals=normals, facet_offsets=offsets,
-        edges=edges, edge_facets=tuple((k, (k + 1) % n) for k in range(n)),
-        simplices=tuple((e[0], e[1]) for e in edges),
+        dim=2, points=V, owners=owners[bare.vertices],
+        facets=edges, facet_normals=bare.normals, facet_offsets=bare.offsets,
+        edges=edges, edge_facets=edges, simplices=edges,
         volume=area, surface=perim)
 
 
-def _tagged_hull_3d(points: Array, owners: Array) -> TaggedPolytope:
+def _rowdot(a: Array, b: Array) -> Array:
+    """Row-wise dot products, each rounded as `a[i] @ b[i]` is; `einsum`
+    and `(a * b).sum(1)` can differ from it in the last bit."""
+    return np.matmul(a[:, None, :], b[:, :, None]).ravel()
+
+
+def _bare_hull_3d(points: Array) -> _BareHull:
     try:
         hull = ConvexHull(points)
     except QhullError as exc:
         raise DomainError("degenerate spatial hull") from exc
-    vmap = {int(g): k for k, g in enumerate(hull.vertices)}
-    V = points[hull.vertices]
-    own = np.asarray(owners)[hull.vertices]
-    sims = [tuple(vmap[int(i)] for i in s) for s in hull.simplices]
     normals = hull.equations[:, :3]
     offsets = -hull.equations[:, 3]
+    nf = normals.shape[0]
 
-    # Merge coplanar adjacent triangles into true facets (union-find).
-    nf = len(sims)
+    # Adjacent triangles s < t, ordered by s, then by k: neighbors[s, k]
+    # is the triangle opposite vertex k of s.
+    s, k = np.nonzero(hull.neighbors > np.arange(nf)[:, None])
+    t = hull.neighbors[s, k]
+    coplanar = np.flatnonzero(_rowdot(normals[s], normals[t]) > 1.0 - COPLANAR_TOL)
+
+    # Merge coplanar neighbours into true facets with a union-find over the
+    # flagged pairs in the order above; a facet is numbered by its root.
     parent = list(range(nf))
 
     def find(a):
@@ -220,49 +279,70 @@ def _tagged_hull_3d(points: Array, owners: Array) -> TaggedPolytope:
             a = parent[a]
         return a
 
-    adjacent: list[tuple[int, int]] = []
-    for s in range(nf):
-        for t in hull.neighbors[s]:
-            t = int(t)
-            if t > s:
-                adjacent.append((s, t))
-    for s, t in adjacent:
-        if float(normals[s] @ normals[t]) > 1.0 - COPLANAR_TOL:
-            ra, rb = find(s), find(t)
-            if ra != rb:
-                parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for s in range(nf):
-        groups.setdefault(find(s), []).append(s)
-    group_ids = {root: k for k, root in enumerate(sorted(groups))}
+    heads, tails = s[coplanar].tolist(), t[coplanar].tolist()
+    for a, b in zip(heads, tails):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+    root = np.arange(nf)
+    touched = list(set(heads).union(tails))
+    root[touched] = [find(a) for a in touched]
+    _, first, group = np.unique(root, return_index=True, return_inverse=True)
+    # the vertices are np.unique(hull.simplices), as `hull.vertices` has them
+    used = np.zeros(points.shape[0], dtype=bool)
+    used[hull.simplices] = True
+    return _BareHull(points, np.flatnonzero(used), normals[first], offsets[first],
+                     qhull=hull, group=group, pairs=(s, k, t))
 
-    facet_vsets: list[set[int]] = [set() for _ in group_ids]
-    gnormals = np.zeros((len(group_ids), 3))
-    goffsets = np.zeros(len(group_ids))
-    for root, members in groups.items():
-        g = group_ids[root]
-        for s in members:
-            facet_vsets[g].update(sims[s])
-        gnormals[g] = normals[members[0]]
-        goffsets[g] = offsets[members[0]]
 
-    edges: dict[tuple[int, int], tuple[int, int]] = {}
-    for s, t in adjacent:
-        gs, gt = group_ids[find(s)], group_ids[find(t)]
-        if gs == gt:
-            continue
-        shared = tuple(sorted(set(sims[s]) & set(sims[t])))
-        if len(shared) != 2:
-            raise NumericError("adjacent facets share an unexpected vertex count")
-        edges[shared] = (min(gs, gt), max(gs, gt))
+# Columns of a triangle other than column k, for k = 0, 1, 2.
+_OTHER_TWO = np.array([[1, 2], [2, 0], [0, 1]])
+
+
+def _tag_hull_3d(bare: _BareHull, owners: Array) -> TaggedPolytope:
+    hull, group = bare.qhull, bare.group
+    local = np.empty(bare.points.shape[0], dtype=np.intp)
+    local[bare.vertices] = np.arange(bare.vertices.size)
+    sims = local[hull.simplices]
+    s, k, t = bare.pairs
+    ng = bare.offsets.size
+    # the sorted vertex set of each facet, from one sort of the
+    # (facet, vertex) keys of all triangles
+    nv = bare.vertices.size
+    key = np.unique(group[:, None] * nv + sims)
+    verts = (key % nv).tolist()
+    ends = np.searchsorted(key, np.arange(1, ng + 1) * nv).tolist()
+    facets = [verts[a:b] for a, b in zip([0, *ends[:-1]], ends)]
+    # pairs inside one facet are not edges
+    sides = np.column_stack([group[s], group[t]])
+    cut = sides[:, 0] != sides[:, 1]
+    s, k, sides = s[cut], k[cut], np.sort(sides[cut], axis=1)
+    # The edge between adjacent triangles s and t is s without its k-th vertex.
+    edges = np.sort(sims[s[:, None], _OTHER_TWO[k]], axis=1)
 
     return TaggedPolytope(
-        dim=3, points=V, owners=own,
-        facets=tuple(tuple(sorted(s)) for s in facet_vsets),
-        facet_normals=gnormals, facet_offsets=goffsets,
-        edges=tuple(edges.keys()), edge_facets=tuple(edges.values()),
-        simplices=tuple(sims),
+        dim=3, points=bare.points[bare.vertices], owners=owners[bare.vertices],
+        facets=tuple(map(tuple, facets)), facet_normals=bare.normals,
+        facet_offsets=bare.offsets,
+        edges=tuple(map(tuple, edges.tolist())),
+        edge_facets=tuple(map(tuple, sides.tolist())),
+        simplices=tuple(map(tuple, sims.tolist())),
         volume=float(hull.volume), surface=float(hull.area))
+
+
+def _bare_hull(points: Array) -> _BareHull:
+    """Bare stage: hull vertices and facet planes, no tags, d in {2, 3}."""
+    if points.shape[1] == 2:
+        return _bare_hull_2d(points)
+    if points.shape[1] == 3:
+        return _bare_hull_3d(points)
+    raise DomainError("owner-tagged hulls are provided for d in {2, 3}")
+
+
+def _tag_hull(bare: _BareHull, owners: Array) -> TaggedPolytope:
+    """Tagging stage: the full TaggedPolytope of a bare hull."""
+    tag = _tag_hull_2d if bare.points.shape[1] == 2 else _tag_hull_3d
+    return tag(bare, np.asarray(owners))
 
 
 def owner_tagged_hull(family: list[tuple[int, Array]]) -> TaggedPolytope:
@@ -270,11 +350,7 @@ def owner_tagged_hull(family: list[tuple[int, Array]]) -> TaggedPolytope:
     pts = np.concatenate([np.atleast_2d(cloud) for _, cloud in family])
     owners = np.concatenate([np.full(np.atleast_2d(cloud).shape[0], owner)
                              for owner, cloud in family])
-    if pts.shape[1] == 2:
-        return _tagged_hull_2d(pts, owners)
-    if pts.shape[1] == 3:
-        return _tagged_hull_3d(pts, owners)
-    raise DomainError("owner-tagged hulls are provided for d in {2, 3}")
+    return _tag_hull(_bare_hull(pts), owners)
 
 
 def tagged_hull_from_points(points: Array, owners: Array | None = None) -> TaggedPolytope:
@@ -282,11 +358,7 @@ def tagged_hull_from_points(points: Array, owners: Array | None = None) -> Tagge
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if owners is None:
         owners = np.arange(points.shape[0])
-    if points.shape[1] == 2:
-        return _tagged_hull_2d(points, np.asarray(owners))
-    if points.shape[1] == 3:
-        return _tagged_hull_3d(points, np.asarray(owners))
-    raise DomainError("owner-tagged hulls are provided for d in {2, 3}")
+    return _tag_hull(_bare_hull(points), owners)
 
 
 def fvector_from_tagged_hull(T: TaggedPolytope) -> FVector:

@@ -90,6 +90,13 @@ def zero_cell(K: ConvexBody, rng: np.random.Generator, T0: float = 5.0,
     Each extension appends an independent layer with distances in
     (T, 2T]; runs where the inverted points fail to enclose the origin
     are extended the same way, never discarded.
+
+    Each attempt builds only the bare dual hull (its vertices and facet
+    planes), which is all the radius test reads; the certified one is then
+    tagged, and the cell is the tagged hull of its polar vertices. The
+    facet planes are those a fully tagged dual would carry, so the verdicts,
+    the rows and the `zero_cell.off` bytes are those of tagging every
+    attempt.
     """
     if sampler is None:
         sampler = K.surface_sampler()
@@ -103,7 +110,9 @@ def zero_cell(K: ConvexBody, rng: np.random.Generator, T0: float = 5.0,
     for _ in range(max_doublings):
         dual = _try_dual_hull(u, t, d)
         if dual is not None:
-            radius = float(np.max(np.linalg.norm(_polar_vertices(dual), axis=1)))
+            # each dual facet {<a,y> = b} polarizes to the cell vertex a/b
+            zv = dual.normals / dual.offsets[:, None]
+            radius = float(faces._rownorm(zv).max())
             if radius <= T:
                 break
         # the measure of (T, 2T] is T
@@ -114,29 +123,22 @@ def zero_cell(K: ConvexBody, rng: np.random.Generator, T0: float = 5.0,
     else:
         raise NumericError(f"zero cell not certified after {max_doublings} extensions")
 
-    zv = _polar_vertices(dual)
     cell = tagged_hull_from_points(zv, owners=np.arange(zv.shape[0]))
-    return ZeroCell(dual=dual, cell=cell, certified=True, truncation=T,
-                    n_hyperplanes=int(t.shape[0]))
+    return ZeroCell(dual=faces._tag_hull(dual, np.arange(t.shape[0])), cell=cell,
+                    certified=True, truncation=T, n_hyperplanes=int(t.shape[0]))
 
 
-def _try_dual_hull(u: Array, t: Array, d: int) -> TaggedPolytope | None:
-    """Hull of the inverted points if it strictly encloses the origin."""
+def _try_dual_hull(u: Array, t: Array, d: int) -> faces._BareHull | None:
+    """Bare hull of the inverted points if it strictly encloses the origin."""
     if t.shape[0] < d + 1:
         return None
-    pts = u / t[:, None]
     try:
-        dual = tagged_hull_from_points(pts, owners=np.arange(pts.shape[0]))
+        dual = faces._bare_hull(u / t[:, None])
     except DomainError:
         return None
-    if np.min(dual.facet_offsets) <= 1e-12:
+    if np.min(dual.offsets) <= 1e-12:
         return None
     return dual
-
-
-def _polar_vertices(dual: TaggedPolytope) -> Array:
-    """Vertices of the cell: each dual facet {<a,y> = b} polarizes to a/b."""
-    return dual.facet_normals / dual.facet_offsets[:, None]
 
 
 @dataclass(frozen=True)
@@ -156,16 +158,28 @@ def intrinsic_volumes(P: TaggedPolytope) -> IntrinsicVolumes:
     d=2: (1, perimeter/2, area). d=3: V_1 sums edge length times exterior
     dihedral angle over 2 pi; coplanar triangulation edges contribute
     nothing since their angle vanishes.
+
+    The d = 3 terms are computed over all edges at once but rounded as the
+    per-edge loop in `tests/oracles.py` rounds them: each length is the
+    square root of the edge's own dot product, each angle is `math.acos`
+    of the clipped dot product of its facet normals, and the terms are
+    summed left to right in edge order. So V_1 is bit-identical to the
+    loop's; `np.arccos` or a pairwise `np.sum` would not be.
     """
     if P.dim == 2:
         return IntrinsicVolumes((1.0, 0.5 * P.surface, P.volume))
     if P.dim != 3:
         raise DomainError("intrinsic volumes are provided for d in {2, 3}")
     v1 = 0.0
-    for (a, b), (g1, g2) in zip(P.edges, P.edge_facets):
-        length = float(np.linalg.norm(P.points[a] - P.points[b]))
-        cosang = float(np.clip(P.facet_normals[g1] @ P.facet_normals[g2], -1.0, 1.0))
-        v1 += length * math.acos(cosang)
+    if P.edges:
+        ends = np.array(P.edges)
+        sides = np.array(P.edge_facets)
+        diff = P.points[ends[:, 0]] - P.points[ends[:, 1]]
+        length = np.sqrt(faces._rowdot(diff, diff))
+        cos = np.clip(faces._rowdot(P.facet_normals[sides[:, 0]],
+                                    P.facet_normals[sides[:, 1]]), -1.0, 1.0)
+        angle = np.array(list(map(math.acos, cos.tolist())))
+        v1 = float(np.add.accumulate(length * angle)[-1])
     return IntrinsicVolumes((1.0, v1 / (2.0 * math.pi), 0.5 * P.surface, P.volume))
 
 

@@ -3,16 +3,20 @@
 Everything here is deliberately written by a different route than the
 package: linear programs instead of facet algebra, dense boundary search
 instead of closed forms, halfspace enumeration instead of vertex maps.
-Slow is fine; these only run at test scale.
+Slow is fine; these only run at test scale. The exception is the
+per-element tagged-hull and intrinsic-volume references near the end:
+they are the package's earlier loops, kept so that its array code can be
+held to their exact bits.
 """
 import math
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 from scipy.special import ellipe
 
-from khull.errors import NumericError
+from khull.errors import DomainError, NumericError
+from khull.faces import COPLANAR_TOL, TaggedPolytope
 
 
 def lp_gauge(vertices: np.ndarray, x) -> float:
@@ -222,3 +226,150 @@ def full_radial_min(U: np.ndarray, h: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(r)):
         raise NumericError("outer support bounds do not enclose a bounded region")
     return r
+
+
+# Per-element references for the tagged-hull builders and intrinsic
+# volumes: the original loops, kept verbatim. The package's array code
+# must reproduce every field of theirs bit for bit.
+
+def chain_hull_2d(points: np.ndarray) -> list[int]:
+    """Andrew's monotone chain on numpy scalars: hull indices in CCW
+    order, collinear middles dropped."""
+    order = np.lexsort((points[:, 1], points[:, 0]))
+
+    def build(seq):
+        out: list[int] = []
+        for i in seq:
+            while len(out) >= 2:
+                o, a = points[out[-2]], points[out[-1]]
+                if (a[0] - o[0]) * (points[i][1] - o[1]) - (a[1] - o[1]) * (points[i][0] - o[0]) > 0:
+                    break
+                out.pop()
+            out.append(int(i))
+        return out
+
+    lower = build(order)
+    upper = build(order[::-1])
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 3:
+        raise DomainError("degenerate planar hull (fewer than 3 extreme points)")
+    return hull
+
+
+def tagged_hull_2d(points: np.ndarray, owners: np.ndarray) -> TaggedPolytope:
+    """Planar tagged hull with per-edge tuple building."""
+    hull = chain_hull_2d(points)
+    V = points[hull]
+    n = len(hull)
+    edges = tuple((k, (k + 1) % n) for k in range(n))
+    evec = V[[e[1] for e in edges]] - V[[e[0] for e in edges]]
+    normals = np.column_stack([evec[:, 1], -evec[:, 0]])
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    offsets = np.sum(normals * V[[e[0] for e in edges]], axis=1)
+    area = 0.5 * float(np.sum(V[:, 0] * np.roll(V[:, 1], -1) - np.roll(V[:, 0], -1) * V[:, 1]))
+    perim = float(np.sum(np.linalg.norm(evec, axis=1)))
+    return TaggedPolytope(
+        dim=2, points=V, owners=np.asarray(owners)[hull],
+        facets=tuple((e[0], e[1]) for e in edges),
+        facet_normals=normals, facet_offsets=offsets,
+        edges=edges, edge_facets=tuple((k, (k + 1) % n) for k in range(n)),
+        simplices=tuple((e[0], e[1]) for e in edges),
+        volume=area, surface=perim)
+
+
+def tagged_hull_3d(points: np.ndarray, owners: np.ndarray) -> TaggedPolytope:
+    """Spatial tagged hull: a union-find over every adjacent triangle pair
+    merges coplanar ones; edges come from per-pair set intersections."""
+    try:
+        hull = ConvexHull(points)
+    except QhullError as exc:
+        raise DomainError("degenerate spatial hull") from exc
+    vmap = {int(g): k for k, g in enumerate(hull.vertices)}
+    V = points[hull.vertices]
+    own = np.asarray(owners)[hull.vertices]
+    sims = [tuple(vmap[int(i)] for i in s) for s in hull.simplices]
+    normals = hull.equations[:, :3]
+    offsets = -hull.equations[:, 3]
+
+    nf = len(sims)
+    parent = list(range(nf))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    adjacent: list[tuple[int, int]] = []
+    for s in range(nf):
+        for t in hull.neighbors[s]:
+            t = int(t)
+            if t > s:
+                adjacent.append((s, t))
+    for s, t in adjacent:
+        if float(normals[s] @ normals[t]) > 1.0 - COPLANAR_TOL:
+            ra, rb = find(s), find(t)
+            if ra != rb:
+                parent[rb] = ra
+    groups: dict[int, list[int]] = {}
+    for s in range(nf):
+        groups.setdefault(find(s), []).append(s)
+    group_ids = {root: k for k, root in enumerate(sorted(groups))}
+
+    facet_vsets: list[set[int]] = [set() for _ in group_ids]
+    gnormals = np.zeros((len(group_ids), 3))
+    goffsets = np.zeros(len(group_ids))
+    for root, members in groups.items():
+        g = group_ids[root]
+        for s in members:
+            facet_vsets[g].update(sims[s])
+        gnormals[g] = normals[members[0]]
+        goffsets[g] = offsets[members[0]]
+
+    edges: dict[tuple[int, int], tuple[int, int]] = {}
+    for s, t in adjacent:
+        gs, gt = group_ids[find(s)], group_ids[find(t)]
+        if gs == gt:
+            continue
+        shared = tuple(sorted(set(sims[s]) & set(sims[t])))
+        if len(shared) != 2:
+            raise NumericError("adjacent facets share an unexpected vertex count")
+        edges[shared] = (min(gs, gt), max(gs, gt))
+
+    return TaggedPolytope(
+        dim=3, points=V, owners=own,
+        facets=tuple(tuple(sorted(s)) for s in facet_vsets),
+        facet_normals=gnormals, facet_offsets=goffsets,
+        edges=tuple(edges.keys()), edge_facets=tuple(edges.values()),
+        simplices=tuple(sims),
+        volume=float(hull.volume), surface=float(hull.area))
+
+
+def tagged_hull(points, owners=None) -> TaggedPolytope:
+    """Reference for `tagged_hull_from_points`, d in {2, 3}."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    owners = np.arange(points.shape[0]) if owners is None else np.asarray(owners)
+    build = tagged_hull_2d if points.shape[1] == 2 else tagged_hull_3d
+    return build(points, owners)
+
+
+def intrinsic_v1_3d(P: TaggedPolytope) -> float:
+    """V_1 of a tagged d = 3 polytope, one edge at a time."""
+    v1 = 0.0
+    for (a, b), (g1, g2) in zip(P.edges, P.edge_facets):
+        length = float(np.linalg.norm(P.points[a] - P.points[b]))
+        cosang = float(np.clip(P.facet_normals[g1] @ P.facet_normals[g2], -1.0, 1.0))
+        v1 += length * math.acos(cosang)
+    return v1 / (2.0 * math.pi)
+
+
+def assert_same_polytope(A: TaggedPolytope, B: TaggedPolytope) -> None:
+    """Every field equal: arrays bit for bit, with shape and dtype, so that
+    -0.0 differs from 0.0; tuples and floats with ==."""
+    for name in ("dim", "facets", "edges", "edge_facets", "simplices",
+                 "volume", "surface"):
+        assert getattr(A, name) == getattr(B, name), name
+    for name in ("points", "owners", "facet_normals", "facet_offsets"):
+        a, b = getattr(A, name), getattr(B, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name

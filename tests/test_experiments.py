@@ -329,6 +329,49 @@ class TestRunExperiment:
             serial = (tmp_path / "serial" / name).read_bytes()
             assert serial == (tmp_path / "pooled" / name).read_bytes()
 
+    def test_zero_cell_computed_once_per_replicate(self, tmp_path, monkeypatch):
+        import khull.experiments as exp
+        calls = []
+        build = exp.tessellation.zero_cell
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(exp.tessellation, "zero_cell", counted)
+        cfg = ExperimentConfig(experiment="zerocell-mc", body=ELLIPSE,
+                               replicates=20, seed=19)
+        monkeypatch.setenv("KHULL_THREADS", "1")
+        run_experiment(cfg, out_dir=str(tmp_path / "serial"))
+        assert len(calls) == 20  # zero_cell.off is replicate 0's own cell
+        monkeypatch.setenv("KHULL_THREADS", "2")
+        run_experiment(cfg, out_dir=str(tmp_path / "pooled"))
+        for name in ("zerocell-mc.csv", "zero_cell.off"):
+            serial = (tmp_path / "serial" / name).read_bytes()
+            assert serial == (tmp_path / "pooled" / name).read_bytes()
+
+    def test_excluded_replicate_zero_raises_after_writing(self, tmp_path, monkeypatch):
+        import khull.experiments as exp
+        build = exp.tessellation.zero_cell
+        calls = []
+
+        def first_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise NumericError("zero cell not certified")
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(exp.tessellation, "zero_cell", first_fails)
+        monkeypatch.setenv("KHULL_THREADS", "1")
+        cfg = ExperimentConfig(experiment="zerocell-mc", body=DISK,
+                               replicates=3, seed=8)
+        with pytest.raises(NumericError, match="replicate 0"):
+            run_experiment(cfg, out_dir=str(tmp_path))
+        assert len(calls) == 3
+        summary = json.loads((tmp_path / "zerocell-mc_summary.json").read_text())
+        assert summary["exclusion_reasons"] == {"numeric": 1}
+        assert not (tmp_path / "zero_cell.off").exists()
+
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig(experiment="zerocell-mc", body=DISK, T0=2.0,
                                replicates=8, seed=77)

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from khull import (Ball, DomainError, Ellipsoid, GeneralPositionError, PNormBall,
                    Polytope, direction_grid, disk_intersection_boundary, fvector_approx,
                    fvector_bound_ok, fvector_exact_2d, fvector_from_tagged_hull,
                    general_position_check_2d, kfacet_count_2d,
-                   khull_boundary_2d, owner_tagged_hull, polar_family,
+                   intrinsic_volumes, khull_boundary_2d, owner_tagged_hull, polar_family,
                    polytope_fvector, tagged_hull_from_points, uniform_sample)
 from khull import faces
 from khull.faces import _polar_hull
@@ -260,6 +261,94 @@ class TestOwnerTaggedHull:
                            rng.uniform(-0.5, 0.5, size=(20, 2))])
         T = tagged_hull_from_points(cloud)
         assert T.points.shape[0] == 4
+
+
+def _rotation(rng):
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+def _prism(k, height=1.0):
+    """Right prism over a regular k-gon: two k-gon facets and k rectangles,
+    each triangulated by qhull and merged back."""
+    a = np.linspace(0.0, 2.0 * math.pi, k, endpoint=False)
+    ring = np.column_stack([np.cos(a), np.sin(a)])
+    return np.vstack([np.column_stack([ring, np.zeros(k)]),
+                      np.column_stack([ring, np.full(k, height)])])
+
+
+CUBE = np.array([[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0)
+                 for z in (-1.0, 1.0)])
+
+
+class TestTaggedHullParity:
+    """The array builders against the per-element references in `oracles`:
+    every TaggedPolytope field and V_1 must be identical, not just close."""
+
+    @staticmethod
+    def check(points, owners=None):
+        T = tagged_hull_from_points(points, owners)
+        oracles.assert_same_polytope(T, oracles.tagged_hull(points, owners))
+        if T.dim == 3:
+            assert intrinsic_volumes(T)[1] == oracles.intrinsic_v1_3d(T)
+        return T
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [4, 5, 7, 12, 40, 150, 600, 2000])
+    def test_random_clouds(self, d, n, rng):
+        for scale in (1e-3, 1.0, 1e3):
+            pts = rng.standard_normal((n, d)) * scale + rng.uniform(-1, 1, d)
+            self.check(pts, rng.integers(0, 5, size=n))
+        # points on a sphere: every one is a vertex
+        pts = rng.standard_normal((n, d))
+        self.check(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("points", [
+        CUBE, 0.5 * CUBE + [3.0, -1.0, 2.0], _prism(3), _prism(6, 0.3),
+        _prism(17, 4.0), np.vstack([_prism(40), 0.5 * _prism(40) + [0, 0, 2]])],
+        ids=["cube", "shifted-cube", "prism3", "prism6", "prism17", "frustum40"])
+    def test_merged_facets(self, points, rng):
+        T = self.check(points)
+        assert len(T.facets) < len(T.simplices)  # the union-find path ran
+        for _ in range(3):
+            self.check(points @ _rotation(rng).T * rng.uniform(0.1, 10.0))
+
+    @pytest.mark.parametrize("jitter", [1e-9, 1e-7])
+    def test_near_coplanar_merges(self, jitter, rng):
+        # Lattice points moved off their planes: qhull keeps the nearly
+        # coplanar triangles apart and the merge joins them. Here the
+        # order of the unions decides the roots, and so the facet order.
+        for _ in range(10):
+            pts = rng.integers(-3, 4, (60, 3)) + jitter * rng.standard_normal((60, 3))
+            T = self.check(pts)
+            assert len(T.facets) < len(T.simplices)
+
+    def test_prism_facets(self):
+        T = self.check(_prism(17))
+        assert sorted(len(f) for f in T.facets) == [4] * 17 + [17] * 2
+
+    @pytest.mark.parametrize("d, m", [(2, 512), (2, 2048), (3, 512), (3, 2048)])
+    def test_radial_polytopes(self, d, m, rng):
+        U = direction_grid(d, m)
+        for r in (np.ones(m), rng.uniform(0.5, 2.0, m), 1.0 + 1e-3 * rng.random(m)):
+            self.check(r[:, None] * U)
+
+    def test_owner_tagged_family(self, ellipse21, unit_ball3, rng):
+        for K in (ellipse21, unit_ball3):
+            family = polar_family(K, uniform_sample(K, 6, rng) * 0.5, m=64)
+            pts = np.concatenate([cloud for _, cloud in family])
+            owners = np.concatenate([np.full(len(cloud), i) for i, cloud in family])
+            oracles.assert_same_polytope(owner_tagged_hull(family),
+                                         oracles.tagged_hull(pts, owners))
+
+    def test_degenerate_inputs_raise_alike(self):
+        for pts in (np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]),
+                    np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                              [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])):
+            with pytest.raises(DomainError):
+                tagged_hull_from_points(pts)
+            with pytest.raises(DomainError):
+                oracles.tagged_hull(pts)
 
 
 class TestFvectorFromTaggedHull:

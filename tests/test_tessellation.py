@@ -5,11 +5,12 @@ import pytest
 from scipy.stats import ks_2samp
 
 import oracles
-from khull import (Ball, DomainError, NumericError, Polytope, direction_grid,
+from khull import (Ball, DomainError, Ellipsoid, NumericError, Polytope, direction_grid,
                    kappa, intrinsic_volumes, intrinsic_volumes_of_cell,
                    sample_hyperplanes, scaled_sample_statistics,
                    tagged_hull_from_points, uniform_sample, zero_cell)
-from khull.tessellation import _grid_pairs, _radial_min
+from khull import tessellation
+from khull.tessellation import _draw_layer, _grid_pairs, _radial_min, _try_dual_hull
 
 TRIANGLE = Polytope([[-1.0, -1.0], [2.0, -0.5], [0.0, 1.5]])
 
@@ -143,6 +144,97 @@ class TestZeroCell:
         se = math.hypot(f_small.std(ddof=1) / math.sqrt(f_small.size),
                         f_big.std(ddof=1) / math.sqrt(f_big.size))
         assert abs(f_small.mean() - f_big.mean()) <= 3.0 * se
+
+
+def _attempts(K, seeds, T0, layers):
+    """The inverted point clouds a zero-cell loop would test: a first layer
+    at (0, T0], then `layers - 1` doublings, for each seed."""
+    sampler = K.surface_sampler()
+    rate = T0 * sampler.total_mass / K.volume()
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        t, u = _draw_layer(sampler, rate, 0.0, T0, rng, K.dim)
+        T = T0
+        for _ in range(layers):
+            yield u, t
+            t2, u2 = _draw_layer(sampler, rate * (T / T0), T, 2.0 * T, rng, K.dim)
+            t, u = np.concatenate([t, t2]), np.concatenate([u, u2])
+            T *= 2.0
+
+
+def _tagged_verdict(u, t, d):
+    """Certification read off a fully tagged dual: None when the hull is
+    degenerate or fails to enclose the origin, else the cell radius."""
+    if t.shape[0] < d + 1:
+        return None
+    try:
+        dual = oracles.tagged_hull(u / t[:, None])
+    except DomainError:
+        return None
+    if np.min(dual.facet_offsets) <= 1e-12:
+        return None
+    return float(np.max(np.linalg.norm(dual.facet_normals / dual.facet_offsets[:, None], axis=1)))
+
+
+class TestBareCertification:
+    @pytest.mark.parametrize("K, seeds, T0", [
+        (Ball(1.0, np.zeros(2)), range(150), 0.5),
+        (Ball(1.0, np.zeros(3)), range(80), 1.0),
+        (Ellipsoid([2.0, 1.0], np.zeros(2)), range(120), 0.5),
+    ], ids=["disk", "ball3", "ellipse"])
+    def test_bare_verdict_matches_tagged_dual(self, K, seeds, T0):
+        # 2100 attempts in all, from clouds too small to enclose the origin
+        # to clouds of about a hundred points
+        verdicts = []
+        for u, t in _attempts(K, seeds, T0, layers=6):
+            bare = _try_dual_hull(u, t, K.dim)
+            want = _tagged_verdict(u, t, K.dim)
+            if bare is None:
+                assert want is None
+            else:
+                got = float(np.max(np.linalg.norm(bare.normals / bare.offsets[:, None], axis=1)))
+                assert got == want
+            verdicts.append(want is None)
+        assert len(verdicts) >= 400 and 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("K", [Ball(1.0, np.zeros(2)), Ball(1.0, np.zeros(3)),
+                                   Ellipsoid([2.0, 1.0], np.zeros(2))],
+                             ids=["disk", "ball3", "ellipse"])
+    def test_dual_and_cell_match_references(self, K, monkeypatch):
+        clouds = []
+
+        def recording(u, t, d):
+            clouds.append(u / t[:, None])
+            return _try_dual_hull(u, t, d)
+
+        monkeypatch.setattr(tessellation, "_try_dual_hull", recording)
+        rng = np.random.default_rng(41)
+        for _ in range(15):
+            z = zero_cell(K, rng, T0=1.0)
+            dual = oracles.tagged_hull(clouds[-1])
+            oracles.assert_same_polytope(z.dual, dual)
+            zv = dual.facet_normals / dual.facet_offsets[:, None]
+            oracles.assert_same_polytope(z.cell, oracles.tagged_hull(zv))
+            vols = intrinsic_volumes_of_cell(z)
+            if K.dim == 3:
+                assert vols[1] == oracles.intrinsic_v1_3d(z.cell)
+
+    def test_one_tagged_hull_per_cell(self, unit_disk, unit_ball3, monkeypatch):
+        calls = []
+        build = tessellation.tagged_hull_from_points
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(tessellation, "tagged_hull_from_points", counted)
+        rng = np.random.default_rng(3)
+        for K in (unit_disk, unit_ball3):
+            for _ in range(20):
+                calls.clear()
+                z = zero_cell(K, rng, T0=0.5)  # small T0: most cells extend
+                assert len(calls) == 1
+                assert z.truncation >= 0.5
 
 
 class TestIntrinsicVolumes:
