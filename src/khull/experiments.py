@@ -219,19 +219,39 @@ def _fvector_columns(dim: int) -> list[str]:
 
 
 def _hull_row(K: ConvexBody, experiment: str, n: int, resolution: int,
-              replicate: int, seed_word: int, rng) -> dict | None:
+              replicate: int, seed_word: int, rng,
+              dump: list[str] | None = None) -> dict | None:
+    """The CSV row of one hull replicate, or None when it fails the
+    general-position check.
+
+    With a `dump` list, the replicate's geometry is appended to it as the
+    text of its dump file as soon as it is built, so it is kept even when
+    the row is then excluded: the X and hull cycles of a disk sample as
+    `boundary.json`, or the polar hull as `polar_hull.off`.
+    """
     pts = uniform_sample(K, n, rng)
     row: dict = {"replicate": replicate, "seed": seed_word, "n": n}
     if isinstance(K, Ball) and K.dim == 2:
         # One X cycle per replicate: the general-position check builds it,
-        # and the f-vector and the hull stage read it from the report.
+        # and the hull stage, the f-vector and the dump read it.
         report = faces.general_position_check_2d(K, pts)
+        xb = report.boundary
+        stage = None  # (hull cycle, hull-stage witnesses), or the NumericError raised
+        if xb is not None and (report.ok or dump is not None):
+            try:
+                stage = hull._hull_stage(K, pts, xb)
+            except NumericError as exc:
+                stage = exc
+        if dump is not None and isinstance(stage, tuple):
+            payload = {"intersection": xb.to_json_dict(), "khull": stage[0].to_json_dict()}
+            dump.append(json.dumps(payload, indent=1))
         if not report.ok:
             return None
-        xb = report.boundary
         if xb is None:
             raise NumericError("the intersection-body arc cycle failed to close")
-        qb, hull_witnesses = hull._hull_stage(K, pts, xb)
+        if isinstance(stage, NumericError):
+            raise stage
+        qb, hull_witnesses = stage
         kf = faces._facet_count(xb, qb)
         if hull_witnesses:
             return None
@@ -240,7 +260,10 @@ def _hull_row(K: ConvexBody, experiment: str, n: int, resolution: int,
         if experiment == "sample-hull":
             row.update(arcs=len(xb.arcs), vertices=len(xb.vertices))
     else:
-        fv = faces.fvector_approx(K, pts, m=resolution)
+        polar_hull = faces._polar_hull(K, pts, m=resolution)
+        if dump is not None:
+            dump.append(polar_hull.to_off_text())
+        fv = faces.fvector_from_tagged_hull(polar_hull)
         row.update({f"f{k}": fv[k] for k in range(len(fv))})
     row["gp_ok"] = True
     return row
@@ -279,35 +302,41 @@ def _convergence_row(K: ConvexBody, n: int, directions: int | None,
 
 
 def _run_job(job: tuple) -> tuple[int, dict | None, str | None, str | None]:
-    """(job index, row or None, exclusion reason or None, OFF text of the
-    zero cell of job 0 of a zerocell-mc campaign or None)."""
+    """(job index, row or None, exclusion reason or None, dump text or None).
+
+    Job 0 of a sample-hull or zerocell-mc campaign also returns the text of
+    its geometry file (see `_dump_name`), or None when that geometry could
+    not be built; every other job returns None there.
+    """
     experiment, body_json, master_seed, job_index, replicate, params = job
     K = _cached_body(body_json)
     rng, seed_word = _replicate_rng(master_seed, job_index)
-    off = None
+    dump: list[str] | None = (
+        [] if job_index == 0 and experiment in ("sample-hull", "zerocell-mc") else None)
+    row = reason = None
     try:
         if experiment in ("fvector-mc", "sample-hull"):
             n, resolution = params
-            row = _hull_row(K, experiment, n, resolution, replicate, seed_word, rng)
+            row = _hull_row(K, experiment, n, resolution, replicate, seed_word, rng, dump)
             if row is None:
-                return job_index, None, "general-position", None
+                reason = "general-position"
         elif experiment == "zerocell-mc":
             (T0,) = params
             row, z = _zerocell_row(K, _cached_sampler(body_json), T0,
                                    replicate, seed_word, rng)
-            if job_index == 0:
-                off = z.cell.to_off_text()
+            if dump is not None:
+                dump.append(z.cell.to_off_text())
         elif experiment == "convergence":
             n, directions, resolution = params
             row = _convergence_row(K, n, directions, resolution,
                                    replicate, seed_word, rng)
         else:
             raise ConfigError(f"experiment {experiment!r} has no replicate jobs")
-        return job_index, row, None, off
     except GeneralPositionError:
-        return job_index, None, "general-position", None
+        reason = "general-position"
     except NumericError:
-        return job_index, None, "numeric", None
+        reason = "numeric"
+    return job_index, row, reason, dump[0] if dump else None
 
 
 def _jobs_for(cfg: ExperimentConfig) -> list[tuple]:
@@ -390,34 +419,16 @@ def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
             writer.writerow([_format_cell(row[c]) for c in columns])
 
 
-def _dump_first_replicate(cfg: ExperimentConfig, out_dir: Path,
-                          cell_off: str | None) -> None:
-    """Write the geometry of replicate 0 next to the statistics.
-
-    A zero cell is not computed again: `cell_off` is the OFF text replicate
-    0's job returned. When that replicate was excluded there is no cell to
-    write, and NumericError is raised after the CSV and the summary are
-    written, as a recomputation would have raised it.
-    """
+def _dump_name(cfg: ExperimentConfig) -> str | None:
+    """The file replicate 0's geometry is written to next to the statistics:
+    the zero cell, the X and hull cycles of a disk sample, or the polar
+    hull of any other body's sample."""
     if cfg.experiment == "zerocell-mc":
-        if cell_off is None:
-            raise NumericError("replicate 0 was excluded, so zero_cell.off has no cell")
-        (out_dir / "zero_cell.off").write_text(cell_off)
-        return
-    body_json = _body_key(cfg)
-    K = _cached_body(body_json)
-    rng, _ = _replicate_rng(cfg.seed, 0)
+        return "zero_cell.off"
     if cfg.experiment == "sample-hull":
-        pts = uniform_sample(K, cfg.n, rng)
-        if isinstance(K, Ball) and K.dim == 2:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", GeneralPositionWarning)
-                xb, qb = hull._khull_pair(K, pts)
-            payload = {"intersection": xb.to_json_dict(), "khull": qb.to_json_dict()}
-            (out_dir / "boundary.json").write_text(json.dumps(payload, indent=1))
-        else:
-            polar_hull = faces._polar_hull(K, pts, m=cfg.resolution)
-            (out_dir / "polar_hull.off").write_text(polar_hull.to_off_text())
+        K = _cached_body(_body_key(cfg))
+        return "boundary.json" if isinstance(K, Ball) and K.dim == 2 else "polar_hull.off"
+    return None
 
 
 def _run_expected_facets(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
@@ -454,7 +465,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     started = time.perf_counter()
     target = out_dir if out_dir is not None else cfg.out
     excluded: dict[str, int] = {}
-    first_off = None
+    first_dump = None
 
     if cfg.experiment == "expected-facets":
         rows, summary = _run_expected_facets(cfg)
@@ -469,7 +480,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         else:
             results = [_run_job(job) for job in jobs]
         results.sort(key=lambda item: item[0])
-        first_off = results[0][3]
+        first_dump = results[0][3]
         rows = []
         for _, row, reason, _ in results:
             if row is None:
@@ -506,6 +517,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         _write_csv(out_path / f"{cfg.experiment}.csv", rows, columns)
         (out_path / f"{cfg.experiment}_summary.json").write_text(
             json.dumps(summary, indent=1, sort_keys=True))
-        if cfg.experiment in ("sample-hull", "zerocell-mc"):
-            _dump_first_replicate(cfg, out_path, first_off)
+        # Replicate 0's geometry is the text its own job returned; when the
+        # job could not build it, the campaign fails after the statistics
+        # are written.
+        name = _dump_name(cfg)
+        if name is not None:
+            if first_dump is None:
+                raise NumericError(f"replicate 0 was excluded, so {name} has no geometry")
+            (out_path / name).write_text(first_dump)
     return summary

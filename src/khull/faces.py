@@ -18,7 +18,7 @@ from scipy.spatial import ConvexHull, QhullError
 from .body import ConvexBody, direction_grid
 from .errors import DomainError, GeneralPositionError, NumericError
 from .hull import (EPS_GEO, EPS_GP, ArcBoundary, DegeneracyWitness, _disk_pass,
-                   _khull_pair, _prune_to_hull)
+                   _khull_pair, _prune_to_hull, _with_copies)
 
 Array = np.ndarray
 
@@ -57,10 +57,12 @@ def general_position_check_2d(K: ConvexBody, points: Array,
                               eps_gp: float = EPS_GP) -> GeneralPositionReport:
     """Screen a planar disk sample for near-degeneracies.
 
-    Flags duplicated points, near-tangent circle pairs among the active
-    constraints, and corner candidates with a third circle within eps_gp
-    (near-cocircular triples whose translate covers the whole sample).
-    A cycle anomaly is recorded as a witness.
+    Flags duplicated hull vertices (a repeated interior point cannot touch
+    the intersection body and is not flagged), near-tangent circle pairs
+    among the active constraints, and corner candidates with a third
+    circle, of any sample point, within eps_gp (near-cocircular triples
+    whose translate covers the whole sample). A cycle anomaly is recorded
+    as a witness.
     """
     xpass = _disk_pass(K, points, EPS_GEO, eps_gp)
     witnesses = xpass.witnesses
@@ -386,20 +388,6 @@ def fvector_from_tagged_hull(T: TaggedPolytope) -> FVector:
         if len(owners) == 3:
             triples.add(owners)
     return (f0, len(pairs), len(triples))
-
-
-def _with_copies(pts: Array, members: Array) -> Array:
-    """`members` plus every other row equal to one of theirs, ascending.
-
-    qhull reports one copy of a repeated point as a hull vertex; the other
-    copies tie with it on every ray, so they are winners too.
-    """
-    keys = np.sort(pts[members, 0])
-    pos = np.minimum(np.searchsorted(keys, pts[:, 0]), keys.size - 1)
-    cand = np.flatnonzero(keys[pos] == pts[:, 0])
-    if cand.size == members.size:
-        return members
-    return cand[(pts[cand, None] == pts[members]).all(axis=2).any(axis=1)]
 
 
 def _polar_hull(K: ConvexBody, points: Array, m: int = 256) -> TaggedPolytope:

@@ -253,6 +253,36 @@ def _dedupe_rows(pts: Array) -> Array:
     return np.sort(order[first])
 
 
+def _with_copies(pts: Array, members: Array) -> Array:
+    """`members` plus every other row equal to one of theirs, ascending.
+
+    qhull reports one copy of a repeated point as a hull vertex. The other
+    copies are the same point: the polar hull keeps them as tied winners on
+    every ray, and the arc pipeline dedupes them to their first occurrence.
+    """
+    keys = np.sort(pts[members, 0])
+    pos = np.minimum(np.searchsorted(keys, pts[:, 0]), keys.size - 1)
+    cand = np.flatnonzero(keys[pos] == pts[:, 0])
+    if cand.size == members.size:
+        return members
+    return cand[(pts[cand, None] == pts[members]).all(axis=2).any(axis=1)]
+
+
+def _pair_dist(a: Array, b: Array) -> Array:
+    """(len(a), len(b)) table of distances between planar rows of a and b.
+
+    sqrt(dx * dx + dy * dy) from the coordinate columns: the operations
+    np.linalg.norm(a[:, None] - b[None], axis=2) does, in the same order,
+    so the same bits, without its 3-D temporary.
+    """
+    dx = a[:, 0, None] - b[None, :, 0]
+    dy = a[:, 1, None] - b[None, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
+
+
 # Disks the first stage of the corner screen tests every candidate against.
 SCREEN_PROBES = 8
 
@@ -269,8 +299,9 @@ def _corner_keep(cand: Array, centers: Array, limit: float) -> Array:
     single full (candidates x disks) test gives.
     """
     def inside(points: Array, disks: Array) -> Array:
-        return np.all(np.linalg.norm(points[:, None, :] - disks[None, :, :], axis=2)
-                      <= limit, axis=1)
+        # disks x points: the long axis innermost; fl(b - a) = -fl(a - b),
+        # so the table is the transpose of the points x disks one, bit for bit
+        return (_pair_dist(disks, points) <= limit).all(axis=0)
 
     m = centers.shape[0]
     if m <= SCREEN_PROBES:
@@ -329,15 +360,16 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array,
 
     # Cocircularity screen against every circle in the input.
     if pts.shape[0] and centers_all.shape[0] > 2:
-        gap = np.abs(np.linalg.norm(pts[:, None, :] - centers_all[None, :, :], axis=2) - r)
-        for v in range(pts.shape[0]):
-            third = np.nonzero(gap[v] < eps_gp)[0]
-            third = [t for t in third if t not in (active[own_i[v]], active[own_j[v]])]
+        gap = _pair_dist(pts, centers_all)
+        gap -= r
+        np.abs(gap, out=gap)
+        near = gap < eps_gp
+        for v in np.flatnonzero(near.any(axis=1)):
+            pair = (int(active[own_i[v]]), int(active[own_j[v]]))
+            third = [t for t in np.flatnonzero(near[v]).tolist() if t not in pair]
             if third:
                 witnesses.append(DegeneracyWitness(
-                    "near-cocircular",
-                    (int(active[own_i[v]]), int(active[own_j[v]]), *map(int, third)),
-                    pts[v], float(gap[v, third].min())))
+                    "near-cocircular", (*pair, *third), pts[v], float(gap[v, third].min())))
 
     if pts.shape[0] < 2:
         # One active disk contains the rest of the intersection boundary.
@@ -345,36 +377,44 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array,
 
     # Group corners by owner; each boundary-active owner meets exactly two.
     incident: dict[int, list[int]] = {}
-    for v in range(pts.shape[0]):
-        incident.setdefault(int(own_i[v]), []).append(v)
-        incident.setdefault(int(own_j[v]), []).append(v)
-
-    arcs: list[Arc] = []
-    arc_ends: list[tuple[int, int]] = []  # (start corner, end corner)
-    for local_owner, vids in sorted(incident.items()):
+    for v, (i, j) in enumerate(zip(own_i.tolist(), own_j.tolist())):
+        incident.setdefault(i, []).append(v)
+        incident.setdefault(j, []).append(v)
+    owners = sorted(incident.items())
+    for local_owner, vids in owners:
         if len(vids) != 2:
             witnesses.append(DegeneracyWitness(
                 "anomaly", (int(active[local_owner]),), None, float(len(vids))))
             raise NumericError(
                 f"owner {active[local_owner]} meets {len(vids)} corners; expected 2")
-        c = act[local_owner]
-        va, vb = vids
-        ta = math.atan2(pts[va][1] - c[1], pts[va][0] - c[0])
-        tb = math.atan2(pts[vb][1] - c[1], pts[vb][0] - c[0])
+
+    # Each owner's circle splits at its two corners into two angular
+    # intervals; its arc is the first whose midpoint stays inside all disks.
+    xy = pts.tolist()
+    spans = []
+    mids = []
+    for local_owner, (va, vb) in owners:
+        cx, cy = act[local_owner].tolist()
+        ta = math.atan2(xy[va][1] - cy, xy[va][0] - cx)
+        tb = math.atan2(xy[vb][1] - cy, xy[vb][0] - cx)
         if tb < ta:
             va, vb, ta, tb = vb, va, tb, ta
-        # Pick the angular interval whose midpoint stays inside all disks.
-        chosen = None
-        for a0, a1, s, e in ((ta, tb, va, vb), (tb, ta + TWO_PI, vb, va)):
+        intervals = ((ta, tb, va, vb), (tb, ta + TWO_PI, vb, va))
+        for a0, a1, _, _ in intervals:
             amid = 0.5 * (a0 + a1)
-            p = c + r * np.array([math.cos(amid), math.sin(amid)])
-            if np.all(np.linalg.norm(p - act, axis=1) <= r + eps_geo):
-                chosen = (a0, a1, s, e)
-                break
-        if chosen is None:
+            mids.append((math.cos(amid), math.sin(amid)))
+        spans.append(intervals)
+    local = [o for o, _ in owners]
+    probes = act[local].repeat(2, axis=0) + r * np.array(mids)
+    inside = (_pair_dist(probes, act) <= r + eps_geo).all(axis=1).reshape(-1, 2).tolist()
+
+    arcs: list[Arc] = []
+    arc_ends: list[tuple[int, int]] = []  # (start corner, end corner)
+    for local_owner, intervals, passed in zip(local, spans, inside):
+        if not any(passed):
             continue  # owner only touches at corners; not an arc owner
-        a0, a1, s, e = chosen
-        arcs.append(Arc(int(active[local_owner]), c, a0, a1))
+        a0, a1, s, e = intervals[passed.index(True)]
+        arcs.append(Arc(int(active[local_owner]), act[local_owner], a0, a1))
         arc_ends.append((s, e))
 
     if not arcs:
@@ -405,11 +445,13 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array,
 @dataclass(frozen=True, eq=False)
 class _DiskPass:
     """One build of the X arc cycle of a planar disk sample: the interior
-    check, the dedupe, the hull prune and the corner construction.
+    check, the hull prune, the dedupe of the hull rows and the corner
+    construction.
 
     `boundary` is None when the cycle failed to close, and `error` then
     holds the NumericError. `witnesses` are the near-degeneracies of the
-    cycle; `duplicates` counts the repeated rows dropped before it.
+    cycle; `duplicates` counts the repeated hull-vertex rows dropped before
+    it. Repeated interior rows are not counted: they cannot touch X.
     """
 
     points: Array
@@ -436,14 +478,18 @@ def _disk_pass(K: ConvexBody, points: Array, eps_geo: float = EPS_GEO,
     """Build the X arc cycle of a sample interior to a planar disk K.
 
     Interiority is tested against the disk itself, so K need not contain
-    the origin. Arc owners index the original sample.
+    the origin. The sample is pruned to its convex-hull vertices first,
+    since X over the sample is X over its hull; every row equal to a hull
+    vertex joins them, and only those few rows are deduplicated. Arc
+    owners index the original sample, at the first occurrence of a
+    repeated row.
     """
     K = _require_disk(K)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(K._interior_batch(pts)):
         raise DomainError("all sample points must lie in the interior of K")
-    unique = _dedupe_rows(pts)
-    active = unique[_prune_to_hull(pts[unique])]
+    hull_rows = _with_copies(pts, _prune_to_hull(pts))
+    active = hull_rows[_dedupe_rows(pts[hull_rows])]
     witnesses: list[DegeneracyWitness] = []
     boundary = error = None
     try:
@@ -452,7 +498,7 @@ def _disk_pass(K: ConvexBody, points: Array, eps_geo: float = EPS_GEO,
         boundary = ArcBoundary(tuple(arcs), tuple(verts), K.radius)
     except NumericError as exc:
         error = exc
-    return _DiskPass(pts, pts.shape[0] - unique.size, tuple(witnesses), boundary, error)
+    return _DiskPass(pts, hull_rows.size - active.size, tuple(witnesses), boundary, error)
 
 
 def _hull_stage(K: Ball, points: Array, xb: ArcBoundary, eps_geo: float = EPS_GEO,
@@ -492,10 +538,12 @@ def disk_intersection_boundary(K: ConvexBody, points: Array,
                                eps_gp: float = EPS_GP) -> ArcBoundary:
     """Exact arc-cycle boundary of X = intersection of K - x_i, K a planar disk.
 
-    Sample points are deduplicated (with a warning) and pruned to convex-hull
-    vertices before the corner construction; near-degeneracies raise
-    GeneralPositionWarning but the cycle is still returned when it closes.
-    Arc owners are indices into the original sample.
+    Sample points are pruned to convex-hull vertices before the corner
+    construction, and repeated hull vertices are deduplicated with a
+    warning (repeated interior points cannot touch X and pass silently);
+    near-degeneracies raise GeneralPositionWarning but the cycle is still
+    returned when it closes. Arc owners are indices into the original
+    sample, first occurrences for repeated rows.
     """
     return _disk_pass(K, points, eps_geo, eps_gp).checked_boundary()
 
@@ -521,7 +569,7 @@ def _validate_hull_boundary(K: Ball, points: Array, xb: ArcBoundary,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     owners = sorted(xb.arc_owners())
     hull_centers = np.array([a.center for a in qb.arcs])
-    d = np.linalg.norm(pts[owners][:, None, :] - hull_centers[None, :, :], axis=2)
+    d = _pair_dist(pts[owners], hull_centers)
     tol = math.sqrt(max(eps_geo, 1e-12)) * 10  # corner placement is O(sqrt(eps))-sensitive
     if np.any(d.min(axis=1) > K.radius + tol) or np.any(np.abs(d - K.radius).min(axis=1) > tol):
         raise NumericError("hull boundary failed the owner-incidence validation")

@@ -15,8 +15,12 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 from scipy.special import ellipe
 
+from khull.body import ConvexBody
 from khull.errors import DomainError, NumericError
 from khull.faces import COPLANAR_TOL, TaggedPolytope
+from khull.hull import (EPS_GEO, EPS_GP, TWO_PI, Arc, ArcBoundary, ArcVertex,
+                        DegeneracyWitness, _DiskPass, _dedupe_rows, _prune_to_hull,
+                        _require_disk)
 
 
 def lp_gauge(vertices: np.ndarray, x) -> float:
@@ -214,6 +218,179 @@ def full_corner_keep(cand: np.ndarray, centers: np.ndarray, limit: float) -> np.
     inside = np.linalg.norm(cand[:, None, :] - centers[None, :, :], axis=2) <= limit
     return inside.all(axis=1)
 
+
+# The planar arc pipeline as it was before the hull prune ran ahead of the
+# dedupe and the distance tables were built from coordinate columns: every
+# row deduplicated, per-owner midpoint tests, and the dense corner screen
+# above in place of the two-stage one (their masks are equal). The
+# package's `_disk_pass` must give the same witnesses, arcs and corners on
+# every sample whose repeated rows sit at hull vertices.
+
+def reference_disk_cycle(radius: float, centers_all: np.ndarray, active: np.ndarray,
+                         eps_geo: float, eps_gp: float,
+                         witnesses: list[DegeneracyWitness]
+                         ) -> tuple[list[Arc], list[ArcVertex]]:
+    """Arc cycle of the intersection of equal disks centered at
+    centers_all[active]; `witnesses` collects near-degeneracies.
+
+    Owner indices in the returned cycle refer to positions in centers_all.
+    Cocircularity is screened against every disk, not only active ones.
+    The corners are the pair intersections inside every active disk.
+    """
+    r = radius
+    act = centers_all[active]
+    m = act.shape[0]
+    if m == 1:
+        return [Arc(int(active[0]), act[0], 0.0, TWO_PI)], []
+
+    iu, ju = np.triu_indices(m, 1)
+    diffs = act[ju] - act[iu]
+    dist = np.linalg.norm(diffs, axis=1)
+    for k in np.nonzero(dist < eps_gp)[0]:
+        witnesses.append(DegeneracyWitness(
+            "duplicate", (int(active[iu[k]]), int(active[ju[k]])), None, float(dist[k])))
+    for k in np.nonzero(dist > 2.0 * r - eps_gp)[0]:
+        witnesses.append(DegeneracyWitness(
+            "near-tangent", (int(active[iu[k]]), int(active[ju[k]])), None,
+            float(2.0 * r - dist[k])))
+    if np.any(dist >= 2.0 * r):
+        raise DomainError("disjoint constraint disks; sample points not interior to K")
+
+    # Two candidate corners per pair of circles.
+    mid = 0.5 * (act[iu] + act[ju])
+    axis = diffs / dist[:, None]
+    half = np.sqrt(np.maximum(r * r - 0.25 * dist * dist, 0.0))
+    perp = np.column_stack([-axis[:, 1], axis[:, 0]])
+    cand = np.concatenate([mid + half[:, None] * perp, mid - half[:, None] * perp])
+    cand_i = np.concatenate([iu, iu])
+    cand_j = np.concatenate([ju, ju])
+
+    keep = full_corner_keep(cand, act, r + eps_geo)
+    pts = cand[keep]
+    own_i = cand_i[keep]
+    own_j = cand_j[keep]
+
+    # Cocircularity screen against every circle in the input.
+    if pts.shape[0] and centers_all.shape[0] > 2:
+        gap = np.abs(np.linalg.norm(pts[:, None, :] - centers_all[None, :, :], axis=2) - r)
+        for v in range(pts.shape[0]):
+            third = np.nonzero(gap[v] < eps_gp)[0]
+            third = [t for t in third if t not in (active[own_i[v]], active[own_j[v]])]
+            if third:
+                witnesses.append(DegeneracyWitness(
+                    "near-cocircular",
+                    (int(active[own_i[v]]), int(active[own_j[v]]), *map(int, third)),
+                    pts[v], float(gap[v, third].min())))
+
+    if pts.shape[0] < 2:
+        # One active disk contains the rest of the intersection boundary.
+        raise NumericError("found fewer than two corners for a multi-disk intersection")
+
+    # Group corners by owner; each boundary-active owner meets exactly two.
+    incident: dict[int, list[int]] = {}
+    for v in range(pts.shape[0]):
+        incident.setdefault(int(own_i[v]), []).append(v)
+        incident.setdefault(int(own_j[v]), []).append(v)
+
+    arcs: list[Arc] = []
+    arc_ends: list[tuple[int, int]] = []  # (start corner, end corner)
+    for local_owner, vids in sorted(incident.items()):
+        if len(vids) != 2:
+            witnesses.append(DegeneracyWitness(
+                "anomaly", (int(active[local_owner]),), None, float(len(vids))))
+            raise NumericError(
+                f"owner {active[local_owner]} meets {len(vids)} corners; expected 2")
+        c = act[local_owner]
+        va, vb = vids
+        ta = math.atan2(pts[va][1] - c[1], pts[va][0] - c[0])
+        tb = math.atan2(pts[vb][1] - c[1], pts[vb][0] - c[0])
+        if tb < ta:
+            va, vb, ta, tb = vb, va, tb, ta
+        # Pick the angular interval whose midpoint stays inside all disks.
+        chosen = None
+        for a0, a1, s, e in ((ta, tb, va, vb), (tb, ta + TWO_PI, vb, va)):
+            amid = 0.5 * (a0 + a1)
+            p = c + r * np.array([math.cos(amid), math.sin(amid)])
+            if np.all(np.linalg.norm(p - act, axis=1) <= r + eps_geo):
+                chosen = (a0, a1, s, e)
+                break
+        if chosen is None:
+            continue  # owner only touches at corners; not an arc owner
+        a0, a1, s, e = chosen
+        arcs.append(Arc(int(active[local_owner]), c, a0, a1))
+        arc_ends.append((s, e))
+
+    if not arcs:
+        raise NumericError("no arcs survived classification")
+
+    # Stitch into one closed CCW cycle: each arc starts where another ends.
+    start_at = {s: k for k, (s, e) in enumerate(arc_ends)}
+    order = [0]
+    seen = {0}
+    while len(order) < len(arcs):
+        nxt = start_at.get(arc_ends[order[-1]][1])
+        if nxt is None or nxt in seen:
+            raise NumericError("arc cycle failed to close")
+        order.append(nxt)
+        seen.add(nxt)
+    if arc_ends[order[-1]][1] != arc_ends[order[0]][0]:
+        raise NumericError("arc cycle failed to close")
+
+    cycle = [arcs[k] for k in order]
+    verts = []
+    for k in order:
+        e = arc_ends[k][1]
+        verts.append(ArcVertex(
+            (int(active[own_i[e]]), int(active[own_j[e]])), pts[e]))
+    return cycle, verts
+
+
+def reference_disk_pass(K: ConvexBody, points: np.ndarray, eps_geo: float = EPS_GEO,
+                        eps_gp: float = EPS_GP) -> _DiskPass:
+    """Build the X arc cycle of a sample interior to a planar disk K.
+
+    Interiority is tested against the disk itself, so K need not contain
+    the origin. Arc owners index the original sample.
+    """
+    K = _require_disk(K)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(K._interior_batch(pts)):
+        raise DomainError("all sample points must lie in the interior of K")
+    unique = _dedupe_rows(pts)
+    active = unique[_prune_to_hull(pts[unique])]
+    witnesses: list[DegeneracyWitness] = []
+    boundary = error = None
+    try:
+        arcs, verts = reference_disk_cycle(K.radius, K.center[None, :] - pts, active,
+                                           eps_geo, eps_gp, witnesses)
+        boundary = ArcBoundary(tuple(arcs), tuple(verts), K.radius)
+    except NumericError as exc:
+        error = exc
+    return _DiskPass(pts, pts.shape[0] - unique.size, tuple(witnesses), boundary, error)
+
+
+
+def reference_hull_stage(K, points: np.ndarray, xb: ArcBoundary, eps_geo: float = EPS_GEO,
+                         eps_gp: float = EPS_GP
+                         ) -> tuple[ArcBoundary, tuple[DegeneracyWitness, ...]]:
+    """Hull cycle of a disk sample from its X cycle xb through
+    `reference_disk_cycle`, with the owner-incidence validation on the
+    dense distance table."""
+    if len(xb.vertices) < 2:
+        return ArcBoundary((), (), K.radius, degenerate_point=points[0]), ()
+    vpts = np.array([v.point for v in xb.vertices])
+    witnesses: list[DegeneracyWitness] = []
+    arcs, verts = reference_disk_cycle(K.radius, K.center[None, :] - vpts,
+                                       np.arange(vpts.shape[0]), eps_geo, eps_gp, witnesses)
+    qb = ArcBoundary(tuple(arcs), tuple(verts), K.radius)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    owners = sorted(xb.arc_owners())
+    hull_centers = np.array([a.center for a in qb.arcs])
+    d = np.linalg.norm(pts[owners][:, None, :] - hull_centers[None, :, :], axis=2)
+    tol = math.sqrt(max(eps_geo, 1e-12)) * 10
+    if np.any(d.min(axis=1) > K.radius + tol) or np.any(np.abs(d - K.radius).min(axis=1) > tol):
+        raise NumericError("hull boundary failed the owner-incidence validation")
+    return qb, tuple(witnesses)
 
 def full_radial_min(U: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Radial function of {x : <x, u_k> <= h_k for all k} at the rows of U,

@@ -8,7 +8,7 @@ import pytest
 
 from khull import (Ball, ConfigError, DomainError, Ellipsoid, ExperimentConfig,
                    NumericError, Polytope, body_from_spec, load_config,
-                   run_experiment, summarize)
+                   run_experiment, summarize, uniform_sample)
 from khull.cli import main
 from khull.faces import GeneralPositionReport
 
@@ -350,6 +350,35 @@ class TestRunExperiment:
             serial = (tmp_path / "serial" / name).read_bytes()
             assert serial == (tmp_path / "pooled" / name).read_bytes()
 
+    @pytest.mark.parametrize("body, module, builder, name", [
+        (DISK, "hull", "_disk_pass", "boundary.json"),
+        (ELLIPSE, "faces", "_polar_hull", "polar_hull.off"),
+    ])
+    def test_sample_hull_built_once_per_replicate(self, tmp_path, monkeypatch, body,
+                                                  module, builder, name):
+        import khull.experiments as exp
+        calls = []
+        build = getattr(getattr(exp, module), builder)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        # faces holds its own reference to hull._disk_pass
+        for owner in (exp.hull, exp.faces):
+            if hasattr(owner, builder):
+                monkeypatch.setattr(owner, builder, counted)
+        cfg = ExperimentConfig(experiment="sample-hull", body=body, n=300,
+                               replicates=6, seed=23)
+        monkeypatch.setenv("KHULL_THREADS", "1")
+        run_experiment(cfg, out_dir=str(tmp_path / "serial"))
+        assert len(calls) == 6  # the dump is replicate 0's own geometry
+        monkeypatch.setenv("KHULL_THREADS", "2")
+        run_experiment(cfg, out_dir=str(tmp_path / "pooled"))
+        for name in ("sample-hull.csv", name):
+            serial = (tmp_path / "serial" / name).read_bytes()
+            assert serial == (tmp_path / "pooled" / name).read_bytes()
+
     def test_excluded_replicate_zero_raises_after_writing(self, tmp_path, monkeypatch):
         import khull.experiments as exp
         build = exp.tessellation.zero_cell
@@ -371,6 +400,28 @@ class TestRunExperiment:
         summary = json.loads((tmp_path / "zerocell-mc_summary.json").read_text())
         assert summary["exclusion_reasons"] == {"numeric": 1}
         assert not (tmp_path / "zero_cell.off").exists()
+
+    def test_open_replicate_zero_cycle_raises_after_writing(self, tmp_path, monkeypatch):
+        import khull.experiments as exp
+        cfg = ExperimentConfig(experiment="sample-hull", body=DISK, n=50,
+                               replicates=3, seed=8)
+        disk = exp._cached_body(exp._body_key(cfg))
+        first = disk.center[None, :] - uniform_sample(disk, cfg.n, exp._replicate_rng(8, 0)[0])
+        build = exp.hull._disk_cycle
+
+        def fails_on_first(radius, centers_all, *args):
+            if np.array_equal(centers_all, first):
+                raise NumericError("arc cycle failed to close")
+            return build(radius, centers_all, *args)
+
+        monkeypatch.setattr(exp.hull, "_disk_cycle", fails_on_first)
+        monkeypatch.setenv("KHULL_THREADS", "1")
+        with pytest.raises(NumericError, match="replicate 0"):
+            run_experiment(cfg, out_dir=str(tmp_path))
+        summary = json.loads((tmp_path / "sample-hull_summary.json").read_text())
+        assert summary["exclusion_reasons"] == {"numeric": 1}
+        assert (tmp_path / "sample-hull.csv").exists()
+        assert not (tmp_path / "boundary.json").exists()
 
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig(experiment="zerocell-mc", body=DISK, T0=2.0,

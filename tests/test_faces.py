@@ -49,6 +49,24 @@ class TestGeneralPosition:
         assert not report.ok
         assert any(w.kind == "duplicate" for w in report.witnesses)
 
+    def test_interior_repeat_not_flagged(self, unit_disk, rng):
+        pts = disk_sample(rng, 30)
+        inner = int(np.argmin(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
+        report = general_position_check_2d(unit_disk, np.vstack([pts, pts[inner]]))
+        assert report.ok
+        assert report.witnesses == ()
+
+    def test_repeated_hull_vertex_flagged_with_first_owner(self, unit_disk, rng):
+        pts = disk_sample(rng, 30)
+        plain = general_position_check_2d(unit_disk, pts).boundary
+        owner = min(plain.arc_owners())
+        # the copy goes first, so the original row is no longer the first occurrence
+        report = general_position_check_2d(unit_disk, np.vstack([pts[owner], pts]))
+        assert not report.ok
+        assert report.witnesses[0].kind == "duplicate"
+        shifted = {o + 1 for o in plain.arc_owners()}
+        assert report.boundary.arc_owners() == (shifted - {owner + 1}) | {0}
+
     def test_near_tangent_pair_flagged(self, unit_disk):
         h = 1.0 - 5e-9
         pts = np.array([[0.0, h], [0.0, -h]])

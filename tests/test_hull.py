@@ -220,6 +220,15 @@ class TestDiskIntersectionBoundary:
         with pytest.raises(DomainError):
             disk_intersection_boundary(unit_disk, np.array([[1.0, 0.0]]))
 
+    def test_interior_repeat_is_not_deduplicated(self, unit_disk, rng):
+        pts = uniform_sample(unit_disk, 40, rng) * 0.9
+        inner = int(np.argmin(np.linalg.norm(pts, axis=1)))
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            b = disk_intersection_boundary(unit_disk, np.vstack([pts, pts[inner]]))
+        assert not any("deduplicated" in str(w.message) for w in rec)
+        assert _same_cycle(b, disk_intersection_boundary(unit_disk, pts))
+
 
 class TestKhullBoundary2d:
     def test_single_point_degenerate(self, unit_disk):
@@ -414,3 +423,96 @@ class TestDedupeRows:
 
         pts = np.array([[0.25, -0.5]])
         np.testing.assert_array_equal(_dedupe_rows(pts), self.reference(pts))
+
+
+def _pass_fields(xpass) -> tuple:
+    """Every field of a `_DiskPass`, as values that compare exactly with ==."""
+    return (xpass.points.tobytes(), xpass.duplicates,
+            _witness_fields(xpass.witnesses), _cycle_fields(xpass.boundary),
+            None if xpass.error is None else str(xpass.error))
+
+
+def _witness_fields(witnesses) -> list:
+    return [(w.kind, w.indices, None if w.witness is None else w.witness.tobytes(),
+             w.measure) for w in witnesses]
+
+
+def _cycle_fields(b) -> tuple | None:
+    if b is None:
+        return None
+    return ([(a.owner, a.center.tobytes(), a.a0, a.a1) for a in b.arcs],
+            [(v.owners, v.point.tobytes()) for v in b.vertices], b.radius,
+            None if b.degenerate_point is None else b.degenerate_point.tobytes())
+
+
+def _hull_stage_fields(stage, K, pts, xb) -> tuple:
+    """(hull cycle, witnesses) of a hull stage, or the message it raised."""
+    try:
+        qb, witnesses = stage(K, pts, xb)
+    except NumericError as exc:
+        return ("raised", str(exc))
+    return _cycle_fields(qb), _witness_fields(witnesses)
+
+
+def _with_repeats(pts: np.ndarray, rng) -> np.ndarray:
+    """The sample with copies of some hull vertices inserted, some ahead of
+    the original row and some after it."""
+    from khull.hull import _prune_to_hull
+
+    verts = _prune_to_hull(pts)
+    out = pts
+    for src in rng.choice(verts, size=min(3, verts.size), replace=False):
+        at = int(rng.integers(0, out.shape[0] + 1))
+        out = np.insert(out, at, pts[src], axis=0)
+    return out
+
+
+class TestReferenceDiskPass:
+    """`hull._disk_pass` and the hull stage against the reference pipeline
+    in tests/oracles.py, field for field."""
+
+    @staticmethod
+    def samples(disk):
+        from khull.experiments import _replicate_rng
+
+        c = np.array([-0.3, 0.0])
+        cases = [np.array([[0.0, A_LENS], [0.0, -A_LENS]]),
+                 np.array([c + [math.cos(t), math.sin(t)] for t in (0.0, 0.45, -0.45)])]
+        rng = np.random.default_rng(7070)
+        for n in (1, 2, 3, 10, 100, 1000, 5000):
+            cases += [uniform_sample(disk, n, rng) for _ in range(3)]
+        cases += [_with_repeats(uniform_sample(disk, n, rng), rng) for n in (3, 10, 100, 5000)]
+        # a third circle 6.04e-8 from a corner (near-cocircular witness), and
+        # an owner meeting one corner (anomaly witness, the cycle fails)
+        cases.append(uniform_sample(disk, 5000, _replicate_rng(256, 0)[0]))
+        cases.append(uniform_sample(disk, 2000, _replicate_rng(404, 1444)[0]))
+        return cases
+
+    def test_every_field_equal(self, unit_disk):
+        import khull.hull as hull
+
+        kinds = set()
+        for pts in self.samples(unit_disk):
+            got = hull._disk_pass(unit_disk, pts)
+            want = oracles.reference_disk_pass(unit_disk, pts)
+            assert _pass_fields(got) == _pass_fields(want)
+            kinds |= {w.kind for w in want.witnesses}
+            if want.boundary is not None:
+                assert (_hull_stage_fields(hull._hull_stage, unit_disk, pts, got.boundary)
+                        == _hull_stage_fields(oracles.reference_hull_stage, unit_disk, pts,
+                                              want.boundary))
+        assert kinds >= {"near-cocircular", "anomaly"}
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_pair_dist_matches_norm(self, scale):
+        from khull.hull import _pair_dist
+
+        rng = np.random.default_rng(8181)
+        a = rng.uniform(-scale, scale, (40, 2))
+        b = rng.uniform(-scale, scale, (70, 2))
+        a[:5] = -0.0
+        b[3, 0] = -0.0
+        b[4] = a[7]
+        want = np.linalg.norm(a[:, None] - b[None], axis=2)
+        got = _pair_dist(a, b)
+        assert got.tobytes() == want.tobytes()
