@@ -350,12 +350,12 @@ class TestRunExperiment:
             serial = (tmp_path / "serial" / name).read_bytes()
             assert serial == (tmp_path / "pooled" / name).read_bytes()
 
-    @pytest.mark.parametrize("body, module, builder, name", [
+    @pytest.mark.parametrize("body, module, builder, dump", [
         (DISK, "hull", "_disk_pass", "boundary.json"),
         (ELLIPSE, "faces", "_polar_hull", "polar_hull.off"),
     ])
     def test_sample_hull_built_once_per_replicate(self, tmp_path, monkeypatch, body,
-                                                  module, builder, name):
+                                                  module, builder, dump):
         import khull.experiments as exp
         calls = []
         build = getattr(getattr(exp, module), builder)
@@ -375,7 +375,7 @@ class TestRunExperiment:
         assert len(calls) == 6  # the dump is replicate 0's own geometry
         monkeypatch.setenv("KHULL_THREADS", "2")
         run_experiment(cfg, out_dir=str(tmp_path / "pooled"))
-        for name in ("sample-hull.csv", name):
+        for name in ("sample-hull.csv", dump):
             serial = (tmp_path / "serial" / name).read_bytes()
             assert serial == (tmp_path / "pooled" / name).read_bytes()
 
