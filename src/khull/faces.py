@@ -18,7 +18,7 @@ from scipy.spatial import ConvexHull, QhullError
 from .body import ConvexBody, direction_grid
 from .errors import DomainError, GeneralPositionError, NumericError
 from .hull import (EPS_GEO, EPS_GP, ArcBoundary, DegeneracyWitness, _disk_pass,
-                   _khull_pair, _prune_to_hull, _with_copies)
+                   _khull_pair, _prune_to_hull)
 
 Array = np.ndarray
 
@@ -95,14 +95,11 @@ def _polar_grid(K: ConvexBody, points: Array, m: int) -> tuple[Array, Array, Arr
     return pts, W, K.support_batch(W)
 
 
-def _support_gaps(W: Array, base: Array, x: Array) -> Array:
-    """h(K - x, w_j) = h_K(w_j) - <w_j, x> on the grid; positive for interior x."""
-    return base - W @ x
-
-
-def _polar_vertices(W: Array, h: Array) -> Array:
-    """Polar boundary points w_j / h(K - x, w_j) of one member."""
-    return W / h[:, None]
+def _support_gaps(W: Array, base: Array, X: Array) -> Array:
+    """h(K - x, w_j) = h_K(w_j) - <w_j, x> on the grid, one row per row x
+    of X; positive for interior x. The stacked product rounds each row as
+    `base - W @ x` does, bit for bit."""
+    return base - np.matmul(W[None], X[:, :, None])[:, :, 0]
 
 
 def polar_family(K: ConvexBody, points: Array, m: int = 256) -> list[tuple[int, Array]]:
@@ -112,7 +109,7 @@ def polar_family(K: ConvexBody, points: Array, m: int = 256) -> list[tuple[int, 
     w_j / h(K - x_i, w_j), which lies on the polar's boundary exactly.
     """
     pts, W, base = _polar_grid(K, points, m)
-    return [(i, _polar_vertices(W, _support_gaps(W, base, x))) for i, x in enumerate(pts)]
+    return [(i, W / h[:, None]) for i, h in enumerate(_support_gaps(W, base, pts))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,26 +397,26 @@ def _polar_hull(K: ConvexBody, points: Array, m: int = 256) -> TaggedPolytope:
     - On each ray the radius is largest at a convex-hull vertex of the
       sample, since a convex function on a polytope peaks at a vertex.
       Only the members at those vertices, and repeated copies of them,
-      are kept.
+      are kept (`_prune_to_hull`, which screens large planar samples
+      before qhull).
     - On each ray only the member(s) of least support gap, the farthest
       out, are kept; exact ties keep every tied member. Any other
       member's vertex on that ray lies strictly between the origin and
       the winner's, and the origin is interior to every polar model, so
       that vertex is strictly inside the hull.
 
-    The kept points stay in member-major, direction-minor order, so the
-    hull lists its vertices, with their owners, in the same order as the
-    hull of the full family. In d = 3 qhull may list the facets in another
-    order, or triangulate a merged facet another way, because its
-    processing order depends on the points it is given.
+    The support gaps of the kept members are one stacked product, and the
+    winners are read off it in row-major order, which is member-major,
+    direction-minor: the hull lists its vertices, with their owners, in
+    the same order as the hull of the full family. In d = 3 qhull may list
+    the facets in another order, or triangulate a merged facet another
+    way, because its processing order depends on the points it is given.
     """
     pts, W, base = _polar_grid(K, points, m)
-    members = _with_copies(pts, _prune_to_hull(pts))
-    gaps = np.array([_support_gaps(W, base, pts[i]) for i in members])
-    wins = gaps == gaps.min(axis=0)
-    family = [(int(i), _polar_vertices(W[won], h[won]))
-              for i, h, won in zip(members, gaps, wins) if won.any()]
-    return owner_tagged_hull(family)
+    members = _prune_to_hull(pts, copies=True)
+    gaps = _support_gaps(W, base, pts[members])
+    ii, jj = np.nonzero(gaps == gaps.min(axis=0))
+    return tagged_hull_from_points(W[jj] / gaps[ii, jj][:, None], members[ii])
 
 
 def fvector_approx(K: ConvexBody, points: Array, m: int = 256) -> FVector:

@@ -36,19 +36,62 @@ def mink_diff_contains(K: ConvexBody, points: Array, x, tol: float = 1e-12) -> b
     return bool(np.all(K.gauge_batch(points + x[None, :]) <= 1.0 + tol))
 
 
-def _prune_to_hull(points: Array) -> Array:
-    """Indices of the convex-hull vertices of the sample.
+# Planar samples of at least this many rows are screened before qhull; on
+# smaller ones the screen costs more than it saves qhull.
+PRUNE_SCREEN_MIN = 1000
+# Directions whose extreme rows span the screening polygon.
+_SCREEN_DIRECTIONS = direction_grid(2, 16)
+# How far inside that polygon, relative to the coordinate scale, a row
+# must be to be dropped; far above the rounding of the test itself.
+PRUNE_SCREEN_MARGIN = 1e-9
+
+
+def _screen_rows(points: Array) -> Array:
+    """Rows of a sample that may be convex-hull vertices, ascending.
+
+    Only planar samples of PRUNE_SCREEN_MIN rows or more are screened, by the
+    throw-away step of Akl and Toussaint (1978): the rows extreme in a
+    fixed set of directions span a polygon inside the hull, and a row
+    strictly inside every edge of it, by PRUNE_SCREEN_MARGIN times the
+    largest coordinate, is strictly inside the hull. Hull vertices and
+    every copy of one sit on or outside the polygon, so they are kept
+    whatever the rounding of the test; a sample too thin for the polygon
+    to have such an interior keeps every row.
+    """
+    n = points.shape[0]
+    if points.shape[1] != 2 or n < PRUNE_SCREEN_MIN:
+        return np.arange(n)
+    ext = points[np.unique(np.argmax(_SCREEN_DIRECTIONS @ points.T, axis=1))]
+    try:
+        eq = ConvexHull(ext).equations
+    except QhullError:
+        return np.arange(n)
+    margin = PRUNE_SCREEN_MARGIN * float(np.abs(ext).max())
+    # facets x rows, reduced over the facets: the long axis stays innermost
+    inside = (eq[:, :2] @ points.T < (-eq[:, 2] - margin)[:, None]).all(axis=0)
+    return np.flatnonzero(~inside)
+
+
+def _prune_to_hull(points: Array, copies: bool = False) -> Array:
+    """Indices of the convex-hull vertices of the sample, ascending; with
+    `copies`, every row equal to one of them as well.
 
     The intersection of translates over a point set equals the one over its
-    convex hull, so only hull vertices can be active constraints.
+    convex hull, so only hull vertices can be active constraints. qhull
+    runs on the rows `_screen_rows` keeps, and its vertices are mapped back
+    to the sample: the rows it drops lie strictly inside the hull, and on
+    every sample tested the vertices are those of qhull over all rows.
+    Copies are looked for among the kept rows, which hold every one.
     """
     n = points.shape[0]
     if n <= 3:
         return np.arange(n)
+    rows = _screen_rows(points)
     try:
-        return np.sort(ConvexHull(points).vertices)
+        verts = rows[np.sort(ConvexHull(points[rows]).vertices)]
     except QhullError:
         return np.arange(n)  # degenerate input: keep everything
+    return _with_copies(points, verts, rows) if copies else verts
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,19 +296,23 @@ def _dedupe_rows(pts: Array) -> Array:
     return np.sort(order[first])
 
 
-def _with_copies(pts: Array, members: Array) -> Array:
+def _with_copies(pts: Array, members: Array, rows: Array | None = None) -> Array:
     """`members` plus every other row equal to one of theirs, ascending.
 
     qhull reports one copy of a repeated point as a hull vertex. The other
     copies are the same point: the polar hull keeps them as tied winners on
     every ray, and the arc pipeline dedupes them to their first occurrence.
+    The copies are looked for among `rows` (all rows by default), which
+    must hold `members` and every copy.
     """
+    sub = pts if rows is None else pts[rows]
     keys = np.sort(pts[members, 0])
-    pos = np.minimum(np.searchsorted(keys, pts[:, 0]), keys.size - 1)
-    cand = np.flatnonzero(keys[pos] == pts[:, 0])
+    pos = np.minimum(np.searchsorted(keys, sub[:, 0]), keys.size - 1)
+    cand = np.flatnonzero(keys[pos] == sub[:, 0])
     if cand.size == members.size:
         return members
-    return cand[(pts[cand, None] == pts[members]).all(axis=2).any(axis=1)]
+    found = cand[(sub[cand, None] == pts[members]).all(axis=2).any(axis=1)]
+    return found if rows is None else rows[found]
 
 
 def _pair_dist(a: Array, b: Array) -> Array:
@@ -474,7 +521,7 @@ class _DiskPass:
 
 
 def _disk_pass(K: ConvexBody, points: Array, eps_geo: float = EPS_GEO,
-               eps_gp: float = EPS_GP) -> _DiskPass:
+               eps_gp: float = EPS_GP, _hull: Array | None = None) -> _DiskPass:
     """Build the X arc cycle of a sample interior to a planar disk K.
 
     Interiority is tested against the disk itself, so K need not contain
@@ -483,12 +530,19 @@ def _disk_pass(K: ConvexBody, points: Array, eps_geo: float = EPS_GEO,
     vertex joins them, and only those few rows are deduplicated. Arc
     owners index the original sample, at the first occurrence of a
     repeated row.
+
+    `_hull` is the `active` of an IntersectionBody of K over the same
+    rows, which has checked interiority and pruned the sample already;
+    given it, neither is done again.
     """
     K = _require_disk(K)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if not np.all(K._interior_batch(pts)):
+    if _hull is not None:
+        hull_rows = _with_copies(pts, _hull)
+    elif not np.all(K._interior_batch(pts)):
         raise DomainError("all sample points must lie in the interior of K")
-    hull_rows = _with_copies(pts, _prune_to_hull(pts))
+    else:
+        hull_rows = _prune_to_hull(pts, copies=True)
     active = hull_rows[_dedupe_rows(pts[hull_rows])]
     witnesses: list[DegeneracyWitness] = []
     boundary = error = None

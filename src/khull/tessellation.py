@@ -17,8 +17,8 @@ import numpy as np
 from .body import Ball, ConvexBody, SurfaceMeasureSampler, direction_grid
 from .errors import DomainError, NumericError
 from .faces import FVector, TaggedPolytope, tagged_hull_from_points
-from .hull import IntersectionBody, disk_intersection_boundary
-from . import faces
+from .hull import IntersectionBody
+from . import faces, hull
 
 Array = np.ndarray
 
@@ -128,15 +128,26 @@ def zero_cell(K: ConvexBody, rng: np.random.Generator, T0: float = 5.0,
                     certified=True, truncation=T, n_hyperplanes=int(t.shape[0]))
 
 
+# A dual hull encloses the origin strictly when its smallest facet offset
+# exceeds this share of its largest vertex norm.
+DUAL_OFFSET_REL = 1e-12
+
+
 def _try_dual_hull(u: Array, t: Array, d: int) -> faces._BareHull | None:
-    """Bare hull of the inverted points if it strictly encloses the origin."""
+    """Bare hull of the inverted points if it strictly encloses the origin.
+
+    The smallest facet offset is compared with the hull's own extent, its
+    largest vertex norm: both scale as 1/r when K is scaled by r with
+    T0 proportional to r, so the verdict does not depend on units.
+    """
     if t.shape[0] < d + 1:
         return None
     try:
         dual = faces._bare_hull(u / t[:, None])
     except DomainError:
         return None
-    if np.min(dual.offsets) <= 1e-12:
+    extent = float(faces._rownorm(dual.points[dual.vertices]).max())
+    if np.min(dual.offsets) <= DUAL_OFFSET_REL * extent:
         return None
     return dual
 
@@ -225,7 +236,8 @@ def scaled_sample_statistics(K: ConvexBody, points: Array, n_scale: int | None =
 
     exact = isinstance(K, Ball) and d == 2
     if exact:
-        fv = faces.fvector_exact_2d(disk_intersection_boundary(K, pts))
+        # the disk pass reuses X's interior check and hull prune
+        fv = faces.fvector_exact_2d(hull._disk_pass(K, pts, _hull=X.active).checked_boundary())
     else:
         fv = faces.fvector_approx(K, pts, m=fvector_resolution)
     return ScaledSampleStatistics(n=n, volumes=vols, fvector=fv,

@@ -19,8 +19,7 @@ from khull.body import ConvexBody
 from khull.errors import DomainError, NumericError
 from khull.faces import COPLANAR_TOL, TaggedPolytope
 from khull.hull import (EPS_GEO, EPS_GP, TWO_PI, Arc, ArcBoundary, ArcVertex,
-                        DegeneracyWitness, _DiskPass, _dedupe_rows, _prune_to_hull,
-                        _require_disk)
+                        DegeneracyWitness, _DiskPass, _dedupe_rows, _require_disk)
 
 
 def lp_gauge(vertices: np.ndarray, x) -> float:
@@ -345,6 +344,18 @@ def reference_disk_cycle(radius: float, centers_all: np.ndarray, active: np.ndar
     return cycle, verts
 
 
+def plain_prune(points: np.ndarray) -> np.ndarray:
+    """Hull-vertex rows of a sample, ascending, from one qhull call over
+    every row; all rows when there are at most three or qhull fails."""
+    n = points.shape[0]
+    if n <= 3:
+        return np.arange(n)
+    try:
+        return np.sort(ConvexHull(points).vertices)
+    except QhullError:
+        return np.arange(n)
+
+
 def reference_disk_pass(K: ConvexBody, points: np.ndarray, eps_geo: float = EPS_GEO,
                         eps_gp: float = EPS_GP) -> _DiskPass:
     """Build the X arc cycle of a sample interior to a planar disk K.
@@ -357,7 +368,7 @@ def reference_disk_pass(K: ConvexBody, points: np.ndarray, eps_geo: float = EPS_
     if not np.all(K._interior_batch(pts)):
         raise DomainError("all sample points must lie in the interior of K")
     unique = _dedupe_rows(pts)
-    active = unique[_prune_to_hull(pts[unique])]
+    active = unique[plain_prune(pts[unique])]
     witnesses: list[DegeneracyWitness] = []
     boundary = error = None
     try:

@@ -10,6 +10,7 @@ Statistical checks use frozen seeds, so every run reproduces the same
 numbers byte for byte.
 """
 
+import contextlib
 import math
 import os
 import time
@@ -61,13 +62,17 @@ def _single_threaded():
 @pytest.fixture(scope="module", autouse=True)
 def _verdict_block(request):
     yield
-    reporter = request.config.pluginmanager.get_plugin("terminalreporter")
+    plugins = request.config.pluginmanager
+    reporter = plugins.get_plugin("terminalreporter")
+    capture = plugins.get_plugin("capturemanager")
     lines = ["", "acceptance gate:"] + _VERDICTS
-    for line in lines:
-        if reporter is not None:
-            reporter.write_line(line)
-        else:
-            print(line)
+    # a fixture teardown runs under output capture; suspend it for the block
+    with capture.global_and_fixture_disabled() if capture else contextlib.nullcontext():
+        for line in lines:
+            if reporter is not None:
+                reporter.write_line(line)
+            else:
+                print(line)
 
 
 def _timed(cfg: ExperimentConfig) -> tuple[dict, float]:

@@ -379,6 +379,28 @@ class TestRunExperiment:
             serial = (tmp_path / "serial" / name).read_bytes()
             assert serial == (tmp_path / "pooled" / name).read_bytes()
 
+    def test_disk_convergence_prunes_once_per_replicate(self, tmp_path, monkeypatch):
+        # the disk pass reuses the prune of the intersection body's build
+        import khull.experiments as exp
+        calls = []
+        prune = exp.hull._prune_to_hull
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return prune(*args, **kwargs)
+
+        for owner in (exp.hull, exp.faces):
+            monkeypatch.setattr(owner, "_prune_to_hull", counted)
+        cfg = ExperimentConfig(experiment="convergence", body=DISK, n_values=(300, 2000),
+                               replicates=4, seed=29)
+        monkeypatch.setenv("KHULL_THREADS", "1")
+        run_experiment(cfg, out_dir=str(tmp_path / "serial"))
+        assert len(calls) == 8
+        monkeypatch.setenv("KHULL_THREADS", "2")
+        run_experiment(cfg, out_dir=str(tmp_path / "pooled"))
+        serial = (tmp_path / "serial" / "convergence.csv").read_bytes()
+        assert serial == (tmp_path / "pooled" / "convergence.csv").read_bytes()
+
     def test_excluded_replicate_zero_raises_after_writing(self, tmp_path, monkeypatch):
         import khull.experiments as exp
         build = exp.tessellation.zero_cell

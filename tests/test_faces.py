@@ -168,15 +168,16 @@ PARITY_BODIES = {
 
 
 def hull_inputs(monkeypatch):
-    """Point counts of every family owner_tagged_hull is given."""
+    """Point counts of every cloud tagged_hull_from_points is given; the
+    polar hull hands it its kept points and their owners."""
     sizes = []
-    original = faces.owner_tagged_hull
+    original = faces.tagged_hull_from_points
 
-    def counting(family):
-        sizes.append(sum(len(cloud) for _, cloud in family))
-        return original(family)
+    def counting(points, owners=None):
+        sizes.append(len(points))
+        return original(points, owners)
 
-    monkeypatch.setattr(faces, "owner_tagged_hull", counting)
+    monkeypatch.setattr(faces, "tagged_hull_from_points", counting)
     return sizes
 
 
@@ -187,6 +188,27 @@ class TestPolarHull:
     def test_matches_full_family(self, body, n, m, rng):
         K = PARITY_BODIES[body]
         assert_same_polar_hull(K, uniform_sample(K, n, rng), m)
+
+    @pytest.mark.parametrize("n, m", [(1000, 64), (1000, 256), (5000, 64)])
+    @pytest.mark.parametrize("body", [k for k, K in PARITY_BODIES.items() if K.dim == 2])
+    def test_matches_full_family_screened(self, body, n, m, rng):
+        # large planar samples are screened before the qhull prune
+        from khull.hull import _screen_rows
+
+        K = PARITY_BODIES[body]
+        pts = uniform_sample(K, n, rng)
+        assert _screen_rows(pts).size < n // 2
+        assert_same_polar_hull(K, pts, m)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_stacked_gaps_match_per_member(self, d, rng):
+        W = direction_grid(d, 256)
+        for scale in (1e-6, 1.0, 1e6):
+            base = scale * (1.0 + rng.random(256))
+            X = scale * rng.uniform(-1.0, 1.0, (300, d))
+            want = np.array([base - W @ x for x in X])
+            assert faces._support_gaps(W, base, X).tobytes() == want.tobytes()
+            assert faces._support_gaps(W, base, X[::7]).tobytes() == want[::7].tobytes()
 
     def test_lens(self, unit_disk):
         T = assert_same_polar_hull(unit_disk, LENS, 256)

@@ -457,9 +457,7 @@ def _hull_stage_fields(stage, K, pts, xb) -> tuple:
 def _with_repeats(pts: np.ndarray, rng) -> np.ndarray:
     """The sample with copies of some hull vertices inserted, some ahead of
     the original row and some after it."""
-    from khull.hull import _prune_to_hull
-
-    verts = _prune_to_hull(pts)
+    verts = oracles.plain_prune(pts)
     out = pts
     for src in rng.choice(verts, size=min(3, verts.size), replace=False):
         at = int(rng.integers(0, out.shape[0] + 1))
@@ -516,3 +514,122 @@ class TestReferenceDiskPass:
         want = np.linalg.norm(a[:, None] - b[None], axis=2)
         got = _pair_dist(a, b)
         assert got.tobytes() == want.tobytes()
+
+
+def _edge_rows(pts: np.ndarray, rng, per_edge: int = 4) -> np.ndarray:
+    """Rows on the edges of the polygon the screen spans over `pts`, and
+    within a few units of rounding either side of them."""
+    from scipy.spatial import ConvexHull
+    from khull.hull import _SCREEN_DIRECTIONS
+
+    ext = pts[np.unique(np.argmax(_SCREEN_DIRECTIONS @ pts.T, axis=1))]
+    v = ext[ConvexHull(ext).vertices]
+    rows = []
+    for a, b in zip(v, np.roll(v, -1, axis=0)):
+        e = b - a
+        out = np.array([e[1], -e[0]]) / math.hypot(*e)
+        for t in rng.uniform(0.05, 0.95, per_edge):
+            q = a + t * e
+            rows += [q + s * 1e-16 * np.abs(q).max() * out for s in (-2, -1, 0, 1, 2, 4)]
+    return np.array(rows)
+
+
+class TestPrunePrefilter:
+    """`_prune_to_hull` screens large planar samples before qhull; its
+    vertices must be those of one qhull call over every row."""
+
+    @staticmethod
+    def assert_parity(pts: np.ndarray) -> None:
+        from khull.hull import _prune_to_hull
+
+        want = oracles.plain_prune(pts)
+        assert np.array_equal(_prune_to_hull(pts), want)
+        copies = np.flatnonzero((pts[:, None] == pts[want]).all(axis=2).any(axis=1))
+        assert np.array_equal(_prune_to_hull(pts, copies=True), copies)
+
+    @staticmethod
+    def screened(pts: np.ndarray) -> int:
+        """How many rows the screen drops."""
+        from khull.hull import _screen_rows
+
+        return pts.shape[0] - _screen_rows(pts).size
+
+    @pytest.mark.parametrize("n", [1000, 2000, 5000, 20000])
+    def test_disk(self, n, unit_disk):
+        rng = np.random.default_rng(9100 + n)
+        for _ in range(3 if n < 20000 else 1):
+            pts = uniform_sample(unit_disk, n, rng)
+            self.assert_parity(pts)
+        assert self.screened(pts) > n // 2
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_scales_and_off_centre(self, scale):
+        rng = np.random.default_rng(9200)
+        for center in ([0.0, 0.0], [5.0, -3.0]):
+            disk = Ball(scale, np.array(center) * scale)
+            pts = uniform_sample(disk, 3000, rng)
+            self.assert_parity(pts)
+            assert self.screened(pts) > 2000
+
+    @pytest.mark.parametrize("kind", ["ellipse", "pball4", "square"])
+    def test_other_bodies(self, kind, ellipse21, pball4, square):
+        K = {"ellipse": ellipse21, "pball4": pball4, "square": square}[kind]
+        rng = np.random.default_rng(9300)
+        for _ in range(3):
+            pts = uniform_sample(K, 3000, rng)
+            self.assert_parity(pts)
+            assert self.screened(pts) > 2000
+
+    def test_repeated_hull_vertices(self, unit_disk):
+        rng = np.random.default_rng(9400)
+        for n in (2000, 5000):
+            pts = _with_repeats(uniform_sample(unit_disk, n, rng), rng)
+            pts = _with_repeats(pts, rng)
+            self.assert_parity(pts)
+
+    def test_rows_on_and_near_polygon_edges(self, unit_disk):
+        # the screen's margin keeps rows within rounding of an edge; with
+        # no margin it drops some of them and qhull finds another vertex
+        rng = np.random.default_rng(9500)
+        for _ in range(20):
+            pts = uniform_sample(unit_disk, 1500, rng)
+            self.assert_parity(np.vstack([pts, _edge_rows(pts, rng)]))
+
+    def test_rows_exactly_on_square_edges(self):
+        # the corners are extreme in every screen direction, so the screen
+        # polygon is the square; rows with one coordinate +-1 lie on it
+        rng = np.random.default_rng(9600)
+        corners = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+        t = rng.integers(-64, 65, 200) / 64.0
+        side = np.column_stack([np.ones(50), t[:50]])
+        edge = np.vstack([side, -side, side[:, ::-1], -side[:, ::-1]])
+        for scale in (1e-6, 1.0, 1e6):
+            pts = rng.permutation(np.vstack([rng.uniform(-1, 1, (1500, 2)), corners, edge]))
+            self.assert_parity(pts * scale)
+
+    @pytest.mark.parametrize("jitter", [0.0, 1e-12, 1e-3])
+    def test_lattice(self, jitter):
+        rng = np.random.default_rng(9700)
+        g = np.arange(40) / 8.0
+        pts = np.column_stack([np.repeat(g, 40), np.tile(g, 40)])
+        pts = pts + jitter * rng.standard_normal(pts.shape)
+        for scale in (1e-6, 1.0, 1e6):
+            self.assert_parity(rng.permutation(pts) * scale)
+
+    def test_cut_off(self, unit_disk):
+        from khull.hull import PRUNE_SCREEN_MIN
+
+        rng = np.random.default_rng(9800)
+        for n in (PRUNE_SCREEN_MIN - 1, PRUNE_SCREEN_MIN, PRUNE_SCREEN_MIN + 1):
+            pts = uniform_sample(unit_disk, n, rng)
+            self.assert_parity(pts)
+            assert (self.screened(pts) > 0) == (n >= PRUNE_SCREEN_MIN)
+
+    def test_thin_and_degenerate_samples_keep_every_row(self):
+        rng = np.random.default_rng(9900)
+        x = rng.uniform(-1, 1, 2000)
+        for pts in (np.column_stack([x, 0.5 * x]),            # collinear
+                    np.column_stack([x, 1e-15 * rng.standard_normal(2000)]),
+                    np.zeros((2000, 2))):
+            assert self.screened(pts) == 0
+            self.assert_parity(pts)

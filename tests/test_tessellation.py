@@ -145,6 +145,20 @@ class TestZeroCell:
                         f_big.std(ddof=1) / math.sqrt(f_big.size))
         assert abs(f_small.mean() - f_big.mean()) <= 3.0 * se
 
+    def test_certification_is_scale_free(self):
+        # K scaled by r with T0 = 5r draws the same layers scaled by r, so
+        # the same cells must certify; at r = 1e13 an absolute window on
+        # the dual's offsets (about 1e-14 there) never lets a cell certify
+        rows = {}
+        for r, T0 in ((1e-6, 5e-6), (1.0, 5.0), (1e6, 5e6), (1e11, 5e11), (1e13, 5e13)):
+            K = Ball(r, np.zeros(2))
+            cells = [zero_cell(K, np.random.default_rng(s), T0=T0, max_doublings=8)
+                     for s in range(50)]
+            assert all(z.certified for z in cells)
+            rows[r] = [(z.fvector(), z.n_hyperplanes, z.truncation / T0) for z in cells]
+        for r in rows:
+            assert rows[r] == rows[1.0], r
+
 
 def _attempts(K, seeds, T0, layers):
     """The inverted point clouds a zero-cell loop would test: a first layer
@@ -171,7 +185,8 @@ def _tagged_verdict(u, t, d):
         dual = oracles.tagged_hull(u / t[:, None])
     except DomainError:
         return None
-    if np.min(dual.facet_offsets) <= 1e-12:
+    extent = float(np.max(np.linalg.norm(dual.points, axis=1)))
+    if np.min(dual.facet_offsets) <= tessellation.DUAL_OFFSET_REL * extent:
         return None
     return float(np.max(np.linalg.norm(dual.facet_normals / dual.facet_offsets[:, None], axis=1)))
 
