@@ -260,7 +260,7 @@ def _hull_row(K: ConvexBody, experiment: str, n: int, resolution: int,
         if experiment == "sample-hull":
             row.update(arcs=len(xb.arcs), vertices=len(xb.vertices))
     else:
-        polar_hull = faces._polar_hull(K, pts, m=resolution)
+        polar_hull = faces._polar_hull(hull.IntersectionBody(K, pts), resolution)
         if dump is not None:
             dump.append(polar_hull.to_off_text())
         fv = faces.fvector_from_tagged_hull(polar_hull)

@@ -17,8 +17,8 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .body import ConvexBody, direction_grid
 from .errors import DomainError, GeneralPositionError, NumericError
-from .hull import (EPS_GEO, EPS_GP, ArcBoundary, DegeneracyWitness, _disk_pass,
-                   _khull_pair, _prune_to_hull)
+from .hull import (ArcBoundary, DegeneracyWitness, IntersectionBody, _disk_pass,
+                   _khull_pair, _require_disk)
 
 Array = np.ndarray
 
@@ -53,18 +53,20 @@ class GeneralPositionReport:
         return "; ".join(w.describe() for w in self.witnesses)
 
 
-def general_position_check_2d(K: ConvexBody, points: Array,
-                              eps_gp: float = EPS_GP) -> GeneralPositionReport:
+def general_position_check_2d(K: ConvexBody, points: Array) -> GeneralPositionReport:
     """Screen a planar disk sample for near-degeneracies.
 
     Flags duplicated hull vertices (a repeated interior point cannot touch
     the intersection body and is not flagged), near-tangent circle pairs
     among the active constraints, and corner candidates with a third
-    circle, of any sample point, within eps_gp (near-cocircular triples
-    whose translate covers the whole sample). A cycle anomaly is recorded
-    as a witness.
+    circle, of any sample point, within EPS_GP times the disk radius
+    (near-cocircular triples whose translate covers the whole sample). A
+    cycle anomaly is recorded as a witness. The windows scale with the
+    disk, so the report does not depend on the unit of length. A sample
+    that is empty, of another dimension or not interior to K raises
+    DomainError.
     """
-    xpass = _disk_pass(K, points, EPS_GEO, eps_gp)
+    xpass = _disk_pass(IntersectionBody(_require_disk(K), points))
     witnesses = xpass.witnesses
     if xpass.duplicates:
         witnesses = (DegeneracyWitness("duplicate", (), None, 0.0),) + witnesses
@@ -85,16 +87,6 @@ def fvector_exact_2d(boundary: ArcBoundary,
     return (len(boundary.arc_owners()), len(boundary.vertex_owner_pairs()))
 
 
-def _polar_grid(K: ConvexBody, points: Array, m: int) -> tuple[Array, Array, Array]:
-    """Sample rows, direction grid W and support values h_K(W) shared by
-    every member of the polar family; the sample must be interior to K."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if not np.all(K._interior_batch(pts)):
-        raise DomainError("polar family requires sample points interior to K")
-    W = direction_grid(K.dim, m)
-    return pts, W, K.support_batch(W)
-
-
 def _support_gaps(W: Array, base: Array, X: Array) -> Array:
     """h(K - x, w_j) = h_K(w_j) - <w_j, x> on the grid, one row per row x
     of X; positive for interior x. The stacked product rounds each row as
@@ -107,9 +99,14 @@ def polar_family(K: ConvexBody, points: Array, m: int = 256) -> list[tuple[int, 
 
     All members share one direction grid; vertex j of member i is
     w_j / h(K - x_i, w_j), which lies on the polar's boundary exactly.
+    The sample must be interior to K.
     """
-    pts, W, base = _polar_grid(K, points, m)
-    return [(i, W / h[:, None]) for i, h in enumerate(_support_gaps(W, base, pts))]
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(K._interior_batch(pts)):
+        raise DomainError("polar family requires sample points interior to K")
+    W = direction_grid(K.dim, m)
+    gaps = _support_gaps(W, K.support_batch(W), pts)
+    return [(i, W / h[:, None]) for i, h in enumerate(gaps)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,8 +384,9 @@ def fvector_from_tagged_hull(T: TaggedPolytope) -> FVector:
     return (f0, len(pairs), len(triples))
 
 
-def _polar_hull(K: ConvexBody, points: Array, m: int = 256) -> TaggedPolytope:
-    """owner_tagged_hull(polar_family(K, points, m)), built from about m points.
+def _polar_hull(X: IntersectionBody, m: int = 256) -> TaggedPolytope:
+    """owner_tagged_hull(polar_family(K, points, m)) for the intersection
+    body X of the sample with respect to K, built from about m points.
 
     Member i's vertex on the ray through w_j sits at radius
     1 / (h_K(w_j) - <w_j, x_i>), a convex function of x_i. Two reductions
@@ -397,8 +395,8 @@ def _polar_hull(K: ConvexBody, points: Array, m: int = 256) -> TaggedPolytope:
     - On each ray the radius is largest at a convex-hull vertex of the
       sample, since a convex function on a polytope peaks at a vertex.
       Only the members at those vertices, and repeated copies of them,
-      are kept (`_prune_to_hull`, which screens large planar samples
-      before qhull).
+      are kept: they are X's `active` rows, so X's build has checked the
+      sample and pruned it.
     - On each ray only the member(s) of least support gap, the farthest
       out, are kept; exact ties keep every tied member. Any other
       member's vertex on that ray lies strictly between the origin and
@@ -412,16 +410,18 @@ def _polar_hull(K: ConvexBody, points: Array, m: int = 256) -> TaggedPolytope:
     the facets in another order, or triangulate a merged facet another
     way, because its processing order depends on the points it is given.
     """
-    pts, W, base = _polar_grid(K, points, m)
-    members = _prune_to_hull(pts, copies=True)
-    gaps = _support_gaps(W, base, pts[members])
+    W = direction_grid(X.dim, m)
+    members = X.active
+    gaps = _support_gaps(W, X.base.support_batch(W), X.points[members])
     ii, jj = np.nonzero(gaps == gaps.min(axis=0))
     return tagged_hull_from_points(W[jj] / gaps[ii, jj][:, None], members[ii])
 
 
 def fvector_approx(K: ConvexBody, points: Array, m: int = 256) -> FVector:
-    """Family f-vector via the polar-family hull at resolution m."""
-    return fvector_from_tagged_hull(_polar_hull(K, points, m))
+    """Family f-vector via the polar-family hull at resolution m; a sample
+    that is empty, of another dimension or not interior to K raises
+    DomainError."""
+    return fvector_from_tagged_hull(_polar_hull(IntersectionBody(K, points), m))
 
 
 def polytope_fvector(points: Array) -> FVector:

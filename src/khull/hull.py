@@ -20,9 +20,9 @@ from .errors import DomainError, GeneralPositionWarning, NumericError
 
 Array = np.ndarray
 
-# Arc classification window (inside-all-disks slack).
+# Arc classification window (inside-all-disks slack), relative to the radius.
 EPS_GEO = 1e-9
-# Near-degeneracy window for general-position diagnostics.
+# Near-degeneracy window for general-position diagnostics, relative to the radius.
 EPS_GP = 1e-7
 
 TWO_PI = 2.0 * math.pi
@@ -72,9 +72,9 @@ def _screen_rows(points: Array) -> Array:
     return np.flatnonzero(~inside)
 
 
-def _prune_to_hull(points: Array, copies: bool = False) -> Array:
-    """Indices of the convex-hull vertices of the sample, ascending; with
-    `copies`, every row equal to one of them as well.
+def _prune_to_hull(points: Array) -> Array:
+    """Indices of the convex-hull vertices of the sample and of every row
+    equal to one of them, ascending.
 
     The intersection of translates over a point set equals the one over its
     convex hull, so only hull vertices can be active constraints. qhull
@@ -91,12 +91,20 @@ def _prune_to_hull(points: Array, copies: bool = False) -> Array:
         verts = rows[np.sort(ConvexHull(points[rows]).vertices)]
     except QhullError:
         return np.arange(n)  # degenerate input: keep everything
-    return _with_copies(points, verts, rows) if copies else verts
+    return _with_copies(points, verts, rows)
 
 
 @dataclass(frozen=True, eq=False)
 class IntersectionBody:
-    """X = intersection of K - x over the sample points, all interior to K."""
+    """X = intersection of K - x over the sample points, all interior to K.
+
+    Building X checks the sample once: it must be a non-empty set of rows
+    of K's dimension, each interior to K, or DomainError is raised.
+    `active` holds the rows that can touch X, ascending: the convex-hull
+    vertices of the sample and every row equal to one of them. The copies
+    change no radial or support value of X; the disk arc pass dedupes them
+    and the polar hull keeps them as tied members.
+    """
 
     base: ConvexBody
     points: Array
@@ -296,23 +304,23 @@ def _dedupe_rows(pts: Array) -> Array:
     return np.sort(order[first])
 
 
-def _with_copies(pts: Array, members: Array, rows: Array | None = None) -> Array:
+def _with_copies(pts: Array, members: Array, rows: Array) -> Array:
     """`members` plus every other row equal to one of theirs, ascending.
 
     qhull reports one copy of a repeated point as a hull vertex. The other
     copies are the same point: the polar hull keeps them as tied winners on
     every ray, and the arc pipeline dedupes them to their first occurrence.
-    The copies are looked for among `rows` (all rows by default), which
-    must hold `members` and every copy.
+    The copies are looked for among `rows`, which must hold `members` and
+    every copy.
     """
-    sub = pts if rows is None else pts[rows]
+    sub = pts[rows]
     keys = np.sort(pts[members, 0])
     pos = np.minimum(np.searchsorted(keys, sub[:, 0]), keys.size - 1)
     cand = np.flatnonzero(keys[pos] == sub[:, 0])
     if cand.size == members.size:
         return members
     found = cand[(sub[cand, None] == pts[members]).all(axis=2).any(axis=1)]
-    return found if rows is None else rows[found]
+    return rows[found]
 
 
 def _pair_dist(a: Array, b: Array) -> Array:
@@ -361,7 +369,6 @@ def _corner_keep(cand: Array, centers: Array, limit: float) -> Array:
 
 
 def _disk_cycle(radius: float, centers_all: Array, active: Array,
-                eps_geo: float, eps_gp: float,
                 witnesses: list[DegeneracyWitness]) -> tuple[list[Arc], list[ArcVertex]]:
     """Arc cycle of the intersection of equal disks centered at
     centers_all[active]; `witnesses` collects near-degeneracies.
@@ -370,9 +377,13 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array,
     Cocircularity is screened against every disk, not only active ones.
     The corners are the pair intersections inside every active disk; the
     two-stage screen in `_corner_keep` finds the same ones as testing
-    every candidate against every disk, at a fraction of the cost.
+    every candidate against every disk, at a fraction of the cost. The
+    windows are EPS_GEO and EPS_GP times the radius, so the cycle and its
+    witnesses do not depend on the unit of length.
     """
     r = radius
+    eps_geo = EPS_GEO * r
+    eps_gp = EPS_GP * r
     act = centers_all[active]
     m = act.shape[0]
     if m == 1:
@@ -491,9 +502,8 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array,
 
 @dataclass(frozen=True, eq=False)
 class _DiskPass:
-    """One build of the X arc cycle of a planar disk sample: the interior
-    check, the hull prune, the dedupe of the hull rows and the corner
-    construction.
+    """One build of the X arc cycle of a planar disk sample: the dedupe of
+    the hull rows and the corner construction.
 
     `boundary` is None when the cycle failed to close, and `error` then
     holds the NumericError. `witnesses` are the near-degeneracies of the
@@ -520,43 +530,31 @@ class _DiskPass:
         return self.boundary
 
 
-def _disk_pass(K: ConvexBody, points: Array, eps_geo: float = EPS_GEO,
-               eps_gp: float = EPS_GP, _hull: Array | None = None) -> _DiskPass:
-    """Build the X arc cycle of a sample interior to a planar disk K.
+def _disk_pass(X: IntersectionBody) -> _DiskPass:
+    """Build the arc cycle of X, the intersection body of a sample interior
+    to a planar disk.
 
-    Interiority is tested against the disk itself, so K need not contain
-    the origin. The sample is pruned to its convex-hull vertices first,
-    since X over the sample is X over its hull; every row equal to a hull
-    vertex joins them, and only those few rows are deduplicated. Arc
-    owners index the original sample, at the first occurrence of a
-    repeated row.
-
-    `_hull` is the `active` of an IntersectionBody of K over the same
-    rows, which has checked interiority and pruned the sample already;
-    given it, neither is done again.
+    X has checked the sample and pruned it to its hull rows, copies of hull
+    vertices included, since X over the sample is X over its hull; only
+    those few rows are deduplicated here. Arc owners index the original
+    sample, at the first occurrence of a repeated row. K need not contain
+    the origin.
     """
-    K = _require_disk(K)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if _hull is not None:
-        hull_rows = _with_copies(pts, _hull)
-    elif not np.all(K._interior_batch(pts)):
-        raise DomainError("all sample points must lie in the interior of K")
-    else:
-        hull_rows = _prune_to_hull(pts, copies=True)
-    active = hull_rows[_dedupe_rows(pts[hull_rows])]
+    K = _require_disk(X.base)
+    pts = X.points
+    active = X.active[_dedupe_rows(pts[X.active])]
     witnesses: list[DegeneracyWitness] = []
     boundary = error = None
     try:
-        arcs, verts = _disk_cycle(K.radius, K.center[None, :] - pts, active,
-                                  eps_geo, eps_gp, witnesses)
+        arcs, verts = _disk_cycle(K.radius, K.center[None, :] - pts, active, witnesses)
         boundary = ArcBoundary(tuple(arcs), tuple(verts), K.radius)
     except NumericError as exc:
         error = exc
-    return _DiskPass(pts, hull_rows.size - active.size, tuple(witnesses), boundary, error)
+    return _DiskPass(pts, X.active.size - active.size, tuple(witnesses), boundary, error)
 
 
-def _hull_stage(K: Ball, points: Array, xb: ArcBoundary, eps_geo: float = EPS_GEO,
-                eps_gp: float = EPS_GP) -> tuple[ArcBoundary, tuple[DegeneracyWitness, ...]]:
+def _hull_stage(K: Ball, points: Array,
+                xb: ArcBoundary) -> tuple[ArcBoundary, tuple[DegeneracyWitness, ...]]:
     """Hull cycle of a disk sample from its X cycle xb, and the hull-stage
     near-degeneracies, returned rather than warned.
 
@@ -569,42 +567,38 @@ def _hull_stage(K: Ball, points: Array, xb: ArcBoundary, eps_geo: float = EPS_GE
     vpts = np.array([v.point for v in xb.vertices])
     witnesses: list[DegeneracyWitness] = []
     arcs, verts = _disk_cycle(K.radius, K.center[None, :] - vpts, np.arange(vpts.shape[0]),
-                              eps_geo, eps_gp, witnesses)
+                              witnesses)
     qb = ArcBoundary(tuple(arcs), tuple(verts), K.radius)
-    _validate_hull_boundary(K, points, xb, qb, eps_geo)
+    _validate_hull_boundary(K, points, xb, qb)
     return qb, tuple(witnesses)
 
 
-def _khull_pair(K: ConvexBody, points: Array, eps_geo: float = EPS_GEO,
-                eps_gp: float = EPS_GP) -> tuple[ArcBoundary, ArcBoundary]:
+def _khull_pair(K: ConvexBody, points: Array) -> tuple[ArcBoundary, ArcBoundary]:
     """X cycle and hull cycle of a disk sample from one X build, with the
     warnings of disk_intersection_boundary and khull_boundary_2d."""
-    xpass = _disk_pass(K, points, eps_geo, eps_gp)
+    xpass = _disk_pass(IntersectionBody(_require_disk(K), points))
     xb = xpass.checked_boundary()
-    qb, witnesses = _hull_stage(K, xpass.points, xb, eps_geo, eps_gp)
+    qb, witnesses = _hull_stage(K, xpass.points, xb)
     for w in witnesses:
         warnings.warn("hull stage: " + w.describe(), GeneralPositionWarning, stacklevel=3)
     return xb, qb
 
 
-def disk_intersection_boundary(K: ConvexBody, points: Array,
-                               eps_geo: float = EPS_GEO,
-                               eps_gp: float = EPS_GP) -> ArcBoundary:
+def disk_intersection_boundary(K: ConvexBody, points: Array) -> ArcBoundary:
     """Exact arc-cycle boundary of X = intersection of K - x_i, K a planar disk.
 
     Sample points are pruned to convex-hull vertices before the corner
     construction, and repeated hull vertices are deduplicated with a
     warning (repeated interior points cannot touch X and pass silently);
-    near-degeneracies raise GeneralPositionWarning but the cycle is still
-    returned when it closes. Arc owners are indices into the original
-    sample, first occurrences for repeated rows.
+    near-degeneracies, within windows relative to the disk radius, raise
+    GeneralPositionWarning but the cycle is still returned when it closes.
+    Arc owners are indices into the original sample, first occurrences for
+    repeated rows.
     """
-    return _disk_pass(K, points, eps_geo, eps_gp).checked_boundary()
+    return _disk_pass(IntersectionBody(_require_disk(K), points)).checked_boundary()
 
 
-def khull_boundary_2d(K: ConvexBody, points: Array,
-                      eps_geo: float = EPS_GEO,
-                      eps_gp: float = EPS_GP) -> ArcBoundary:
+def khull_boundary_2d(K: ConvexBody, points: Array) -> ArcBoundary:
     """Arc-cycle boundary of the hull of the sample with respect to a disk K.
 
     The hull is the intersection of the translates K - v over all boundary
@@ -613,17 +607,17 @@ def khull_boundary_2d(K: ConvexBody, points: Array,
     returned arcs index the corner list of the X boundary. A sample whose
     X boundary has no corners hulls to the single sample point itself.
     """
-    return _khull_pair(K, points, eps_geo, eps_gp)[1]
+    return _khull_pair(K, points)[1]
 
 
 def _validate_hull_boundary(K: Ball, points: Array, xb: ArcBoundary,
-                            qb: ArcBoundary, eps_geo: float) -> None:
+                            qb: ArcBoundary) -> None:
     """Every sample point owning an arc of the X boundary must lie on the
     hull boundary: inside all hull disks and on at least one hull circle."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
     owners = sorted(xb.arc_owners())
     hull_centers = np.array([a.center for a in qb.arcs])
-    d = _pair_dist(pts[owners], hull_centers)
-    tol = math.sqrt(max(eps_geo, 1e-12)) * 10  # corner placement is O(sqrt(eps))-sensitive
+    d = _pair_dist(points[owners], hull_centers)
+    # corner placement is O(sqrt(eps))-sensitive; relative to the radius
+    tol = math.sqrt(EPS_GEO) * 10 * K.radius
     if np.any(d.min(axis=1) > K.radius + tol) or np.any(np.abs(d - K.radius).min(axis=1) > tol):
         raise NumericError("hull boundary failed the owner-incidence validation")

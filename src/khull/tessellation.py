@@ -221,12 +221,11 @@ def scaled_sample_statistics(K: ConvexBody, points: Array, n_scale: int | None =
     reported as the discretization diagnostic. The f-vector uses the exact
     arc pipeline for planar disks and the tagged polar hull otherwise.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[0] if n_scale is None else int(n_scale)
+    X = IntersectionBody(K, points)
+    n = X.points.shape[0] if n_scale is None else int(n_scale)
     d = K.dim
     if directions is None:
         directions = 512 if d == 2 else 2048
-    X = IntersectionBody(K, pts)
     U = direction_grid(d, directions)
     r = X.radial_batch(U) * n
     inner = tagged_hull_from_points(r[:, None] * U)
@@ -234,12 +233,12 @@ def scaled_sample_statistics(K: ConvexBody, points: Array, n_scale: int | None =
     r_out = _radial_min(d, directions, X.outer_support_bound_batch(U) * n)
     gap = _radial_volume(r_out, d) - _radial_volume(r, d)
 
+    # both f-vector routes read X's hull rows; the sample is pruned once
     exact = isinstance(K, Ball) and d == 2
     if exact:
-        # the disk pass reuses X's interior check and hull prune
-        fv = faces.fvector_exact_2d(hull._disk_pass(K, pts, _hull=X.active).checked_boundary())
+        fv = faces.fvector_exact_2d(hull._disk_pass(X).checked_boundary())
     else:
-        fv = faces.fvector_approx(K, pts, m=fvector_resolution)
+        fv = faces.fvector_from_tagged_hull(faces._polar_hull(X, fvector_resolution))
     return ScaledSampleStatistics(n=n, volumes=vols, fvector=fv,
                                   fvector_exact=exact, outer_gap=float(gap))
 

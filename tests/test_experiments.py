@@ -379,8 +379,10 @@ class TestRunExperiment:
             serial = (tmp_path / "serial" / name).read_bytes()
             assert serial == (tmp_path / "pooled" / name).read_bytes()
 
-    def test_disk_convergence_prunes_once_per_replicate(self, tmp_path, monkeypatch):
-        # the disk pass reuses the prune of the intersection body's build
+    @staticmethod
+    def assert_pruned_once(tmp_path, monkeypatch, cfg):
+        """Every replicate of the campaign prunes its sample exactly once,
+        and the CSV bytes are the same serial and pooled."""
         import khull.experiments as exp
         calls = []
         prune = exp.hull._prune_to_hull
@@ -389,17 +391,37 @@ class TestRunExperiment:
             calls.append(1)
             return prune(*args, **kwargs)
 
-        for owner in (exp.hull, exp.faces):
+        # patch every module that binds it, so no call goes uncounted
+        owners = [m for m in (exp.hull, exp.faces, exp.tessellation, exp)
+                  if getattr(m, "_prune_to_hull", None) is prune]
+        for owner in owners:
             monkeypatch.setattr(owner, "_prune_to_hull", counted)
-        cfg = ExperimentConfig(experiment="convergence", body=DISK, n_values=(300, 2000),
-                               replicates=4, seed=29)
         monkeypatch.setenv("KHULL_THREADS", "1")
         run_experiment(cfg, out_dir=str(tmp_path / "serial"))
-        assert len(calls) == 8
+        assert len(calls) == cfg.replicates * len(cfg.schedule())
         monkeypatch.setenv("KHULL_THREADS", "2")
         run_experiment(cfg, out_dir=str(tmp_path / "pooled"))
-        serial = (tmp_path / "serial" / "convergence.csv").read_bytes()
-        assert serial == (tmp_path / "pooled" / "convergence.csv").read_bytes()
+        name = f"{cfg.experiment}.csv"
+        serial = (tmp_path / "serial" / name).read_bytes()
+        assert serial == (tmp_path / "pooled" / name).read_bytes()
+
+    def test_disk_convergence_prunes_once_per_replicate(self, tmp_path, monkeypatch):
+        # the disk pass reads the prune of the intersection body's build
+        cfg = ExperimentConfig(experiment="convergence", body=DISK, n_values=(300, 2000),
+                               replicates=4, seed=29)
+        self.assert_pruned_once(tmp_path, monkeypatch, cfg)
+
+    @pytest.mark.parametrize("experiment, body, params", [
+        ("fvector-mc", DISK, {"n": 2000, "replicates": 3}),
+        ("fvector-mc", ELLIPSE, {"n": 1000, "replicates": 3}),
+        ("convergence", ELLIPSE, {"n_values": (300, 1000), "replicates": 2}),
+        ("convergence", BALL3, {"n": 200, "replicates": 2}),
+    ], ids=["disk-fvector", "ellipse-fvector", "ellipse-convergence", "ball3-convergence"])
+    def test_sample_pruned_once_per_replicate(self, tmp_path, monkeypatch, experiment,
+                                              body, params):
+        # the polar hull and the convergence statistics share one X
+        cfg = ExperimentConfig(experiment=experiment, body=body, seed=29, **params)
+        self.assert_pruned_once(tmp_path, monkeypatch, cfg)
 
     def test_excluded_replicate_zero_raises_after_writing(self, tmp_path, monkeypatch):
         import khull.experiments as exp
@@ -469,11 +491,11 @@ class TestRunExperiment:
         calls = {"count": 0}
         real = exp.faces.general_position_check_2d
 
-        def flaky(K, pts, eps_gp=1e-7):
+        def flaky(K, pts):
             calls["count"] += 1
             if calls["count"] == 3:
                 return GeneralPositionReport(ok=False, witnesses=())
-            return real(K, pts, eps_gp)
+            return real(K, pts)
 
         monkeypatch.setenv("KHULL_THREADS", "1")
         monkeypatch.setattr(exp.faces, "general_position_check_2d", flaky)
@@ -490,8 +512,7 @@ class TestRunExperiment:
         monkeypatch.setenv("KHULL_THREADS", "1")
         monkeypatch.setattr(
             exp.faces, "general_position_check_2d",
-            lambda K, pts, eps_gp=1e-7: GeneralPositionReport(
-                ok=False, witnesses=()))
+            lambda K, pts: GeneralPositionReport(ok=False, witnesses=()))
         cfg = ExperimentConfig(experiment="fvector-mc", body=DISK, n=25,
                                replicates=2, seed=13)
         with pytest.raises(NumericError, match="excluded"):

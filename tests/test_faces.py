@@ -10,8 +10,7 @@ from khull import (Ball, DomainError, Ellipsoid, GeneralPositionError, PNormBall
                    general_position_check_2d, kfacet_count_2d,
                    intrinsic_volumes, khull_boundary_2d, owner_tagged_hull, polar_family,
                    polytope_fvector, tagged_hull_from_points, uniform_sample)
-from khull import faces
-from khull.faces import _polar_hull
+from khull import IntersectionBody, faces
 
 LENS = np.array([[0.0, 0.6], [0.0, -0.6]])
 
@@ -138,6 +137,11 @@ class TestPolarFamily:
     def test_point_outside_interior_rejected(self, unit_disk):
         with pytest.raises(DomainError):
             polar_family(unit_disk, np.array([[1.0, 0.0]]), m=64)
+
+
+def _polar_hull(K, pts, m):
+    """The package's polar hull, built from the sample's intersection body."""
+    return faces._polar_hull(IntersectionBody(K, pts), m)
 
 
 def full_polar_hull(K, pts, m):

@@ -4,12 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import smooth_kinds_2d
 from khull import (ArcBoundary, Ball, DomainError, GeneralPositionWarning,
                    IntersectionBody, NumericError, Polytope, direction_grid,
-                   disk_intersection_boundary, khull_boundary_2d,
+                   disk_intersection_boundary, fvector_approx, fvector_exact_2d,
+                   general_position_check_2d, kfacet_count_2d, khull_boundary_2d,
                    khull_contains, mink_diff_contains, uniform_sample)
 
 A_LENS = 0.8
@@ -228,6 +231,67 @@ class TestDiskIntersectionBoundary:
             b = disk_intersection_boundary(unit_disk, np.vstack([pts, pts[inner]]))
         assert not any("deduplicated" in str(w.message) for w in rec)
         assert _same_cycle(b, disk_intersection_boundary(unit_disk, pts))
+
+
+class TestSampleValidation:
+    """Every disk entry point, and the approximate f-vector, checks the
+    sample through the intersection body."""
+
+    ENTRY_POINTS = {
+        "general_position_check_2d": general_position_check_2d,
+        "disk_intersection_boundary": disk_intersection_boundary,
+        "khull_boundary_2d": khull_boundary_2d,
+        "kfacet_count_2d": kfacet_count_2d,
+        "fvector_approx": fvector_approx,
+    }
+    BAD_SAMPLES = {
+        "empty": np.empty((0, 2)),
+        "empty-flat": np.array([]),
+        "dimension-3": np.full((4, 3), 0.1),
+        "dimension-1": np.full((4, 1), 0.1),
+        "outside": np.array([[0.1, 0.2], [1.5, 0.0], [-0.3, 0.1]]),
+    }
+
+    @pytest.mark.parametrize("sample", BAD_SAMPLES)
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_bad_sample_raises_domain_error(self, unit_disk, entry, sample):
+        with pytest.raises(DomainError):
+            self.ENTRY_POINTS[entry](unit_disk, self.BAD_SAMPLES[sample])
+
+
+def _disk_record(K, pts) -> tuple:
+    """What the exact disk pipeline reports on a sample: the screen's
+    verdict and witness kinds, the f-vector and the k-facet count, or the
+    error a step raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GeneralPositionWarning)
+        report = general_position_check_2d(K, pts)
+        kinds = sorted(w.kind for w in report.witnesses)
+        fv = None if report.boundary is None else fvector_exact_2d(report.boundary)
+        try:
+            kf = kfacet_count_2d(K, pts)
+        except NumericError as exc:
+            kf = str(exc)
+    return report.ok, kinds, fv, kf
+
+
+class TestScaleInvariance:
+    """Scaling and translating a disk sample together with the disk leaves
+    the exact pipeline's answers as they are: its windows are relative to
+    the radius."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           n=st.sampled_from([2, 3, 10, 100, 1000, 5000]),
+           exponent=st.floats(min_value=-6.0, max_value=6.0),
+           shift=st.tuples(st.floats(min_value=-3.0, max_value=3.0),
+                           st.floats(min_value=-3.0, max_value=3.0)))
+    @settings(max_examples=60, deadline=None)
+    def test_scaled_and_translated_disk(self, seed, n, exponent, shift):
+        unit_disk = Ball(1.0, np.zeros(2))
+        pts = uniform_sample(unit_disk, n, np.random.default_rng(seed))
+        s = 10.0 ** exponent
+        c = s * np.array(shift)
+        assert _disk_record(Ball(s, c), s * pts + c) == _disk_record(unit_disk, pts)
 
 
 class TestKhullBoundary2d:
@@ -491,7 +555,7 @@ class TestReferenceDiskPass:
 
         kinds = set()
         for pts in self.samples(unit_disk):
-            got = hull._disk_pass(unit_disk, pts)
+            got = hull._disk_pass(IntersectionBody(unit_disk, pts))
             want = oracles.reference_disk_pass(unit_disk, pts)
             assert _pass_fields(got) == _pass_fields(want)
             kinds |= {w.kind for w in want.witnesses}
@@ -536,16 +600,16 @@ def _edge_rows(pts: np.ndarray, rng, per_edge: int = 4) -> np.ndarray:
 
 class TestPrunePrefilter:
     """`_prune_to_hull` screens large planar samples before qhull; its
-    vertices must be those of one qhull call over every row."""
+    rows must be the vertices of one qhull call over every row and every
+    row equal to one of them."""
 
     @staticmethod
     def assert_parity(pts: np.ndarray) -> None:
         from khull.hull import _prune_to_hull
 
         want = oracles.plain_prune(pts)
-        assert np.array_equal(_prune_to_hull(pts), want)
         copies = np.flatnonzero((pts[:, None] == pts[want]).all(axis=2).any(axis=1))
-        assert np.array_equal(_prune_to_hull(pts, copies=True), copies)
+        assert np.array_equal(_prune_to_hull(pts), copies)
 
     @staticmethod
     def screened(pts: np.ndarray) -> int:
