@@ -157,7 +157,15 @@ class Ball(_BodyBase):
         return _ball_gauge(X, self.center, self.radius)
 
     def _interior_batch(self, X: Array, tol: float = 0.0) -> Array:
-        return np.linalg.norm(X - self.center, axis=1) < self.radius + tol
+        # np.linalg.norm(X - center, axis=1) by its own arithmetic, the
+        # squares summed column by column, without its (n, d) temporaries
+        q = X[:, 0] - self.center[0]
+        s = q * q
+        for c in range(1, self.dim):
+            np.subtract(X[:, c], self.center[c], out=q)
+            q *= q
+            s += q
+        return np.sqrt(s, out=s) < self.radius + tol
 
     def normal_at(self, x, tol: float = BOUNDARY_TOL) -> Array:
         x = _boundary_point(self, x, tol)
@@ -601,7 +609,11 @@ def uniform_sample(K: ConvexBody, n: int, rng: np.random.Generator) -> Array:
     filled = 0
     while filled < n:
         batch = max(32, int(1.2 * (n - filled) / rate))
-        X = rng.uniform(lo, hi, size=(batch, d))
+        # rng.uniform(lo, hi, size=(batch, d)) draws the same numbers, lo +
+        # (hi - lo) * u, element by element through numpy's broadcast path
+        X = rng.random((batch, d))
+        X *= hi - lo
+        X += lo
         keep = X[K._interior_batch(X)]
         take = min(n - filled, keep.shape[0])
         out[filled : filled + take] = keep[:take]

@@ -58,13 +58,12 @@ def general_position_check_2d(K: ConvexBody, points: Array) -> GeneralPositionRe
 
     Flags duplicated hull vertices (a repeated interior point cannot touch
     the intersection body and is not flagged), near-tangent circle pairs
-    among the active constraints, and corner candidates with a third
-    circle, of any sample point, within EPS_GP times the disk radius
-    (near-cocircular triples whose translate covers the whole sample). A
-    cycle anomaly is recorded as a witness. The windows scale with the
-    disk, so the report does not depend on the unit of length. A sample
-    that is empty, of another dimension or not interior to K raises
-    DomainError.
+    among the active constraints, and corners with a third circle, of any
+    sample point other than a copy of an active one, within EPS_GP times
+    the disk radius (near-cocircular triples whose translate covers the
+    whole sample). The windows scale with the disk, so the report does not
+    depend on the unit of length. A sample that is empty, of another
+    dimension or not interior to K raises DomainError.
     """
     xpass = _disk_pass(IntersectionBody(_require_disk(K), points))
     witnesses = xpass.witnesses

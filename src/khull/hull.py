@@ -273,7 +273,7 @@ class DegeneracyWitness:
     """One near-degeneracy: kind, sample indices involved, witness point,
     and the measured slack that fell inside the tolerance window."""
 
-    kind: str  # "duplicate" | "near-tangent" | "near-cocircular" | "anomaly"
+    kind: str  # "duplicate" | "near-tangent" | "near-cocircular"
     indices: tuple[int, ...]
     witness: Array | None
     measure: float
@@ -338,48 +338,44 @@ def _pair_dist(a: Array, b: Array) -> Array:
     return np.sqrt(dx, out=dx)
 
 
-# Disks the first stage of the corner screen tests every candidate against.
-SCREEN_PROBES = 8
+def _ccw_cycle(points: Array, start: int) -> list[int]:
+    """Indices of planar points in counter-clockwise order, from `start`.
 
-
-def _corner_keep(cand: Array, centers: Array, limit: float) -> Array:
-    """Mask of the candidate corners within `limit` of every center.
-
-    Most candidates lie outside some disk on the far side of the
-    intersection, so a first stage against SCREEN_PROBES disks spread
-    around the convex position of the centers drops nearly all of them,
-    and only the survivors meet every disk. Both stages evaluate the same
-    `norm <= limit` on each (candidate, disk) pair they test, and a
-    candidate is kept only if every pair passes, so the mask is the one a
-    single full (candidates x disks) test gives.
+    The split of Andrew (1979): rows sorted by (x, y), those on or right of
+    the chord from the first to the last go out in that order and those
+    left of it come back in reverse. Points in convex position come out in
+    their cyclic order around the hull; collinear points, on which angles
+    about their mean tie up to rounding, come out in order along the line,
+    each way.
     """
-    def inside(points: Array, disks: Array) -> Array:
-        # disks x points: the long axis innermost; fl(b - a) = -fl(a - b),
-        # so the table is the transpose of the points x disks one, bit for bit
-        return (_pair_dist(disks, points) <= limit).all(axis=0)
-
-    m = centers.shape[0]
-    if m <= SCREEN_PROBES:
-        return inside(cand, centers)
-    rel = centers - centers.mean(axis=0)
-    around = np.argsort(np.arctan2(rel[:, 1], rel[:, 0]))
-    keep = inside(cand, centers[around[np.arange(SCREEN_PROBES) * m // SCREEN_PROBES]])
-    keep[keep] = inside(cand[keep], centers)
-    return keep
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    a = points[order[0]]
+    ex, ey = points[order[-1]] - a
+    rel = points[order] - a
+    left = ex * rel[:, 1] - ey * rel[:, 0] > 0.0
+    cycle = np.concatenate([order[~left], order[left][::-1]]).tolist()
+    k = cycle.index(start)
+    return cycle[k:] + cycle[:k]
 
 
-def _disk_cycle(radius: float, centers_all: Array, active: Array,
+def _disk_cycle(radius: float, centers_all: Array, active: Array, inner: Array,
                 witnesses: list[DegeneracyWitness]) -> tuple[list[Arc], list[ArcVertex]]:
     """Arc cycle of the intersection of equal disks centered at
-    centers_all[active]; `witnesses` collects near-degeneracies.
+    centers_all[active]; `witnesses` collects near-degeneracies. `inner` is
+    a point within the radius of every active center.
 
     Owner indices in the returned cycle refer to positions in centers_all.
-    Cocircularity is screened against every disk, not only active ones.
-    The corners are the pair intersections inside every active disk; the
-    two-stage screen in `_corner_keep` finds the same ones as testing
-    every candidate against every disk, at a fraction of the cost. The
-    windows are EPS_GEO and EPS_GP times the radius, so the cycle and its
-    witnesses do not depend on the unit of length.
+    The arc owners are a subsequence of the centers in counter-clockwise
+    order around their hull (the ball-polygons of Bezdek, Langi, Naszodi
+    and Papez 2007), so one stack sweep over that order finds them. It
+    starts at the center farthest from `inner`, whose circle's point
+    farthest from `inner` lies inside every other disk, so it owns an arc;
+    a center is popped while the corner its neighbours make left of their
+    step lies in its disk. Every corner of the sweep is then checked
+    against every active disk. Cocircularity is screened against every
+    disk, not only active ones. The windows are EPS_GEO and EPS_GP times
+    the radius, so the cycle and its witnesses do not depend on the unit
+    of length.
     """
     r = radius
     eps_geo = EPS_GEO * r
@@ -389,35 +385,61 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array,
     if m == 1:
         return [Arc(int(active[0]), act[0], 0.0, TWO_PI)], []
 
-    iu, ju = np.triu_indices(m, 1)
-    diffs = act[ju] - act[iu]
-    dist = np.linalg.norm(diffs, axis=1)
-    for k in np.nonzero(dist < eps_gp)[0]:
+    dist = _pair_dist(act, act)
+    for i, j in zip(*np.nonzero(np.triu(dist < eps_gp, 1))):
         witnesses.append(DegeneracyWitness(
-            "duplicate", (int(active[iu[k]]), int(active[ju[k]])), None, float(dist[k])))
-    for k in np.nonzero(dist > 2.0 * r - eps_gp)[0]:
+            "duplicate", (int(active[i]), int(active[j])), None, float(dist[i, j])))
+    for i, j in zip(*np.nonzero(np.triu(dist > 2.0 * r - eps_gp, 1))):
         witnesses.append(DegeneracyWitness(
-            "near-tangent", (int(active[iu[k]]), int(active[ju[k]])), None,
-            float(2.0 * r - dist[k])))
+            "near-tangent", (int(active[i]), int(active[j])), None,
+            float(2.0 * r - dist[i, j])))
     if np.any(dist >= 2.0 * r):
         raise DomainError("disjoint constraint disks; sample points not interior to K")
 
-    # Two candidate corners per pair of circles.
-    mid = 0.5 * (act[iu] + act[ju])
-    axis = diffs / dist[:, None]
-    half = np.sqrt(np.maximum(r * r - 0.25 * dist * dist, 0.0))
-    perp = np.column_stack([-axis[:, 1], axis[:, 0]])
-    cand = np.concatenate([mid + half[:, None] * perp, mid - half[:, None] * perp])
-    cand_i = np.concatenate([iu, iu])
-    cand_j = np.concatenate([ju, ju])
+    cxy = act.tolist()
+    limit = r + eps_geo
 
-    keep = _corner_keep(cand, act, r + eps_geo)
-    pts = cand[keep]
-    own_i = cand_i[keep]
-    own_j = cand_j[keep]
+    def corner(a: int, b: int) -> tuple[float, float]:
+        """The intersection of circles a and b left of the step from a to b,
+        by the pair formula over (min, max): its `+` candidate when a < b."""
+        (xi, yi), (xj, yj) = (cxy[a], cxy[b]) if a < b else (cxy[b], cxy[a])
+        dx = xj - xi
+        dy = yj - yi
+        d = math.sqrt(dx * dx + dy * dy)
+        if d == 0.0:
+            raise NumericError("two active disks coincide")
+        half = math.sqrt(max(r * r - 0.25 * d * d, 0.0))
+        if a > b:
+            half = -half
+        return 0.5 * (xi + xj) + half * -(dy / d), 0.5 * (yi + yj) + half * (dx / d)
+
+    def covers(b: int, p: tuple[float, float]) -> bool:
+        dx = cxy[b][0] - p[0]
+        dy = cxy[b][1] - p[1]
+        return math.sqrt(dx * dx + dy * dy) <= limit
+
+    far = act - inner
+    s0 = int(np.argmax(far[:, 0] * far[:, 0] + far[:, 1] * far[:, 1]))
+    seq = _ccw_cycle(act, s0)
+    stack = [s0]
+    for c in seq[1:] + [s0]:
+        while len(stack) > 1 and stack[-2] != c and covers(stack[-1], corner(stack[-2], c)):
+            stack.pop()
+        if c != s0:
+            stack.append(c)
+
+    # The corners in the order the all-pairs screen listed them: the `+`
+    # corner of each pair (i < j) in triu order, then the `-` ones.
+    steps = sorted(zip(stack, stack[1:] + stack[:1]),
+                   key=lambda s: (s[0] > s[1], min(s), max(s)))
+    pts = np.array([corner(a, b) for a, b in steps])
+    own_i = np.array([min(s) for s in steps])
+    own_j = np.array([max(s) for s in steps])
+    if not (_pair_dist(pts, act) <= limit).all():
+        raise NumericError("a corner of the sweep lies outside an active disk")
 
     # Cocircularity screen against every circle in the input.
-    if pts.shape[0] and centers_all.shape[0] > 2:
+    if centers_all.shape[0] > 2:
         gap = _pair_dist(pts, centers_all)
         gap -= r
         np.abs(gap, out=gap)
@@ -425,26 +447,19 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array,
         for v in np.flatnonzero(near.any(axis=1)):
             pair = (int(active[own_i[v]]), int(active[own_j[v]]))
             third = [t for t in np.flatnonzero(near[v]).tolist() if t not in pair]
+            # a copy of an active row is that row's circle again, not a third one
+            third = [t for t in third
+                     if t in active or not (act == centers_all[t]).all(axis=1).any()]
             if third:
                 witnesses.append(DegeneracyWitness(
                     "near-cocircular", (*pair, *third), pts[v], float(gap[v, third].min())))
 
-    if pts.shape[0] < 2:
-        # One active disk contains the rest of the intersection boundary.
-        raise NumericError("found fewer than two corners for a multi-disk intersection")
-
-    # Group corners by owner; each boundary-active owner meets exactly two.
+    # Group corners by owner; each center left on the stack meets two.
     incident: dict[int, list[int]] = {}
     for v, (i, j) in enumerate(zip(own_i.tolist(), own_j.tolist())):
         incident.setdefault(i, []).append(v)
         incident.setdefault(j, []).append(v)
     owners = sorted(incident.items())
-    for local_owner, vids in owners:
-        if len(vids) != 2:
-            witnesses.append(DegeneracyWitness(
-                "anomaly", (int(active[local_owner]),), None, float(len(vids))))
-            raise NumericError(
-                f"owner {active[local_owner]} meets {len(vids)} corners; expected 2")
 
     # Each owner's circle splits at its two corners into two angular
     # intervals; its arc is the first whose midpoint stays inside all disks.
@@ -546,7 +561,9 @@ def _disk_pass(X: IntersectionBody) -> _DiskPass:
     witnesses: list[DegeneracyWitness] = []
     boundary = error = None
     try:
-        arcs, verts = _disk_cycle(K.radius, K.center[None, :] - pts, active, witnesses)
+        # the origin is inside every disk: each sample row is interior to K
+        arcs, verts = _disk_cycle(K.radius, K.center[None, :] - pts, active, np.zeros(2),
+                                  witnesses)
         boundary = ArcBoundary(tuple(arcs), tuple(verts), K.radius)
     except NumericError as exc:
         error = exc
@@ -566,8 +583,9 @@ def _hull_stage(K: Ball, points: Array,
         return ArcBoundary((), (), K.radius, degenerate_point=points[0]), ()
     vpts = np.array([v.point for v in xb.vertices])
     witnesses: list[DegeneracyWitness] = []
+    # a sample row is inside every disk: each corner v of X has x + v in K
     arcs, verts = _disk_cycle(K.radius, K.center[None, :] - vpts, np.arange(vpts.shape[0]),
-                              witnesses)
+                              points[0], witnesses)
     qb = ArcBoundary(tuple(arcs), tuple(verts), K.radius)
     _validate_hull_boundary(K, points, xb, qb)
     return qb, tuple(witnesses)

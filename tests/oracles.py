@@ -15,7 +15,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 from scipy.special import ellipe
 
-from khull.body import ConvexBody
+from khull.body import Ball, ConvexBody
 from khull.errors import DomainError, NumericError
 from khull.faces import COPLANAR_TOL, TaggedPolytope
 from khull.hull import (EPS_GEO, EPS_GP, TWO_PI, Arc, ArcBoundary, ArcVertex,
@@ -219,11 +219,14 @@ def full_corner_keep(cand: np.ndarray, centers: np.ndarray, limit: float) -> np.
 
 
 # The planar arc pipeline as it was before the hull prune ran ahead of the
-# dedupe and the distance tables were built from coordinate columns: every
-# row deduplicated, per-owner midpoint tests, and the dense corner screen
-# above in place of the two-stage one (their masks are equal). The
-# package's `_disk_pass` must give the same witnesses, arcs and corners on
-# every sample whose repeated rows sit at hull vertices.
+# dedupe, the distance tables were built from coordinate columns and a
+# stack sweep found the corners: every row deduplicated, per-owner midpoint
+# tests, and the dense all-pairs corner screen above. The package's
+# `_disk_pass` must give the same witnesses, arcs and corners on every
+# sample whose repeated rows sit at hull vertices and on which this cycle
+# closes. Where three circles meet at a corner this screen keeps three
+# corners there and reports an `anomaly`; the sweep closes the cycle and
+# reports the triple as near-cocircular.
 
 def reference_disk_cycle(radius: float, centers_all: np.ndarray, active: np.ndarray,
                          eps_geo: float, eps_gp: float,
@@ -275,6 +278,9 @@ def reference_disk_cycle(radius: float, centers_all: np.ndarray, active: np.ndar
         for v in range(pts.shape[0]):
             third = np.nonzero(gap[v] < eps_gp)[0]
             third = [t for t in third if t not in (active[own_i[v]], active[own_j[v]])]
+            # a copy of an active row is that row's circle again, not a third one
+            third = [t for t in third
+                     if t in active or not np.any(np.all(act == centers_all[t], axis=1))]
             if third:
                 witnesses.append(DegeneracyWitness(
                     "near-cocircular",
@@ -356,12 +362,12 @@ def plain_prune(points: np.ndarray) -> np.ndarray:
         return np.arange(n)
 
 
-def reference_disk_pass(K: ConvexBody, points: np.ndarray, eps_geo: float = EPS_GEO,
-                        eps_gp: float = EPS_GP) -> _DiskPass:
+def reference_disk_pass(K: ConvexBody, points: np.ndarray) -> _DiskPass:
     """Build the X arc cycle of a sample interior to a planar disk K.
 
     Interiority is tested against the disk itself, so K need not contain
-    the origin. Arc owners index the original sample.
+    the origin. Arc owners index the original sample. The windows are
+    EPS_GEO and EPS_GP times the radius.
     """
     K = _require_disk(K)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -373,7 +379,7 @@ def reference_disk_pass(K: ConvexBody, points: np.ndarray, eps_geo: float = EPS_
     boundary = error = None
     try:
         arcs, verts = reference_disk_cycle(K.radius, K.center[None, :] - pts, active,
-                                           eps_geo, eps_gp, witnesses)
+                                           EPS_GEO * K.radius, EPS_GP * K.radius, witnesses)
         boundary = ArcBoundary(tuple(arcs), tuple(verts), K.radius)
     except NumericError as exc:
         error = exc
@@ -381,27 +387,53 @@ def reference_disk_pass(K: ConvexBody, points: np.ndarray, eps_geo: float = EPS_
 
 
 
-def reference_hull_stage(K, points: np.ndarray, xb: ArcBoundary, eps_geo: float = EPS_GEO,
-                         eps_gp: float = EPS_GP
+def reference_hull_stage(K, points: np.ndarray, xb: ArcBoundary
                          ) -> tuple[ArcBoundary, tuple[DegeneracyWitness, ...]]:
     """Hull cycle of a disk sample from its X cycle xb through
     `reference_disk_cycle`, with the owner-incidence validation on the
-    dense distance table."""
+    dense distance table; the windows are relative to the radius."""
     if len(xb.vertices) < 2:
         return ArcBoundary((), (), K.radius, degenerate_point=points[0]), ()
     vpts = np.array([v.point for v in xb.vertices])
     witnesses: list[DegeneracyWitness] = []
     arcs, verts = reference_disk_cycle(K.radius, K.center[None, :] - vpts,
-                                       np.arange(vpts.shape[0]), eps_geo, eps_gp, witnesses)
+                                       np.arange(vpts.shape[0]), EPS_GEO * K.radius,
+                                       EPS_GP * K.radius, witnesses)
     qb = ArcBoundary(tuple(arcs), tuple(verts), K.radius)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     owners = sorted(xb.arc_owners())
     hull_centers = np.array([a.center for a in qb.arcs])
     d = np.linalg.norm(pts[owners][:, None, :] - hull_centers[None, :, :], axis=2)
-    tol = math.sqrt(max(eps_geo, 1e-12)) * 10
+    tol = math.sqrt(EPS_GEO) * 10 * K.radius
     if np.any(d.min(axis=1) > K.radius + tol) or np.any(np.abs(d - K.radius).min(axis=1) > tol):
         raise NumericError("hull boundary failed the owner-incidence validation")
     return qb, tuple(witnesses)
+
+def reference_uniform_sample(K: ConvexBody, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Rejection sampling from the bounding box as the package drew it
+    before: `rng.uniform(lo, hi, size)` batches, and for a Ball the interior
+    test `ball_interior` below."""
+    d = K.dim
+    lo, hi = K.bounding_box()
+    rate = max(K.volume() / float(np.prod(hi - lo)), 1e-3)
+    out = np.empty((n, d))
+    filled = 0
+    while filled < n:
+        batch = max(32, int(1.2 * (n - filled) / rate))
+        X = rng.uniform(lo, hi, size=(batch, d))
+        inside = ball_interior(K, X) if isinstance(K, Ball) else K._interior_batch(X)
+        keep = X[inside]
+        take = min(n - filled, keep.shape[0])
+        out[filled:filled + take] = keep[:take]
+        filled += take
+    return out
+
+
+def ball_interior(K: Ball, X: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """Rows of X strictly inside the ball K, widened by tol, through
+    np.linalg.norm."""
+    return np.linalg.norm(X - K.center, axis=1) < K.radius + tol
+
 
 def full_radial_min(U: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Radial function of {x : <x, u_k> <= h_k for all k} at the rows of U,

@@ -315,6 +315,49 @@ class TestUniformSample:
             uniform_sample(unit_disk, -1, rng)
 
 
+class TestSamplingKernels:
+    """`uniform_sample` and `Ball._interior_batch` against the
+    `rng.uniform` loop and the `np.linalg.norm` test in tests/oracles.py,
+    byte for byte."""
+
+    @staticmethod
+    def assert_same_draws(K) -> None:
+        for n in (1, 7, 400, 5000):
+            for seed in range(3):
+                got = uniform_sample(K, n, np.random.default_rng(seed))
+                want = oracles.reference_uniform_sample(K, n, np.random.default_rng(seed))
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("off_centre", [False, True])
+    @pytest.mark.parametrize("r", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_ball(self, d, r, off_centre):
+        c = 3.0 * r * np.arange(1.0, d + 1.0) if off_centre else np.zeros(d)
+        K = Ball(r, c)
+        self.assert_same_draws(K)
+        X = np.random.default_rng(d).uniform(c - 1.5 * r, c + 1.5 * r, (2000, d))
+        for tol in (0.0, 1e-9 * r):
+            assert (K._interior_batch(X, tol).tobytes()
+                    == oracles.ball_interior(K, X, tol).tobytes())
+
+    def test_other_bodies(self, ellipse21, pball4, square):
+        for K in (ellipse21, pball4, square, ellipse21.translate([2.0, -1.0])):
+            self.assert_same_draws(K)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rows_within_ulps_of_the_sphere(self, d):
+        rng = np.random.default_rng(40 + d)
+        U = rng.normal(size=(500, d))
+        U /= np.linalg.norm(U, axis=1)[:, None]
+        for r in (1e-6, 1.0, 1e6):
+            for c in (np.zeros(d), 3.0 * r * np.arange(1.0, d + 1.0)):
+                K = Ball(r, c)
+                X = np.concatenate([c + r * (1.0 + k * 2.0 ** -52) * U for k in range(-4, 5)])
+                got = K._interior_batch(X)
+                assert got.tobytes() == oracles.ball_interior(K, X).tobytes()
+                assert got.any() and not got.all()
+
+
 class TestTranslateReflect:
     def test_translate_shifts_support(self):
         for K in all_kinds_2d():

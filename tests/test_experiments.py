@@ -530,6 +530,18 @@ class TestRunExperiment:
         for col in ("n", "f0", "f1", "V2", "outer_gap", "gp_ok"):
             assert col in summary["columns"]
 
+    def test_near_cocircular_convergence_row_is_kept(self):
+        # job 1444 of the acceptance convergence campaign: three circles
+        # meet 1.7e-9 from one corner, so the row is kept and flagged
+        from khull.experiments import _jobs_for, _run_job
+
+        cfg = ExperimentConfig(experiment="convergence", body=DISK, n=2000,
+                               replicates=1445, seed=404)
+        index, row, reason, _ = _run_job(_jobs_for(cfg)[1444])
+        assert (index, reason) == (1444, None)
+        assert row["replicate"] == 1444 and row["n"] == 2000
+        assert row["gp_ok"] is False
+
     def test_expected_facets_auto(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KHULL_THREADS", "1")
         cfg = ExperimentConfig(experiment="expected-facets", body=DISK,

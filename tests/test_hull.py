@@ -232,6 +232,15 @@ class TestDiskIntersectionBoundary:
         assert not any("deduplicated" in str(w.message) for w in rec)
         assert _same_cycle(b, disk_intersection_boundary(unit_disk, pts))
 
+    def test_repeated_hull_vertex_is_one_duplicate(self, unit_disk, rng):
+        # the copy's circle is the original's, so it is no third circle at
+        # the original's corners
+        pts = uniform_sample(unit_disk, 100, rng)
+        b = disk_intersection_boundary(unit_disk, pts)
+        report = general_position_check_2d(unit_disk, np.vstack([pts, pts[min(b.arc_owners())]]))
+        assert [w.kind for w in report.witnesses] == ["duplicate"]
+        assert _same_cycle(report.boundary, b)
+
 
 class TestSampleValidation:
     """Every disk entry point, and the approximate f-vector, checks the
@@ -398,63 +407,6 @@ def _same_cycle(got: ArcBoundary, want: ArcBoundary) -> bool:
                     for u, v in zip(got.vertices, want.vertices)))
 
 
-class TestCornerScreen:
-    """The two-stage corner screen against the full screen it replaced."""
-
-    @staticmethod
-    def samples():
-        c = np.array([-0.3, 0.0])
-        cases = [np.array([[0.2, -0.1]]),
-                 np.array([[0.0, A_LENS], [0.0, -A_LENS]]),
-                 np.array([c + [math.cos(t), math.sin(t)] for t in (0.0, 0.45, -0.45)])]
-        disk = Ball(1.0, np.zeros(2))
-        rng = np.random.default_rng(5151)
-        return cases + [uniform_sample(disk, 5000, rng) for _ in range(20)]
-
-    @staticmethod
-    def boundaries(disk, samples):
-        """(X cycle, hull cycle) per sample, or the message of the
-        NumericError a cycle that fails to close raises."""
-        out = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GeneralPositionWarning)
-            for pts in samples:
-                try:
-                    out.append((disk_intersection_boundary(disk, pts),
-                                khull_boundary_2d(disk, pts)))
-                except NumericError as exc:
-                    out.append(str(exc))
-        return out
-
-    def test_same_masks_and_cycles_as_full_screen(self, unit_disk, monkeypatch):
-        import khull.hull as hull
-
-        screen = hull._corner_keep
-        screened = []
-
-        def checked(cand, centers, limit):
-            keep = screen(cand, centers, limit)
-            assert np.array_equal(keep, oracles.full_corner_keep(cand, centers, limit))
-            screened.append(centers.shape[0])
-            return keep
-
-        samples = self.samples()
-        monkeypatch.setattr(hull, "_corner_keep", checked)
-        got = self.boundaries(unit_disk, samples)
-        assert max(screened) > hull.SCREEN_PROBES  # the two-stage path ran
-        monkeypatch.setattr(hull, "_corner_keep", oracles.full_corner_keep)
-        want = self.boundaries(unit_disk, samples)
-        # the cocircular triple meets a third circle at a corner; both
-        # screens keep the same three corners and the cycle fails alike
-        assert isinstance(want[2], str)
-        for g, w in zip(got, want):
-            if isinstance(w, str):
-                assert g == w
-                continue
-            assert _same_cycle(g[0], w[0])
-            assert _same_cycle(g[1], w[1])
-
-
 class TestDedupeRows:
     @staticmethod
     def reference(pts):
@@ -529,6 +481,34 @@ def _with_repeats(pts: np.ndarray, rng) -> np.ndarray:
     return out
 
 
+def assert_matches_reference(K, pts: np.ndarray) -> set[str]:
+    """`_disk_pass` and the hull stage against the all-pairs reference,
+    field for field, and the kinds of the reference's witnesses.
+
+    Where the reference reports an anomaly, three circles meet at a corner:
+    its screen keeps three corners there and the cycle fails, while the
+    sweep closes the cycle and reports the triple near-cocircular, with the
+    same indices, point and gap as one of the reference's witnesses.
+    """
+    import khull.hull as hull
+
+    got = hull._disk_pass(IntersectionBody(K, pts))
+    want = oracles.reference_disk_pass(K, pts)
+    kinds = {w.kind for w in want.witnesses}
+    if "anomaly" in kinds:
+        assert got.error is None and got.boundary is not None
+        assert got.duplicates == want.duplicates
+        assert got.witnesses
+        assert {w.kind for w in got.witnesses} == {"near-cocircular"}
+        assert set(_witness_fields(got.witnesses)) <= set(_witness_fields(want.witnesses))
+        return kinds
+    assert _pass_fields(got) == _pass_fields(want)
+    if want.boundary is not None:
+        assert (_hull_stage_fields(hull._hull_stage, K, pts, got.boundary)
+                == _hull_stage_fields(oracles.reference_hull_stage, K, pts, want.boundary))
+    return kinds
+
+
 class TestReferenceDiskPass:
     """`hull._disk_pass` and the hull stage against the reference pipeline
     in tests/oracles.py, field for field."""
@@ -551,19 +531,11 @@ class TestReferenceDiskPass:
         return cases
 
     def test_every_field_equal(self, unit_disk):
-        import khull.hull as hull
-
-        kinds = set()
-        for pts in self.samples(unit_disk):
-            got = hull._disk_pass(IntersectionBody(unit_disk, pts))
-            want = oracles.reference_disk_pass(unit_disk, pts)
-            assert _pass_fields(got) == _pass_fields(want)
-            kinds |= {w.kind for w in want.witnesses}
-            if want.boundary is not None:
-                assert (_hull_stage_fields(hull._hull_stage, unit_disk, pts, got.boundary)
-                        == _hull_stage_fields(oracles.reference_hull_stage, unit_disk, pts,
-                                              want.boundary))
-        assert kinds >= {"near-cocircular", "anomaly"}
+        samples = self.samples(unit_disk)
+        kinds = [assert_matches_reference(unit_disk, pts) for pts in samples]
+        assert set().union(*kinds) >= {"near-cocircular", "anomaly"}
+        # the reference fails only on the exact triple and on seed 404 job 1444
+        assert [k for k, s in enumerate(kinds) if "anomaly" in s] == [1, len(samples) - 1]
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_pair_dist_matches_norm(self, scale):
@@ -578,6 +550,54 @@ class TestReferenceDiskPass:
         want = np.linalg.norm(a[:, None] - b[None], axis=2)
         got = _pair_dist(a, b)
         assert got.tobytes() == want.tobytes()
+
+
+class TestSweepParity:
+    """The stack sweep of `_disk_cycle` against the all-pairs reference, for
+    the X cycle and the hull stage: sample families at three scales,
+    centred and off-centre, and seeded samples."""
+
+    @staticmethod
+    def families() -> list[np.ndarray]:
+        """Unit-disk samples: uniform ones, and shapes whose order around
+        their hull is degenerate or whose circles nearly touch."""
+        unit = Ball(1.0, np.zeros(2))
+        rng = np.random.default_rng(9090)
+        out = [uniform_sample(unit, n, rng) for n in (8, 50, 2000, 5000, 20000) for _ in range(2)]
+        t = rng.uniform(-0.6, 0.6, 40)
+        slope = np.array([math.cos(1.1), math.sin(1.1)])
+        out += [np.column_stack([t, np.zeros_like(t)]),          # collinear, on an axis
+                0.7 * np.column_stack([t, t]),                     # on the diagonal
+                np.array([0.1, -0.15]) + t[:, None] * slope,       # on any line
+                np.array([[0.3, -0.2], [-0.5, 0.4]])]              # two points
+        for k in (5, 12, 64):                                      # rings
+            a = np.linspace(0.0, 2.0 * math.pi, k, endpoint=False) + 0.3
+            out.append(0.7 * np.column_stack([np.cos(a), np.sin(a)]))
+        g = np.linspace(-0.5, 0.5, 7)
+        out.append(np.array([(x, y) for x in g for y in g]))      # lattice
+        for gap in (1e-3, 1e-9, 0.0):                              # near-antipodal
+            out.append(np.array([[0.99 - gap, 0.0], [-0.99 + gap, 1e-12]]))
+        return out
+
+    @pytest.mark.parametrize("shift", [(0.0, 0.0), (3.0, -2.0)])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_families(self, scale, shift):
+        c = scale * np.array(shift)
+        K = Ball(scale, c)
+        for pts in self.families():
+            assert "anomaly" not in assert_matches_reference(K, scale * pts + c)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           n=st.sampled_from([2, 3, 10, 100, 1000, 5000]),
+           exponent=st.floats(min_value=-6.0, max_value=6.0),
+           shift=st.tuples(st.floats(min_value=-3.0, max_value=3.0),
+                           st.floats(min_value=-3.0, max_value=3.0)))
+    @settings(max_examples=60, deadline=None)
+    def test_seeded_samples(self, seed, n, exponent, shift):
+        pts = uniform_sample(Ball(1.0, np.zeros(2)), n, np.random.default_rng(seed))
+        s = 10.0 ** exponent
+        c = s * np.array(shift)
+        assert_matches_reference(Ball(s, c), s * pts + c)
 
 
 def _edge_rows(pts: np.ndarray, rng, per_edge: int = 4) -> np.ndarray:
