@@ -232,6 +232,18 @@ class TestDiskIntersectionBoundary:
         assert not any("deduplicated" in str(w.message) for w in rec)
         assert _same_cycle(b, disk_intersection_boundary(unit_disk, pts))
 
+    def test_cocircular_triple_warns_and_closes(self, unit_disk):
+        # three circles through one corner: the cycle closes at it, and the
+        # third circle is reported, not raised
+        c = np.array([-0.3, 0.0])
+        pts = np.array([c + [math.cos(t), math.sin(t)] for t in (0.0, 0.45, -0.45)])
+        with pytest.warns(GeneralPositionWarning, match="near-cocircular"):
+            b = disk_intersection_boundary(unit_disk, pts)
+        assert b.arc_owners() == {1, 2} and len(b.vertices) == 2
+        with pytest.warns(GeneralPositionWarning, match="near-cocircular"):
+            q = khull_boundary_2d(unit_disk, pts)
+        assert len(q.arcs) == 2
+
     def test_repeated_hull_vertex_is_one_duplicate(self, unit_disk, rng):
         # the copy's circle is the original's, so it is no third circle at
         # the original's corners
@@ -501,6 +513,7 @@ def assert_matches_reference(K, pts: np.ndarray) -> set[str]:
         assert got.witnesses
         assert {w.kind for w in got.witnesses} == {"near-cocircular"}
         assert set(_witness_fields(got.witnesses)) <= set(_witness_fields(want.witnesses))
+        hull._hull_stage(K, pts, got.boundary)  # the hull cycle closes and validates too
         return kinds
     assert _pass_fields(got) == _pass_fields(want)
     if want.boundary is not None:
