@@ -610,11 +610,14 @@ def uniform_sample(K: ConvexBody, n: int, rng: np.random.Generator) -> Array:
     while filled < n:
         batch = max(32, int(1.2 * (n - filled) / rate))
         # rng.uniform(lo, hi, size=(batch, d)) draws the same numbers, lo +
-        # (hi - lo) * u, element by element through numpy's broadcast path
+        # (hi - lo) * u; a scalar per column and compress, not a (d,) broadcast
+        # and a boolean row index, keep numpy off its slow strided paths
         X = rng.random((batch, d))
-        X *= hi - lo
-        X += lo
-        keep = X[K._interior_batch(X)]
+        for c in range(d):
+            col = X[:, c]
+            col *= hi[c] - lo[c]
+            col += lo[c]
+        keep = np.compress(K._interior_batch(X), X, axis=0)
         take = min(n - filled, keep.shape[0])
         out[filled : filled + take] = keep[:take]
         filled += take

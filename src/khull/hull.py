@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-from .body import Ball, ConvexBody, direction_grid, _as_point
+from .body import Ball, ConvexBody, Polytope, direction_grid, _as_point
 from .errors import DomainError, GeneralPositionWarning, NumericError
 
 Array = np.ndarray
@@ -24,16 +24,30 @@ Array = np.ndarray
 EPS_GEO = 1e-9
 # Near-degeneracy window for general-position diagnostics, relative to the radius.
 EPS_GP = 1e-7
+# Rounding allowance of the cocircularity screen's candidate test, relative
+# to the coordinate scale; the distances it compares are good to a few ulps.
+SCREEN_SLACK = 1e-12
 
 TWO_PI = 2.0 * math.pi
 
 
+def _centred(K: ConvexBody) -> tuple[ConvexBody, Array]:
+    """(K - c, c) for a point c interior to K: its center, or the vertex
+    mean of a polytope. The gauge of K - c is defined wherever K lies, and
+    y is in K iff y - c is in K - c; for a body centred at the origin c = 0
+    and K - c computes as K does."""
+    c = K.vertices.mean(axis=0) if isinstance(K, Polytope) else K.center
+    return K.translate(-c), c
+
+
 def mink_diff_contains(K: ConvexBody, points: Array, x, tol: float = 1e-12) -> bool:
     """Whether x + points lies inside K, i.e. x is in the Minkowski
-    difference of K by the point set."""
+    difference of K by the point set. K need not contain the origin: the
+    gauge is taken about an interior point of K (`_centred`)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     x = _as_point(x, K.dim)
-    return bool(np.all(K.gauge_batch(points + x[None, :]) <= 1.0 + tol))
+    Kc, c = _centred(K)
+    return bool(np.all(Kc.gauge_batch((points - c) + x[None, :]) <= 1.0 + tol))
 
 
 # Planar samples of at least this many rows are screened before qhull; on
@@ -168,13 +182,16 @@ def khull_contains(K: ConvexBody, points: Array, z, resolution: int = 256) -> Me
 
     z lies in the hull iff X + z is contained in K. "Out" is certified by a
     boundary probe of X landing outside K; "in" by the outer support-bound
-    polytope of X fitting inside K - z with positive margin.
+    polytope of X fitting inside K - z with positive margin. Both gauges
+    are taken about an interior point c of K (`_centred`), so K need not
+    contain the origin: X + z lies in K iff X + z - c lies in K - c.
     """
     X = IntersectionBody(K, points)
-    z = _as_point(z, K.dim)
+    Kc, c = _centred(K)
+    z = _as_point(z, K.dim) - c
     U = direction_grid(K.dim, resolution)
     r = X.radial_batch(U)
-    probe_gauge = K.gauge_batch(r[:, None] * U + z[None, :])
+    probe_gauge = Kc.gauge_batch(r[:, None] * U + z[None, :])
     worst = float(probe_gauge.max())
     if worst > 1.0 + 1e-9:
         return MembershipVerdict("out", worst - 1.0)
@@ -184,7 +201,7 @@ def khull_contains(K: ConvexBody, points: Array, z, resolution: int = 256) -> Me
         verts = HalfspaceIntersection(halfspaces, np.zeros(K.dim)).intersections
     except QhullError as exc:
         raise NumericError("outer polytope construction failed") from exc
-    vert_gauge = float(K.gauge_batch(verts + z[None, :]).max())
+    vert_gauge = float(Kc.gauge_batch(verts + z[None, :]).max())
     if vert_gauge < 1.0:
         return MembershipVerdict("in", 1.0 - vert_gauge)
     return MembershipVerdict("unknown", vert_gauge - 1.0)
@@ -373,7 +390,9 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array, inner: Array,
     a center is popped while the corner its neighbours make left of their
     step lies in its disk. Every corner of the sweep is then checked
     against every active disk. Cocircularity is screened against every
-    disk, not only active ones. The windows are EPS_GEO and EPS_GP times
+    disk, not only active ones, but measured only for the rows whose
+    distance from `inner` lets their circle reach a corner. The windows
+    are EPS_GEO and EPS_GP times
     the radius, so the cycle and its witnesses do not depend on the unit
     of length.
     """
@@ -438,21 +457,41 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array, inner: Array,
     if not (_pair_dist(pts, act) <= limit).all():
         raise NumericError("a corner of the sweep lies outside an active disk")
 
-    # Cocircularity screen against every circle in the input.
+    # Cocircularity screen against every circle in the input. A circle
+    # passes within eps_gp of a corner p only if its center is farther than
+    # r - eps_gp - |p - inner| from `inner` (triangle inequality), so only
+    # those candidate rows are measured; SCREEN_SLACK, at the scale of the
+    # coordinates, covers the rounding of both distances. The candidates
+    # are ascending, so the witnesses are those of the full table.
+    xy = pts.tolist()
     if centers_all.shape[0] > 2:
-        gap = _pair_dist(pts, centers_all)
+        ix, iy = inner.tolist()
+        scale = max(abs(ix), abs(iy), *(abs(c) for p in xy for c in p))
+        reach = (r - eps_gp - max(math.hypot(x - ix, y - iy) for x, y in xy)
+                 - SCREEN_SLACK * (r + scale))
+        if reach > 0.0:
+            dx = centers_all[:, 0] - ix
+            dy = centers_all[:, 1] - iy
+            dx *= dx
+            dy *= dy
+            dx += dy
+            cand = np.flatnonzero(dx > reach * reach)
+        else:
+            cand = np.arange(centers_all.shape[0])
+        gap = _pair_dist(pts, centers_all[cand])
         gap -= r
         np.abs(gap, out=gap)
         near = gap < eps_gp
         for v in np.flatnonzero(near.any(axis=1)):
             pair = (int(active[own_i[v]]), int(active[own_j[v]]))
-            third = [t for t in np.flatnonzero(near[v]).tolist() if t not in pair]
+            cols = [k for k in np.flatnonzero(near[v]).tolist() if int(cand[k]) not in pair]
             # a copy of an active row is that row's circle again, not a third one
-            third = [t for t in third
-                     if t in active or not (act == centers_all[t]).all(axis=1).any()]
-            if third:
+            cols = [k for k in cols if cand[k] in active
+                    or not (act == centers_all[cand[k]]).all(axis=1).any()]
+            if cols:
                 witnesses.append(DegeneracyWitness(
-                    "near-cocircular", (*pair, *third), pts[v], float(gap[v, third].min())))
+                    "near-cocircular", (*pair, *cand[cols].tolist()), pts[v],
+                    float(gap[v, cols].min())))
 
     # Group corners by owner; each center left on the stack meets two.
     incident: dict[int, list[int]] = {}
@@ -463,7 +502,6 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array, inner: Array,
 
     # Each owner's circle splits at its two corners into two angular
     # intervals; its arc is the first whose midpoint stays inside all disks.
-    xy = pts.tolist()
     spans = []
     mids = []
     for local_owner, (va, vb) in owners:
@@ -560,10 +598,13 @@ def _disk_pass(X: IntersectionBody) -> _DiskPass:
     active = X.active[_dedupe_rows(pts[X.active])]
     witnesses: list[DegeneracyWitness] = []
     boundary = error = None
+    # K.center - pts, a column at a time: the same bits without the broadcast
+    centers = np.empty_like(pts)
+    for c in range(2):
+        np.subtract(K.center[c], pts[:, c], out=centers[:, c])
     try:
         # the origin is inside every disk: each sample row is interior to K
-        arcs, verts = _disk_cycle(K.radius, K.center[None, :] - pts, active, np.zeros(2),
-                                  witnesses)
+        arcs, verts = _disk_cycle(K.radius, centers, active, np.zeros(2), witnesses)
         boundary = ArcBoundary(tuple(arcs), tuple(verts), K.radius)
     except NumericError as exc:
         error = exc

@@ -344,6 +344,46 @@ class TestSamplingKernels:
         for K in (ellipse21, pball4, square, ellipse21.translate([2.0, -1.0])):
             self.assert_same_draws(K)
 
+    def test_d3_ellipsoid_and_pball(self):
+        rot = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
+        for K in (Ellipsoid([1.0, 0.7, 0.4], np.zeros(3)),
+                  Ellipsoid([2.0, 0.5, 1.5], np.array([1.0, -2.0, 0.5]), rot),
+                  PNormBall(4.0, 1.0, np.zeros(3)),
+                  PNormBall(1.5, 2.0, np.array([-3.0, 0.0, 1.0]))):
+            self.assert_same_draws(K)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 31, 32, 33])
+    def test_small_counts(self, n, unit_disk, unit_ball3, square):
+        # below the minimum batch of 32 rows, and n = 0 (no draw at all)
+        for K in (unit_disk, unit_ball3, square):
+            for seed in range(5):
+                got = uniform_sample(K, n, np.random.default_rng(seed))
+                want = oracles.reference_uniform_sample(K, n, np.random.default_rng(seed))
+                assert got.shape == (n, K.dim)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("body, n, seed", [
+        (Ball(1.0, np.zeros(2)), 40, 252),
+        (Ellipsoid([1.0, 0.7, 0.4], np.zeros(3)), 60, 28),
+        (PNormBall(4.0, 1.0, np.zeros(3)), 60, 1234),
+    ])
+    def test_short_first_batch_refills(self, body, n, seed, monkeypatch):
+        # at these seeds the first batch holds fewer than n interior rows
+        kind = type(body)
+        tested = []
+        inner = kind._interior_batch
+
+        def counted(self, X, tol=0.0):
+            tested.append(X.shape[0])
+            return inner(self, X, tol)
+
+        monkeypatch.setattr(kind, "_interior_batch", counted)
+        got = uniform_sample(body, n, np.random.default_rng(seed))
+        batches = list(tested)
+        want = oracles.reference_uniform_sample(body, n, np.random.default_rng(seed))
+        assert len(batches) >= 2
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_rows_within_ulps_of_the_sphere(self, d):
         rng = np.random.default_rng(40 + d)

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import smooth_kinds_2d
+from conftest import all_kinds_2d, smooth_kinds_2d
 from khull import (ArcBoundary, Ball, DomainError, GeneralPositionWarning,
                    IntersectionBody, NumericError, Polytope, direction_grid,
                    disk_intersection_boundary, fvector_approx, fvector_exact_2d,
                    general_position_check_2d, kfacet_count_2d, khull_boundary_2d,
                    khull_contains, mink_diff_contains, uniform_sample)
+from khull.hull import EPS_GEO, EPS_GP
 
 A_LENS = 0.8
 LENS_HALF_WIDTH = math.sqrt(1.0 - A_LENS ** 2)  # 0.6
@@ -165,6 +166,55 @@ class TestKhullContains:
         verdict = khull_contains(unit_disk, lens_points, [0.0, 0.0])
         assert verdict.status == "in"
         assert verdict.margin > 0.0
+
+
+class TestPlacement:
+    """The membership tests answer the same when K, the sample and the hull
+    query move together, including to where K no longer contains the
+    origin. A translation x of X does not move: X is made of translations."""
+
+    @staticmethod
+    def answers(K, pts, xs, zs) -> tuple[list, list, list]:
+        X = IntersectionBody(K, pts)
+        return ([mink_diff_contains(K, pts, x) for x in xs],
+                [X.contains(x) for x in xs],
+                [khull_contains(K, pts, z) for z in zs])
+
+    @pytest.mark.parametrize("offset", [(0.0, 0.0), (5.0, 5.0), (1e3, -2e3)])
+    def test_translation_leaves_answers(self, offset):
+        rng = np.random.default_rng(5151)
+        shifts = [np.asarray(offset)]
+        bodies = [(K, shifts[0]) for K in all_kinds_2d()]
+        bodies.append((Ball(1.0, np.zeros(3)), np.array([*offset, offset[0]])))
+        for K, t in bodies:
+            pts = uniform_sample(K, 50, rng)
+            c = pts.mean(axis=0)
+            X = IntersectionBody(K, pts)
+            U = direction_grid(K.dim, 8)
+            lo, hi = K.bounding_box()
+            # translations well inside and well outside X; hull queries near
+            # the sample mean (in) and beyond the bounding box (out)
+            xs = [s * X.boundary_point(u) for u in U for s in (0.5, 1.5)]
+            zs = [c, c + 0.5 * (pts[0] - c), 2.0 * hi - lo, 2.0 * lo - hi]
+            mink, member, verdicts = self.answers(K, pts, xs, zs)
+            assert mink == member == [True, False] * len(U)
+            assert [v.status for v in verdicts] == ["in", "in", "out", "out"]
+            moved = self.answers(K.translate(t), pts + t, xs, [z + t for z in zs])
+            assert moved[0] == mink and moved[1] == member
+            assert [v.status for v in moved[2]] == [v.status for v in verdicts]
+            np.testing.assert_allclose([v.margin for v in moved[2]],
+                                       [v.margin for v in verdicts], rtol=1e-6, atol=1e-9)
+            if not t.any():
+                assert moved[2] == verdicts
+
+    def test_body_off_the_origin(self):
+        # before recentring these raised "requires the origin in the interior"
+        K = Ball(1.0, np.array([5.0, 5.0]))
+        pts = uniform_sample(K, 50, np.random.default_rng(12))
+        assert mink_diff_contains(K, pts, [0.0, 0.0])
+        assert IntersectionBody(K, pts).contains([0.0, 0.0])
+        assert khull_contains(K, pts, pts.mean(axis=0)).status == "in"
+        assert khull_contains(K, pts, [5.0, 6.5]).status == "out"
 
 
 class TestDiskIntersectionBoundary:
@@ -611,6 +661,107 @@ class TestSweepParity:
         s = 10.0 ** exponent
         c = s * np.array(shift)
         assert_matches_reference(Ball(s, c), s * pts + c)
+
+
+class TestCandidateScreen:
+    """The cocircularity screen of `_disk_cycle` measures only the rows whose
+    circle can reach a corner. Its witnesses (kind, indices, order, point,
+    measure) and its cycle must be those of `oracles.reference_disk_cycle`,
+    which measures the full corners x rows table, in the X stage (inner =
+    the origin) and in the hull stage (inner = the first sample row)."""
+
+    @staticmethod
+    def stage_inputs(K, pts, stage: str):
+        """(centers, active rows, inner point) of one stage, built as the
+        package builds them."""
+        import khull.hull as hull
+
+        X = IntersectionBody(K, pts)
+        if stage == "x":
+            active = X.active[hull._dedupe_rows(pts[X.active])]
+            return K.center[None, :] - pts, active, np.zeros(2)
+        xb = hull._disk_pass(X).boundary
+        vpts = np.array([v.point for v in xb.vertices])
+        return K.center[None, :] - vpts, np.arange(vpts.shape[0]), pts[0]
+
+    @staticmethod
+    def assert_same(r, centers, active, inner) -> list:
+        """Both cycles on the same input, every field equal; the witnesses."""
+        import khull.hull as hull
+
+        got, want = [], []
+        arcs, verts = hull._disk_cycle(r, centers, active, inner, got)
+        ref_arcs, ref_verts = oracles.reference_disk_cycle(
+            r, centers, active, EPS_GEO * r, EPS_GP * r, want)
+        assert _witness_fields(got) == _witness_fields(want)
+        assert (_cycle_fields(ArcBoundary(tuple(arcs), tuple(verts), r))
+                == _cycle_fields(ArcBoundary(tuple(ref_arcs), tuple(ref_verts), r)))
+        return got
+
+    @pytest.mark.parametrize("stage", ["x", "hull"])
+    @pytest.mark.parametrize("shift", [(0.0, 0.0), (3.0, -2.0), (1e3, -2e3)])
+    @pytest.mark.parametrize("r", [1e-6, 1.0, 1e6])
+    def test_planted_third_circle(self, r, shift, stage):
+        # The third circle passes EPS_GP * r * frac inside the corner farthest
+        # from `inner`, its center on the segment from that corner towards
+        # `inner`: as close to `inner` as the triangle inequality lets a
+        # circle through the window be, so a screen without the corner's
+        # reach drops it. The planted row goes in the middle of the rows
+        # and after the last one.
+        import khull.hull as hull
+
+        K = Ball(r, r * np.array(shift))
+        rng = np.random.default_rng(6262)
+        for n in (50, 2000):
+            pts = r * uniform_sample(Ball(1.0, np.zeros(2)), n, rng) + K.center
+            centers, active, inner = self.stage_inputs(K, pts, stage)
+            verts = hull._disk_cycle(r, centers, active, inner, [])[1]
+            p = max((v.point for v in verts), key=lambda q: float(np.linalg.norm(q - inner)))
+            toward = (inner - p) / np.linalg.norm(inner - p)
+            for frac in (0.5, 0.99, 1.01):
+                third = p + (r - frac * EPS_GP * r) * toward
+                for at in (centers.shape[0] // 2, centers.shape[0]):
+                    planted = np.insert(centers, at, third, axis=0)
+                    moved = np.where(active >= at, active + 1, active)
+                    witnesses = self.assert_same(r, planted, moved, inner)
+                    named = [w for w in witnesses
+                             if w.kind == "near-cocircular" and at in w.indices[2:]]
+                    assert bool(named) == (frac < 1.0)
+
+    @pytest.mark.parametrize("shift", [(0.0, 0.0), (3.0, -2.0), (1e3, -2e3)])
+    @pytest.mark.parametrize("r", [1e-6, 1.0, 1e6])
+    def test_seed_256_replicate_0(self, r, shift):
+        # a third circle 6.04e-8 r from a corner of X
+        from khull.experiments import _replicate_rng
+
+        K = Ball(r, r * np.array(shift))
+        pts = r * uniform_sample(Ball(1.0, np.zeros(2)), 5000, _replicate_rng(256, 0)[0])
+        pts += K.center
+        kinds = [{w.kind for w in self.assert_same(r, *self.stage_inputs(K, pts, stage))}
+                 for stage in ("x", "hull")]
+        assert kinds[0] == {"near-cocircular"}
+        assert "anomaly" not in assert_matches_reference(K, pts)
+
+    def test_measures_few_rows(self, monkeypatch):
+        # at n = 5000 the screen's table is narrower than the active rows'
+        import khull.hull as hull
+
+        widths = []
+        pair_dist = hull._pair_dist
+
+        def counted(a, b):
+            widths.append(b.shape[0])
+            return pair_dist(a, b)
+
+        monkeypatch.setattr(hull, "_pair_dist", counted)
+        rng = np.random.default_rng(7373)
+        for r, shift in ((1.0, (0.0, 0.0)), (1e6, (1e3, -2e3))):
+            K = Ball(r, r * np.array(shift))
+            for _ in range(5):
+                pts = r * uniform_sample(Ball(1.0, np.zeros(2)), 5000, rng) + K.center
+                widths.clear()
+                hull._disk_pass(IntersectionBody(K, pts))
+                assert max(widths) < 200
 
 
 def _edge_rows(pts: np.ndarray, rng, per_edge: int = 4) -> np.ndarray:
