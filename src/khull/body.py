@@ -610,8 +610,8 @@ def uniform_sample(K: ConvexBody, n: int, rng: np.random.Generator) -> Array:
     while filled < n:
         batch = max(32, int(1.2 * (n - filled) / rate))
         # rng.uniform(lo, hi, size=(batch, d)) draws the same numbers, lo +
-        # (hi - lo) * u; a scalar per column and compress, not a (d,) broadcast
-        # and a boolean row index, keep numpy off its slow strided paths
+        # (hi - lo) * u; a scalar per column and np.compress avoid numpy's
+        # slow paths for a (d,) broadcast and a boolean row index
         X = rng.random((batch, d))
         for c in range(d):
             col = X[:, c]

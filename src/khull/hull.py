@@ -8,6 +8,7 @@ cycles; other kinds get radial probes and certified membership verdicts.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -31,11 +32,14 @@ SCREEN_SLACK = 1e-12
 TWO_PI = 2.0 * math.pi
 
 
+@functools.lru_cache(maxsize=16)
 def _centred(K: ConvexBody) -> tuple[ConvexBody, Array]:
     """(K - c, c) for a point c interior to K: its center, or the vertex
     mean of a polytope. The gauge of K - c is defined wherever K lies, and
     y is in K iff y - c is in K - c; for a body centred at the origin c = 0
-    and K - c computes as K does."""
+    and K - c computes as K does. Bodies are immutable and hash by
+    identity, so repeated tests against one body translate it once (a
+    polytope's translate runs qhull again)."""
     c = K.vertices.mean(axis=0) if isinstance(K, Polytope) else K.center
     return K.translate(-c), c
 
@@ -392,9 +396,8 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array, inner: Array,
     against every active disk. Cocircularity is screened against every
     disk, not only active ones, but measured only for the rows whose
     distance from `inner` lets their circle reach a corner. The windows
-    are EPS_GEO and EPS_GP times
-    the radius, so the cycle and its witnesses do not depend on the unit
-    of length.
+    are EPS_GEO and EPS_GP times the radius, so the cycle and its
+    witnesses do not depend on the unit of length.
     """
     r = radius
     eps_geo = EPS_GEO * r
