@@ -22,6 +22,7 @@ directory. Run it from the repository root; it needs about
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import platform
 import statistics
@@ -36,6 +37,21 @@ SIDES = ("parent", "change")
 def git(*args, cwd=None) -> str:
     return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+@contextlib.contextmanager
+def checkouts(revs: dict[str, str], workdir: Path, root: Path):
+    """Each side's revision as a detached `git worktree` at workdir/<side>,
+    yielded as {side: path} and removed on exit."""
+    trees: dict[str, Path] = {}
+    try:
+        for side in SIDES:
+            git("worktree", "add", "--detach", str(workdir / side), revs[side], cwd=root)
+            trees[side] = workdir / side
+        yield trees
+    finally:
+        for tree in trees.values():
+            git("worktree", "remove", "--force", str(tree), cwd=root)
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int,
@@ -95,7 +111,6 @@ def main(argv=None) -> int:
             zip(SIDES, (args.parent, args.change))}
     spec = json.loads(git("show", f"{revs['change']}:BENCHMARK.json", cwd=root))
     seconds = spec["run_seconds"]
-    trees: dict[str, Path] = {}
     result = {"pr": args.pr, "parent": revs["parent"], "change": revs["change"],
               "src_tree": {side: git("rev-parse", f"{revs[side]}:src", cwd=root)
                            for side in SIDES},
@@ -106,10 +121,7 @@ def main(argv=None) -> int:
               "order": "pairs run one after another; pair i runs the parent "
                        "first when i is even, the change first when it is odd",
               "workloads": {}}
-    try:
-        for side in SIDES:
-            git("worktree", "add", "--detach", str(workdir / side), revs[side], cwd=root)
-            trees[side] = workdir / side
+    with checkouts(revs, workdir, root) as trees:
         for workload in [w["name"] for w in spec["workloads"]]:
             runs: dict[str, list[dict]] = {side: [] for side in SIDES}
             for i, seed in enumerate(args.seeds):
@@ -138,9 +150,6 @@ def main(argv=None) -> int:
                     traced[side] = {k: v["value"] for k, v in out["metrics"].items()}
                 entry["traced"] = {"seed": args.trace_seed, **traced}
             result["workloads"][workload] = entry
-    finally:
-        for tree in trees.values():
-            git("worktree", "remove", "--force", str(tree), cwd=root)
     out = Path(args.out or root / f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out}; run logs in {workdir}")

@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
 """In-process A/B timing of the disk replicate's kernels at two revisions.
 
-    python3 scripts/kernel_ab.py --parent HEAD~1 --change HEAD --reps 25
+    python3 scripts/kernel_ab.py --parent HEAD~1 --change HEAD
 
-Both revisions are checked out as detached `git worktree`s in a working
-directory, and their `src/khull` packages are imported into one
-interpreter under two names, `khull_parent` and `khull_change`. Each
+Both revisions are checked out as detached `git worktree`s in a temporary
+directory (by `bench_pairs.checkouts`), and their `src/khull` packages are
+imported into one interpreter under two names, `khull_parent` and
+`khull_change`. Each
 kernel runs on the same seeded unit-disk samples on both sides, and its
 repetitions alternate between the sides (the side that goes first
 alternates too), so a slow phase of the machine falls on both alike: its
 speed can drift by 20-50% between separate runs, more than the change of
-one layer this is meant to show. It prints, per kernel and side, the min
-and the median of the per-call time over the repetitions, and the change's
-ratios to the parent. Run it from the repository root.
+one layer this is meant to show. The samples are SAMPLES unit-disk draws
+of N points from seeds SEED, SEED + 1, ...; each side runs every kernel
+REPS times. It prints, per kernel and side, the min and the median of the
+per-call time over the repetitions, and the change's ratios to the parent.
+Run it from the repository root.
 """
 from __future__ import annotations
 
@@ -20,7 +23,6 @@ import argparse
 import importlib
 import importlib.util
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -29,13 +31,13 @@ from pathlib import Path
 
 import numpy as np
 
-SIDES = ("parent", "change")
+from bench_pairs import SIDES, checkouts, git
+
 KERNELS = ("uniform_sample", "IntersectionBody", "_disk_pass", "_hull_stage", "_hull_row")
-
-
-def git(*args) -> str:
-    return subprocess.run(["git", *args], check=True, capture_output=True,
-                          text=True).stdout.strip()
+N = 5000
+SAMPLES = 20
+REPS = 25
+SEED = 1
 
 
 def load(name: str, tree: Path):
@@ -86,35 +88,24 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", default="HEAD~1", help="baseline revision")
     ap.add_argument("--change", default="HEAD", help="revision under test")
-    ap.add_argument("--kernels", nargs="+", choices=KERNELS, default=list(KERNELS))
-    ap.add_argument("--n", type=int, default=5000, help="sample size")
-    ap.add_argument("--samples", type=int, default=20, help="seeded samples per repetition")
-    ap.add_argument("--reps", type=int, default=25, help="repetitions per side")
-    ap.add_argument("--seed", type=int, default=1, help="first sample seed")
-    ap.add_argument("--workdir", default=None,
-                    help="directory for the worktrees (default: a new temp dir)")
     args = ap.parse_args(argv)
 
-    workdir = Path(args.workdir or tempfile.mkdtemp(prefix="kernel_ab-"))
-    workdir.mkdir(parents=True, exist_ok=True)
+    root = Path(git("rev-parse", "--show-toplevel"))
     revs = {side: git("rev-parse", rev) for side, rev in zip(SIDES, (args.parent, args.change))}
-    seeds = list(range(args.seed, args.seed + args.samples))
-    trees: dict[str, Path] = {}
-    try:
-        for side in SIDES:
-            git("worktree", "add", "--detach", str(workdir / side), revs[side])
-            trees[side] = workdir / side
+    seeds = list(range(SEED, SEED + SAMPLES))
+    with tempfile.TemporaryDirectory(prefix="kernel_ab-") as workdir, \
+            checkouts(revs, Path(workdir), root) as trees:
         pkgs = {side: load(f"khull_{side}", trees[side]) for side in SIDES}
         print(f"parent {revs['parent'][:10]}  change {revs['change'][:10]}  "
-              f"n = {args.n}, {args.samples} samples, {args.reps} alternating repetitions")
+              f"n = {N}, {SAMPLES} samples, {REPS} alternating repetitions")
         print(f"{'kernel':<18}{'side':<8}{'min ms':>10}{'median ms':>11}")
         warnings.simplefilter("ignore")
-        for name in args.kernels:
-            fns = {side: calls(name, pkgs[side], args.n, seeds) for side in SIDES}
+        for name in KERNELS:
+            fns = {side: calls(name, pkgs[side], N, seeds) for side in SIDES}
             times: dict[str, list[float]] = {side: [] for side in SIDES}
             for side in SIDES:  # one untimed warm-up each
                 per_call_ms(fns[side])
-            for i in range(args.reps):
+            for i in range(REPS):
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                     times[side].append(per_call_ms(fns[side]))
             stats = {side: (min(t), statistics.median(t)) for side, t in times.items()}
@@ -126,9 +117,6 @@ def main(argv=None) -> int:
                     print(f"   ratio min {lo / stats['parent'][0]:.3f}"
                           f" median {med / stats['parent'][1]:.3f}", end="")
                 print()
-    finally:
-        for tree in trees.values():
-            git("worktree", "remove", "--force", str(tree))
     return 0
 
 

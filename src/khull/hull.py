@@ -462,38 +462,42 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array, inner: Array,
 
     # Cocircularity screen against every circle in the input. A circle
     # passes within eps_gp of a corner p only if its center is farther than
-    # r - eps_gp - |p - inner| from `inner` (triangle inequality), so only
-    # those candidate rows are measured; SCREEN_SLACK, at the scale of the
-    # coordinates, covers the rounding of both distances. The candidates
-    # are ascending, so the witnesses are those of the full table.
+    # r - eps_gp - |p - inner| from `inner` (triangle inequality), so when
+    # some rows are not active (the X stage) only those candidate rows are
+    # measured; SCREEN_SLACK, at the scale of the coordinates, covers the
+    # rounding of both distances. The candidates are ascending, so the
+    # witnesses are those of the full table. When every row is active (the
+    # hull stage) the table is small and is measured whole.
     xy = pts.tolist()
-    if centers_all.shape[0] > 2:
-        ix, iy = inner.tolist()
-        scale = max(abs(ix), abs(iy), *(abs(c) for p in xy for c in p))
-        reach = (r - eps_gp - max(math.hypot(x - ix, y - iy) for x, y in xy)
-                 - SCREEN_SLACK * (r + scale))
-        if reach > 0.0:
-            dx = centers_all[:, 0] - ix
-            dy = centers_all[:, 1] - iy
-            dx *= dx
-            dy *= dy
-            dx += dy
-            cand = np.flatnonzero(dx > reach * reach)
-        else:
-            cand = np.arange(centers_all.shape[0])
-        gap = _pair_dist(pts, centers_all[cand])
+    n_all = centers_all.shape[0]
+    if n_all > 2:
+        rows, ids = centers_all, range(n_all)
+        if m < n_all:
+            ix, iy = inner.tolist()
+            scale = max(abs(ix), abs(iy), *(abs(c) for p in xy for c in p))
+            reach = (r - eps_gp - max(math.hypot(x - ix, y - iy) for x, y in xy)
+                     - SCREEN_SLACK * (r + scale))
+            if reach > 0.0:
+                dx = centers_all[:, 0] - ix
+                dy = centers_all[:, 1] - iy
+                dx *= dx
+                dy *= dy
+                dx += dy
+                cand = np.flatnonzero(dx > reach * reach)
+                rows, ids = centers_all[cand], cand.tolist()
+        gap = _pair_dist(pts, rows)
         gap -= r
         np.abs(gap, out=gap)
         near = gap < eps_gp
         for v in np.flatnonzero(near.any(axis=1)):
             pair = (int(active[own_i[v]]), int(active[own_j[v]]))
-            cols = [k for k in np.flatnonzero(near[v]).tolist() if int(cand[k]) not in pair]
+            cols = [k for k in np.flatnonzero(near[v]).tolist() if ids[k] not in pair]
             # a copy of an active row is that row's circle again, not a third one
-            cols = [k for k in cols if cand[k] in active
-                    or not (act == centers_all[cand[k]]).all(axis=1).any()]
+            cols = [k for k in cols if ids[k] in active
+                    or not (act == centers_all[ids[k]]).all(axis=1).any()]
             if cols:
                 witnesses.append(DegeneracyWitness(
-                    "near-cocircular", (*pair, *cand[cols].tolist()), pts[v],
+                    "near-cocircular", (*pair, *(ids[k] for k in cols)), pts[v],
                     float(gap[v, cols].min())))
 
     # Group corners by owner; each center left on the stack meets two.
