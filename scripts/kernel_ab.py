@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""In-process A/B timing of the disk replicate's kernels at two revisions.
+"""In-process A/B timing of the replicate kernels at two revisions.
 
     python3 scripts/kernel_ab.py --parent HEAD~1 --change HEAD
 
@@ -12,10 +12,13 @@ repetitions alternate between the sides (the side that goes first
 alternates too), so a slow phase of the machine falls on both alike: its
 speed can drift by 20-50% between separate runs, more than the change of
 one layer this is meant to show. The samples are SAMPLES unit-disk draws
-of N points from seeds SEED, SEED + 1, ...; each side runs every kernel
-REPS times. It prints, per kernel and side, the min and the median of the
-per-call time over the repetitions, and the change's ratios to the parent.
-Run it from the repository root.
+of N points from seeds SEED, SEED + 1, ...; `scaled_sample_statistics`
+draws CONVERGENCE_N points instead, the size of a disk `convergence` row,
+and the two zero-cell kernels draw one cell of the unit disk or the unit
+d = 3 ball from each seed. Each side runs every kernel REPS times. It
+prints, per kernel and side, the min and the median of the per-call time
+over the repetitions, and the change's ratios to the parent. Run it from
+the repository root.
 """
 from __future__ import annotations
 
@@ -33,8 +36,10 @@ import numpy as np
 
 from bench_pairs import SIDES, checkouts, git
 
-KERNELS = ("uniform_sample", "IntersectionBody", "_disk_pass", "_hull_stage", "_hull_row")
+KERNELS = ("uniform_sample", "IntersectionBody", "_disk_pass", "_hull_stage", "_hull_row",
+           "zero_cell_disk", "zero_cell_ball3", "scaled_sample_statistics")
 N = 5000
+CONVERGENCE_N = 2000
 SAMPLES = 20
 REPS = 25
 SEED = 1
@@ -61,6 +66,13 @@ def calls(name: str, pkg, n: int, seeds: list[int]) -> list:
     rngs = [lambda s=s: np.random.default_rng(s) for s in seeds]
     if name == "uniform_sample":
         return [lambda g=g: pkg.uniform_sample(K, n, g()) for g in rngs]
+    if name.startswith("zero_cell"):
+        K = pkg.Ball(1.0, np.zeros(3 if name == "zero_cell_ball3" else 2))
+        sampler = K.surface_sampler()
+        return [lambda g=g: pkg.zero_cell(K, g(), sampler=sampler) for g in rngs]
+    if name == "scaled_sample_statistics":
+        samples = [pkg.uniform_sample(K, CONVERGENCE_N, g()) for g in rngs]
+        return [lambda p=p: pkg.scaled_sample_statistics(K, p) for p in samples]
     if name == "_hull_row":
         return [lambda g=g: experiments._hull_row(K, "fvector-mc", n, 256, 0, 0, g())
                 for g in rngs]
@@ -98,7 +110,7 @@ def main(argv=None) -> int:
         pkgs = {side: load(f"khull_{side}", trees[side]) for side in SIDES}
         print(f"parent {revs['parent'][:10]}  change {revs['change'][:10]}  "
               f"n = {N}, {SAMPLES} samples, {REPS} alternating repetitions")
-        print(f"{'kernel':<18}{'side':<8}{'min ms':>10}{'median ms':>11}")
+        print(f"{'kernel':<26}{'side':<8}{'min ms':>10}{'median ms':>11}")
         warnings.simplefilter("ignore")
         for name in KERNELS:
             fns = {side: calls(name, pkgs[side], N, seeds) for side in SIDES}
@@ -111,7 +123,7 @@ def main(argv=None) -> int:
             stats = {side: (min(t), statistics.median(t)) for side, t in times.items()}
             for side in SIDES:
                 lo, med = stats[side]
-                print(f"{name if side == 'parent' else '':<18}{side:<8}{lo:>10.4f}{med:>11.4f}",
+                print(f"{name if side == 'parent' else '':<26}{side:<8}{lo:>10.4f}{med:>11.4f}",
                       end="")
                 if side == "change":
                     print(f"   ratio min {lo / stats['parent'][0]:.3f}"

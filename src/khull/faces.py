@@ -114,7 +114,10 @@ class TaggedPolytope:
 
     Facets are merged over coplanar triangulation pieces; `edges` pairs
     hull-vertex indices and `edge_facets` the two merged facets meeting
-    there. For d=2 facets and edges coincide.
+    there. For d=2 facets and edges coincide. In d = 3 a qhull vertex
+    whose triangles all merge into one facet lies inside that facet and
+    is not a vertex: it is dropped, and the facet's `simplices` are a fan
+    from its lowest vertex over its edges (see `_tag_hull_3d`).
 
     It is built in two stages. The bare stage (`_bare_hull`) finds the hull
     vertices and one normal and offset per facet, which is all a zero-cell
@@ -165,8 +168,9 @@ class _BareHull:
     in d = 2, ascending in d = 3); the facets are {<a, y> = b} with a in
     `normals` and b in `offsets`. In d = 3 a facet is a group of coplanar
     triangles, listed in the order of its union-find root and carrying
-    the plane of its lowest-numbered triangle. The remaining fields are
-    what the tagging stage reuses in d = 3.
+    the plane of its lowest-numbered triangle; when qhull's triangles
+    hold no coplanar pair, each is a facet, in qhull's order. The
+    remaining fields are what the tagging stage reuses in d = 3.
     """
 
     points: Array
@@ -219,7 +223,70 @@ def _rownorm(x: Array) -> Array:
 
 
 def _bare_hull_2d(points: Array) -> _BareHull:
-    hull = np.array(_monotone_chain(points))
+    return _bare_polygon(points, np.array(_monotone_chain(points)))
+
+
+# Cycles up to this length are tested on Python floats, longer ones on
+# arrays: below it the array calls cost more than the loop.
+SHORT_CYCLE = 32
+
+
+def _cycle_start(points: Array) -> int | None:
+    """Index of the lexicographic minimum of a closed cycle of points if
+    every turn (o, a, p) of the cycle is strictly left by the orientation
+    test of `_monotone_chain`, else None.
+
+    Short cycles run the test on Python floats, as the chain does, long
+    ones elementwise on float64 arrays; both round every operation alike.
+    """
+    n = points.shape[0]
+    if n < 3:
+        return None
+    if n <= SHORT_CYCLE:
+        xy = points.tolist()
+        (ox, oy), (ax, ay) = xy[-2], xy[-1]
+        for px, py in xy:
+            if not (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
+                return None
+            ox, oy, ax, ay = ax, ay, px, py
+        return min(range(n), key=xy.__getitem__)
+    O = np.concatenate((points[-1:], points[:-1]))
+    A, P = points, _roll(points)
+    turn = ((A[:, 0] - O[:, 0]) * (P[:, 1] - O[:, 1])
+            - (A[:, 1] - O[:, 1]) * (P[:, 0] - O[:, 0]))
+    if not np.all(turn > 0):
+        return None
+    left = np.flatnonzero(A[:, 0] == A[:, 0].min())
+    return int(left[np.argmin(A[left, 1])])
+
+
+def _ccw_cycle_order(points: Array) -> Array:
+    """Hull order of points that already run counter-clockwise around a
+    convex polygon: the order `_monotone_chain` gives, without its sort
+    and stack.
+
+    When every turn of the cycle is strictly left (`_cycle_start`), each
+    point is a hull vertex and the chain lists them counter-clockwise from
+    their lexicographic minimum, so that is the cycle rolled to start
+    there. Otherwise (a collinear or repeated point, or fewer than three
+    points) the chain itself runs."""
+    start = _cycle_start(points)
+    if start is None:
+        return np.array(_monotone_chain(points))
+    return np.concatenate((np.arange(start, points.shape[0]), np.arange(start)))
+
+
+def _tagged_cycle(points: Array) -> TaggedPolytope:
+    """tagged_hull_from_points(points) for points in counter-clockwise
+    order around a convex polygon, every field bit for bit: the hull
+    order comes from `_ccw_cycle_order`, the rest from the same
+    arithmetic."""
+    bare = _bare_polygon(points, _ccw_cycle_order(points))
+    return _tag_hull_2d(bare, np.arange(points.shape[0]))
+
+
+def _bare_polygon(points: Array, hull: Array) -> _BareHull:
+    """Bare stage of the polygon points[hull], listed counter-clockwise."""
     V = points[hull]
     evec = _roll(V) - V
     normals = np.column_stack([evec[:, 1], -evec[:, 0]])
@@ -264,8 +331,24 @@ def _bare_hull_3d(points: Array) -> _BareHull:
     t = hull.neighbors[s, k]
     coplanar = np.flatnonzero(_rowdot(normals[s], normals[t]) > 1.0 - COPLANAR_TOL)
 
-    # Merge coplanar neighbours into true facets with a union-find over the
-    # flagged pairs in the order above; a facet is numbered by its root.
+    if coplanar.size == 0:
+        # every triangle is a facet of its own, numbered as qhull lists it
+        group = first = np.arange(nf)
+    else:
+        group, first = _merge_coplanar(nf, s[coplanar].tolist(), t[coplanar].tolist())
+    # the vertices are np.unique(hull.simplices), as `hull.vertices` has them
+    used = np.zeros(points.shape[0], dtype=bool)
+    used[hull.simplices] = True
+    return _BareHull(points, np.flatnonzero(used), normals[first], offsets[first],
+                     qhull=hull, group=group, pairs=(s, k, t))
+
+
+def _merge_coplanar(nf: int, heads: list[int], tails: list[int]) -> tuple[Array, Array]:
+    """Facet of each of nf triangles, and the lowest triangle of each
+    facet, when the flagged pairs (heads[i], tails[i]) are coplanar.
+
+    Coplanar neighbours are merged with a union-find over the pairs in
+    the order given; a facet is numbered by the rank of its root."""
     parent = list(range(nf))
 
     def find(a):
@@ -274,7 +357,6 @@ def _bare_hull_3d(points: Array) -> _BareHull:
             a = parent[a]
         return a
 
-    heads, tails = s[coplanar].tolist(), t[coplanar].tolist()
     for a, b in zip(heads, tails):
         ra, rb = find(a), find(b)
         if ra != rb:
@@ -283,40 +365,78 @@ def _bare_hull_3d(points: Array) -> _BareHull:
     touched = list(set(heads).union(tails))
     root[touched] = [find(a) for a in touched]
     _, first, group = np.unique(root, return_index=True, return_inverse=True)
-    # the vertices are np.unique(hull.simplices), as `hull.vertices` has them
-    used = np.zeros(points.shape[0], dtype=bool)
-    used[hull.simplices] = True
-    return _BareHull(points, np.flatnonzero(used), normals[first], offsets[first],
-                     qhull=hull, group=group, pairs=(s, k, t))
+    return group, first
 
 
 # Columns of a triangle other than column k, for k = 0, 1, 2.
 _OTHER_TWO = np.array([[1, 2], [2, 0], [0, 1]])
 
 
+def _fans(apex: Array, side: Array, ends: Array) -> Array:
+    """Fan triangulations of convex facets, read off their edges.
+
+    Edge i, the vertex pair ends[i], bounds facet side[i]. Facet f becomes
+    the triangles (apex[f], a, b) over its edges (a, b) that do not touch
+    apex[f], one of its vertices. The rows run facet by facet, and within
+    a facet in the order its edges are given."""
+    order = np.argsort(side, kind="stable")
+    a, ab = apex[side[order]], ends[order]
+    keep = (ab[:, 0] != a) & (ab[:, 1] != a)
+    return np.column_stack([a[keep], ab[keep]])
+
+
 def _tag_hull_3d(bare: _BareHull, owners: Array) -> TaggedPolytope:
-    hull, group = bare.qhull, bare.group
+    """Tagging stage in d = 3.
+
+    A qhull vertex whose triangles all merged into one facet lies inside
+    that facet, on no edge, and is not a vertex of the polytope: it is
+    dropped from `points`, `owners` and the facets, the other vertices
+    are numbered again in order, and the facet's triangles are replaced,
+    after those of the other facets, by a fan from its lowest vertex over
+    its edges. Without the drop such a vertex breaks the Euler relation.
+    The test runs only when some triangles merged, and the bare stage, on
+    which zero cells are certified, never sees it.
+    """
+    hull, group, vertices = bare.qhull, bare.group, bare.vertices
+    nv = vertices.size
     local = np.empty(bare.points.shape[0], dtype=np.intp)
-    local[bare.vertices] = np.arange(bare.vertices.size)
+    local[vertices] = np.arange(nv)
     sims = local[hull.simplices]
     s, k, t = bare.pairs
     ng = bare.offsets.size
-    # the sorted vertex set of each facet, from one sort of the
-    # (facet, vertex) keys of all triangles
-    nv = bare.vertices.size
+    # the (facet, vertex) keys of all triangles, sorted and unique
     key = np.unique(group[:, None] * nv + sims)
-    verts = (key % nv).tolist()
-    ends = np.searchsorted(key, np.arange(1, ng + 1) * nv).tolist()
-    facets = [verts[a:b] for a, b in zip([0, *ends[:-1]], ends)]
     # pairs inside one facet are not edges
     sides = np.column_stack([group[s], group[t]])
     cut = sides[:, 0] != sides[:, 1]
     s, k, sides = s[cut], k[cut], np.sort(sides[cut], axis=1)
     # The edge between adjacent triangles s and t is s without its k-th vertex.
     edges = np.sort(sims[s[:, None], _OTHER_TWO[k]], axis=1)
+    if ng < group.size:
+        # A vertex whose triangles all lie in one merged facet is not a
+        # vertex; it is dropped, and that facet is fanned again.
+        lone = np.bincount(key % nv, minlength=nv) == 1
+        if lone.any():
+            keep = ~lone
+            renum = np.cumsum(keep) - 1
+            refan = np.unique(key[lone[key % nv]] // nv)
+            key = key[keep[key % nv]]
+            apex = renum[key[np.searchsorted(key, np.arange(ng) * nv)] % nv]
+            edges = renum[edges]
+            on = np.isin(sides, refan)
+            fans = _fans(apex, np.concatenate([sides[on[:, 0], 0], sides[on[:, 1], 1]]),
+                         np.concatenate([edges[on[:, 0]], edges[on[:, 1]]]))
+            sims = np.concatenate([renum[sims[~np.isin(group, refan)]], fans])
+            vertices = vertices[keep]
+            key = key // nv * vertices.size + renum[key % nv]
+            nv = vertices.size
+    # the sorted vertex set of each facet, split off the sorted keys
+    verts = (key % nv).tolist()
+    ends = np.searchsorted(key, np.arange(1, ng + 1) * nv).tolist()
+    facets = [verts[a:b] for a, b in zip([0, *ends[:-1]], ends)]
 
     return TaggedPolytope(
-        dim=3, points=bare.points[bare.vertices], owners=owners[bare.vertices],
+        dim=3, points=bare.points[vertices], owners=owners[vertices],
         facets=tuple(map(tuple, facets)), facet_normals=bare.normals,
         facet_offsets=bare.offsets,
         edges=tuple(map(tuple, edges.tolist())),

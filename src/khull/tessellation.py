@@ -65,10 +65,11 @@ class ZeroCell:
     """Zero cell Z of a tessellation draw, with its polar hull.
 
     `dual` is the hull of the inverted points u/t, vertex owners being
-    hyperplane indices; `cell` is Z itself, vertices tagged by the dual
-    facet they polarize. `certified` records that every vertex of Z has
-    norm at most the truncation actually explored, so no unsampled
-    hyperplane could cut the cell.
+    hyperplane indices; `cell` is Z itself, read off the dual by polarity
+    (see `zero_cell`): vertex F of Z, owned by F, polarizes dual facet F.
+    `certified` records that every vertex of Z has norm at most the
+    truncation actually explored, so no unsampled hyperplane could cut
+    the cell.
     """
 
     dual: TaggedPolytope
@@ -93,10 +94,24 @@ def zero_cell(K: ConvexBody, rng: np.random.Generator, T0: float = 5.0,
 
     Each attempt builds only the bare dual hull (its vertices and facet
     planes), which is all the radius test reads; the certified one is then
-    tagged, and the cell is the tagged hull of its polar vertices. The
-    facet planes are those a fully tagged dual would carry, so the verdicts,
-    the rows and the `zero_cell.off` bytes are those of tagging every
-    attempt.
+    tagged. The facet planes are those a fully tagged dual would carry, so
+    the verdicts are those of tagging every attempt.
+
+    The cell is built from the tagged dual by polarity, with no second
+    hull (`_polar_cell`): dual facet F = {<a, y> = b} becomes cell vertex
+    zv[F] = a/b with owner F, dual vertex p becomes the cell facet
+    {<p, x> = 1}, and each dual edge becomes the cell edge between the
+    vertices of its two facets. In d = 2 the cell is the cycle zv, with
+    the hull order and arithmetic of the hull of zv, so every field is
+    that hull's bit for bit; where a turn of the cycle is not strictly
+    left, the monotone chain runs instead. In d = 3 the vertices, owners,
+    edges and facet vertex sets are those of the hull of zv, the facets
+    come in dual-vertex order with normal p/|p| and offset 1/|p|, and
+    the volume and surface are summed over the edges, so they and V_1
+    differ from that hull's in the last bits. `simplices` fans each facet
+    from its lowest vertex over its edges. A d = 3 dual whose triangles
+    qhull merged as coplanar keeps the hull of zv, since polarity would
+    place its cell only to within the merge tolerance.
     """
     if sampler is None:
         sampler = K.surface_sampler()
@@ -123,9 +138,49 @@ def zero_cell(K: ConvexBody, rng: np.random.Generator, T0: float = 5.0,
     else:
         raise NumericError(f"zero cell not certified after {max_doublings} extensions")
 
-    cell = tagged_hull_from_points(zv, owners=np.arange(zv.shape[0]))
-    return ZeroCell(dual=faces._tag_hull(dual, np.arange(t.shape[0])), cell=cell,
+    tagged = faces._tag_hull(dual, np.arange(t.shape[0]))
+    return ZeroCell(dual=tagged, cell=_polar_cell(dual, tagged, zv),
                     certified=True, truncation=T, n_hyperplanes=int(t.shape[0]))
+
+
+def _polar_cell(bare: faces._BareHull, dual: TaggedPolytope, zv: Array) -> TaggedPolytope:
+    """The cell polar to a certified dual hull, read off the dual; zv
+    holds the polars of the dual facets (see `zero_cell`)."""
+    if dual.dim == 2:
+        return faces._tagged_cycle(zv)
+    if bare.offsets.size < bare.group.size:
+        return tagged_hull_from_points(zv, owners=np.arange(zv.shape[0]))
+    nf = zv.shape[0]
+    inv = 1.0 / faces._rownorm(dual.points)
+    normals = dual.points * inv[:, None]
+    # cell facet p holds the cell vertices of the dual triangles at p
+    key = np.sort((np.array(dual.facets) * nf + np.arange(nf)[:, None]).ravel())
+    verts = (key % nf).tolist()
+    ends = np.searchsorted(key, np.arange(1, inv.size + 1) * nf).tolist()
+    starts = [0, *ends[:-1]]
+    # Cell edge i joins zv[s[i]] and zv[t[i]], the dual triangles s < t
+    # that meet at dual edge i, which joins the cell facets sides[i].
+    s, _, t = bare.pairs
+    sides = np.array(dual.edges)
+    side, other = sides.T.ravel(), sides[:, ::-1].T.ravel()
+    # Facet p's area is the sum over its edges e of |e| h / 2, h the signed
+    # distance in its plane from its foot point p/|p|^2 to the line of e,
+    # along the plane's unit normal to e that points across e.
+    diff = zv[t] - zv[s]
+    half = 0.5 * np.sqrt(faces._rowdot(diff, diff))
+    n_in, n_out = normals[side], normals[other]
+    across = n_out - faces._rowdot(n_in, n_out)[:, None] * n_in
+    lever = zv[np.concatenate([s, s])] - n_in * inv[side][:, None]
+    h = faces._rowdot(lever, across) / faces._rownorm(across)
+    area = np.bincount(side, weights=np.concatenate([half, half]) * h, minlength=inv.size)
+    fans = faces._fans(key[starts] % nf, side, np.tile(np.column_stack([s, t]), (2, 1)))
+    return TaggedPolytope(
+        dim=3, points=zv, owners=np.arange(nf),
+        facets=tuple(tuple(verts[a:b]) for a, b in zip(starts, ends)),
+        facet_normals=normals, facet_offsets=inv,
+        edges=dual.edge_facets, edge_facets=dual.edges,
+        simplices=tuple(map(tuple, fans.tolist())),
+        volume=float(np.add.reduce(area * inv)) / 3.0, surface=float(np.add.reduce(area)))
 
 
 # A dual hull encloses the origin strictly when its smallest facet offset
@@ -217,8 +272,9 @@ def scaled_sample_statistics(K: ConvexBody, points: Array, n_scale: int | None =
     f-vector of the sample's hull with respect to K.
 
     X_n is probed radially on the shared direction grid and measured by its
-    inscribed polytope; the gap to the outer support-bound polytope is
-    reported as the discretization diagnostic. The f-vector uses the exact
+    inscribed polytope; in d = 2 that polygon is the cycle of the radial
+    points in grid order, with the bits of their hull. The gap to the outer
+    support-bound polytope is reported as the discretization diagnostic. The f-vector uses the exact
     arc pipeline for planar disks and the tagged polar hull otherwise.
     """
     X = IntersectionBody(K, points)
@@ -228,7 +284,8 @@ def scaled_sample_statistics(K: ConvexBody, points: Array, n_scale: int | None =
         directions = 512 if d == 2 else 2048
     U = direction_grid(d, directions)
     r = X.radial_batch(U) * n
-    inner = tagged_hull_from_points(r[:, None] * U)
+    P = r[:, None] * U  # in d = 2 counter-clockwise, as the grid runs
+    inner = faces._tagged_cycle(P) if d == 2 else tagged_hull_from_points(P)
     vols = intrinsic_volumes(inner)
     r_out = _radial_min(d, directions, X.outer_support_bound_batch(U) * n)
     gap = _radial_volume(r_out, d) - _radial_volume(r, d)

@@ -556,6 +556,26 @@ def tagged_hull_3d(points: np.ndarray, owners: np.ndarray) -> TaggedPolytope:
             raise NumericError("adjacent facets share an unexpected vertex count")
         edges[shared] = (min(gs, gt), max(gs, gt))
 
+    # A vertex in one facet only lies inside it: drop it, and fan that
+    # facet from its lowest remaining vertex over its edges.
+    lone = [v for v in range(len(V))
+            if sum(v in vs for vs in facet_vsets) == 1] if len(groups) < nf else []
+    if lone:
+        keep = [v for v in range(len(V)) if v not in lone]
+        new = {v: i for i, v in enumerate(keep)}
+        refan = sorted({g for g, vs in enumerate(facet_vsets) for v in lone if v in vs})
+        V, own = V[keep], own[keep]
+        facet_vsets = [{new[v] for v in vs if v in new} for vs in facet_vsets]
+        edges = {(new[a], new[b]): gg for (a, b), gg in edges.items()}
+        sims = [tuple(new[v] for v in sims[s]) for s in range(nf)
+                if group_ids[find(s)] not in refan]
+        for g in refan:
+            apex = min(facet_vsets[g])
+            for col in (0, 1):
+                for (a, b), gg in edges.items():
+                    if gg[col] == g and apex not in (a, b):
+                        sims.append((apex, a, b))
+
     return TaggedPolytope(
         dim=3, points=V, owners=own,
         facets=tuple(tuple(sorted(s)) for s in facet_vsets),

@@ -367,6 +367,15 @@ class TestTaggedHullParity:
             T = self.check(pts)
             assert len(T.facets) < len(T.simplices)
 
+    def test_vertex_inside_merged_facet_dropped(self):
+        # each face centre, lifted off its face by rounding, is a qhull
+        # vertex whose four triangles all merge into that face
+        centres = np.vstack([np.eye(3), -np.eye(3)]) * (1.0 + 1e-11)
+        T = self.check(np.vstack([CUBE, centres]))
+        assert T.fvector() == (8, 12, 6) and T.euler_ok()
+        assert T.owners.tolist() == list(range(8))
+        assert len(T.simplices) == 12
+
     def test_prism_facets(self):
         T = self.check(_prism(17))
         assert sorted(len(f) for f in T.facets) == [4] * 17 + [17] * 2
@@ -376,6 +385,18 @@ class TestTaggedHullParity:
         U = direction_grid(d, m)
         for r in (np.ones(m), rng.uniform(0.5, 2.0, m), 1.0 + 1e-3 * rng.random(m)):
             self.check(r[:, None] * U)
+
+    @pytest.mark.parametrize("n", [3, 5, faces.SHORT_CYCLE, faces.SHORT_CYCLE + 1, 512])
+    def test_counter_clockwise_cycles(self, n, rng):
+        # the cycle route, with and without the chain's fallback
+        theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        ring = np.column_stack([np.cos(theta), np.sin(theta)]) * rng.uniform(0.5, 2.0, 2)
+        ring += rng.uniform(-5.0, 5.0, 2)
+        k = int(rng.integers(n))
+        mid = 0.5 * (ring[k] + ring[(k + 1) % n])
+        for pts in (ring, np.roll(ring, 3, axis=0), 1e-6 * ring, ring[::-1],
+                    np.insert(ring, k + 1, mid, axis=0), np.insert(ring, k + 1, ring[k], axis=0)):
+            oracles.assert_same_polytope(faces._tagged_cycle(pts), oracles.tagged_hull(pts))
 
     def test_owner_tagged_family(self, ellipse21, unit_ball3, rng):
         for K in (ellipse21, unit_ball3):

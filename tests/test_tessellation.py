@@ -5,11 +5,12 @@ import pytest
 from scipy.stats import ks_2samp
 
 import oracles
-from khull import (Ball, DomainError, Ellipsoid, NumericError, Polytope, direction_grid,
-                   kappa, intrinsic_volumes, intrinsic_volumes_of_cell,
+from khull import (Ball, DomainError, Ellipsoid, NumericError, PNormBall, Polytope,
+                   direction_grid, kappa, intrinsic_volumes, intrinsic_volumes_of_cell,
                    sample_hyperplanes, scaled_sample_statistics,
                    tagged_hull_from_points, uniform_sample, zero_cell)
-from khull import tessellation
+from khull import faces, tessellation
+from khull.experiments import _replicate_rng
 from khull.tessellation import _draw_layer, _grid_pairs, _radial_min, _try_dual_hull
 
 TRIANGLE = Polytope([[-1.0, -1.0], [2.0, -0.5], [0.0, 1.5]])
@@ -191,6 +192,43 @@ def _tagged_verdict(u, t, d):
     return float(np.max(np.linalg.norm(dual.facet_normals / dual.facet_offsets[:, None], axis=1)))
 
 
+# Bodies of the zero-cell reference test, with T0 proportional to their size.
+ROTATION = np.linalg.qr(np.random.default_rng(2).standard_normal((3, 3)))[0]
+REFERENCE_BODIES = {
+    "disk": (Ball(1.0, np.zeros(2)), 1.0),
+    "ball3": (Ball(1.0, np.zeros(3)), 1.0),
+    "ellipse": (Ellipsoid([2.0, 1.0], np.zeros(2)), 1.0),
+    "ball3-r1e-6": (Ball(1e-6, np.zeros(3)), 1e-6),
+    "ball3-r1e6": (Ball(1e6, np.zeros(3)), 1e6),
+    "ellipsoid3-rotated": (Ellipsoid([1.5, 1.0, 0.7], [3.0, -2.0, 0.5], ROTATION), 1.0),
+}
+
+
+def assert_polar_cell(cell, zv):
+    """A d = 3 cell built by polarity against the hull of its vertices zv:
+    the same vertices and owners bit for bit, the same f-vector, facet
+    vertex sets and edges, and volumes equal to rounding."""
+    ref = oracles.tagged_hull(zv)
+    for name in ("points", "owners"):
+        a, b = getattr(cell, name), getattr(ref, name)
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert cell.fvector() == ref.fvector()
+    assert set(cell.facets) == set(ref.facets)
+    assert set(cell.edges) == set(ref.edges)
+    # facets pair up by vertex set; each edge joins the same two facets
+    facet_of = {f: g for g, f in enumerate(ref.facets)}
+    rename = [facet_of[f] for f in cell.facets]
+    ref_sides = dict(zip(ref.edges, ref.edge_facets))
+    for e, (g1, g2) in zip(cell.edges, cell.edge_facets):
+        assert sorted((rename[g1], rename[g2])) == list(ref_sides[e])
+    for got, want in ((cell.volume, ref.volume), (cell.surface, ref.surface),
+                      (intrinsic_volumes(cell)[1], intrinsic_volumes(ref)[1])):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    # the simplices fan every facet: k - 2 triangles on a k-gon
+    assert len(cell.simplices) == sum(len(f) - 2 for f in cell.facets)
+    assert all(any(set(s) <= set(f) for f in cell.facets) for s in cell.simplices)
+
+
 class TestBareCertification:
     @pytest.mark.parametrize("K, seeds, T0", [
         (Ball(1.0, np.zeros(2)), range(150), 0.5),
@@ -212,10 +250,8 @@ class TestBareCertification:
             verdicts.append(want is None)
         assert len(verdicts) >= 400 and 0 < sum(verdicts) < len(verdicts)
 
-    @pytest.mark.parametrize("K", [Ball(1.0, np.zeros(2)), Ball(1.0, np.zeros(3)),
-                                   Ellipsoid([2.0, 1.0], np.zeros(2))],
-                             ids=["disk", "ball3", "ellipse"])
-    def test_dual_and_cell_match_references(self, K, monkeypatch):
+    @pytest.mark.parametrize("K, T0", REFERENCE_BODIES.values(), ids=REFERENCE_BODIES.keys())
+    def test_dual_and_cell_match_references(self, K, T0, monkeypatch):
         clouds = []
 
         def recording(u, t, d):
@@ -225,31 +261,77 @@ class TestBareCertification:
         monkeypatch.setattr(tessellation, "_try_dual_hull", recording)
         rng = np.random.default_rng(41)
         for _ in range(15):
-            z = zero_cell(K, rng, T0=1.0)
+            z = zero_cell(K, rng, T0=T0)
             dual = oracles.tagged_hull(clouds[-1])
             oracles.assert_same_polytope(z.dual, dual)
             zv = dual.facet_normals / dual.facet_offsets[:, None]
-            oracles.assert_same_polytope(z.cell, oracles.tagged_hull(zv))
-            vols = intrinsic_volumes_of_cell(z)
-            if K.dim == 3:
-                assert vols[1] == oracles.intrinsic_v1_3d(z.cell)
+            if K.dim == 2:
+                oracles.assert_same_polytope(z.cell, oracles.tagged_hull(zv))
+            else:
+                assert len(z.dual.facets) == len(z.dual.simplices)  # simplicial
+                assert_polar_cell(z.cell, zv)
+                assert intrinsic_volumes_of_cell(z)[1] == oracles.intrinsic_v1_3d(z.cell)
 
-    def test_one_tagged_hull_per_cell(self, unit_disk, unit_ball3, monkeypatch):
+    def test_merged_dual_keeps_hull_of_polar_vertices(self, unit_ball3):
+        # qhull merges two of this dual's triangles as coplanar
+        z = zero_cell(unit_ball3, np.random.default_rng(390), T0=5.0)
+        assert len(z.dual.facets) < len(z.dual.simplices)
+        zv = z.dual.facet_normals / z.dual.facet_offsets[:, None]
+        oracles.assert_same_polytope(z.cell, oracles.tagged_hull(zv))
+
+    def test_vertex_inside_merged_facet_is_dropped(self, unit_ball3):
+        # master seed 2639, job 0: a dual vertex lies in three triangles of
+        # one merged facet and on no edge; the dual read (7, 12, 8)
+        rng, _ = _replicate_rng(2639, 0)
+        z = zero_cell(unit_ball3, rng, T0=5.0)
+        assert z.dual.fvector() == (6, 12, 8) and z.dual.euler_ok()
+        assert z.fvector() == z.cell.fvector() == (8, 12, 6)
+        assert all(len(f) == 3 for f in z.dual.facets)
+        assert len(z.dual.simplices) == 8
+
+    @staticmethod
+    def _counted(monkeypatch, module, name):
         calls = []
-        build = tessellation.tagged_hull_from_points
+        build = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls.append(1)
+            calls.append(args)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(tessellation, "tagged_hull_from_points", counted)
-        rng = np.random.default_rng(3)
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_simplicial_dual_cell_builds_no_hull(self, unit_disk, unit_ball3, monkeypatch):
+        hulls = self._counted(monkeypatch, tessellation, "tagged_hull_from_points")
+        seen = set()
+        # small T0: most cells extend; the seed 390 cell has a merged dual
+        for K, seed, T0, cells in ((unit_disk, 3, 0.5, 20), (unit_ball3, 3, 0.5, 20),
+                                   (unit_ball3, 390, 5.0, 1)):
+            rng = np.random.default_rng(seed)
+            for _ in range(cells):
+                hulls.clear()
+                z = zero_cell(K, rng, T0=T0)
+                merged = len(z.dual.facets) < len(z.dual.simplices)
+                assert len(hulls) == merged
+                seen.add(merged)
+        assert seen == {False, True}
+
+    def test_one_bare_hull_per_attempt(self, unit_disk, unit_ball3, monkeypatch):
+        attempts = self._counted(monkeypatch, tessellation, "_try_dual_hull")
+        bare = self._counted(monkeypatch, faces, "_bare_hull")
+        extended = 0
         for K in (unit_disk, unit_ball3):
+            rng = np.random.default_rng(3)
             for _ in range(20):
-                calls.clear()
-                z = zero_cell(K, rng, T0=0.5)  # small T0: most cells extend
-                assert len(calls) == 1
-                assert z.truncation >= 0.5
+                attempts.clear()
+                bare.clear()
+                z = zero_cell(K, rng, T0=0.5)
+                if len(z.dual.facets) < len(z.dual.simplices):
+                    continue  # its cell is a hull of its own
+                # an attempt with fewer than d + 1 hyperplanes builds nothing
+                assert len(bare) == sum(t.shape[0] > K.dim for _, t, _ in attempts)
+                extended += len(attempts) > 1
+        assert extended >= 10
 
 
 class TestIntrinsicVolumes:
@@ -347,6 +429,56 @@ class TestScaledSampleStatistics:
         assert not stats.fvector_exact
         assert len(stats.fvector) == 3
         assert stats.volumes[3] > 0.0
+
+
+SQUARE = Polytope([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+# A disk pair near the rim's opposite ends: X is a thin lens.
+LENS = np.array([[0.999, 1e-4], [-0.999, -2e-4]])
+
+
+class TestRadialPolygon:
+    """The d = 2 radial polygon of `scaled_sample_statistics` is built from
+    the grid's counter-clockwise cycle; V1 and V2 must be those of the
+    monotone chain's hull of the same points, bit for bit."""
+
+    @staticmethod
+    def both_routes(K, pts, monkeypatch):
+        starts = []
+        find = faces._cycle_start
+
+        def recording(points):
+            starts.append(find(points))
+            return starts[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(faces, "_cycle_start", recording)
+            got = scaled_sample_statistics(K, pts).volumes
+        with monkeypatch.context() as m:
+            m.setattr(faces, "_tagged_cycle", oracles.tagged_hull)
+            want = scaled_sample_statistics(K, pts).volumes
+        assert (got[1], got[2]) == (want[1], want[2])
+        assert len(starts) == 1
+        return starts[0] is None
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 2000])
+    def test_disk(self, unit_disk, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            pts = uniform_sample(unit_disk, n, rng)
+            assert not self.both_routes(unit_disk, pts, monkeypatch)
+
+    def test_lens(self, unit_disk, monkeypatch):
+        assert not self.both_routes(unit_disk, LENS, monkeypatch)
+
+    @pytest.mark.parametrize("K", [SQUARE, TRIANGLE, PNormBall(8.0, 1.0, np.zeros(2))],
+                             ids=["square", "triangle", "pball8"])
+    def test_collinear_radial_points_fall_back(self, K, monkeypatch):
+        # flat sides put consecutive radial points on one line, where the
+        # chain drops the middle ones; the p-ball is flat only to rounding
+        rng = np.random.default_rng(6)
+        fell = [self.both_routes(K, uniform_sample(K, n, rng), monkeypatch)
+                for n in (1, 10, 2000)]
+        assert all(fell) if isinstance(K, Polytope) else any(fell)
 
 
 class TestRadialMin:
