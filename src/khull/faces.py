@@ -375,14 +375,13 @@ _OTHER_TWO = np.array([[1, 2], [2, 0], [0, 1]])
 def _fans(apex: Array, side: Array, ends: Array) -> Array:
     """Fan triangulations of convex facets, read off their edges.
 
-    Edge i, the vertex pair ends[i], bounds facet side[i]. Facet f becomes
-    the triangles (apex[f], a, b) over its edges (a, b) that do not touch
-    apex[f], one of its vertices. The rows run facet by facet, and within
-    a facet in the order its edges are given."""
-    order = np.argsort(side, kind="stable")
-    a, ab = apex[side[order]], ends[order]
-    keep = (ab[:, 0] != a) & (ab[:, 1] != a)
-    return np.column_stack([a[keep], ab[keep]])
+    Edge i, the vertex pair ends[i], bounds facet f = side[i] and gives
+    the triangle (apex[f], a, b) unless it touches apex[f], a vertex of f.
+    Over the edges of f these triangles fan f from apex[f]; the rows
+    follow the edges' order."""
+    a = apex[side]
+    keep = (ends[:, 0] != a) & (ends[:, 1] != a)
+    return np.concatenate([a[keep, None], ends[keep]], axis=1)
 
 
 def _tag_hull_3d(bare: _BareHull, owners: Array) -> TaggedPolytope:
@@ -404,15 +403,22 @@ def _tag_hull_3d(bare: _BareHull, owners: Array) -> TaggedPolytope:
     sims = local[hull.simplices]
     s, k, t = bare.pairs
     ng = bare.offsets.size
-    # the (facet, vertex) keys of all triangles, sorted and unique
-    key = np.unique(group[:, None] * nv + sims)
-    # pairs inside one facet are not edges
-    sides = np.column_stack([group[s], group[t]])
-    cut = sides[:, 0] != sides[:, 1]
-    s, k, sides = s[cut], k[cut], np.sort(sides[cut], axis=1)
+    merged = ng < group.size
+    # the (facet, vertex) keys of all triangles, sorted and unique, and the
+    # facets on either side of each edge
+    if merged:
+        key = np.unique(group[:, None] * nv + sims)
+        sides = np.column_stack([group[s], group[t]])
+        # pairs inside one facet are not edges
+        cut = sides[:, 0] != sides[:, 1]
+        s, k, sides = s[cut], k[cut], np.sort(sides[cut], axis=1)
+    else:
+        # each triangle is a facet, and each adjacent pair s < t an edge
+        key = np.sort((group[:, None] * nv + sims).ravel())
+        sides = np.column_stack([s, t])
     # The edge between adjacent triangles s and t is s without its k-th vertex.
     edges = np.sort(sims[s[:, None], _OTHER_TWO[k]], axis=1)
-    if ng < group.size:
+    if merged:
         # A vertex whose triangles all lie in one merged facet is not a
         # vertex; it is dropped, and that facet is fanned again.
         lone = np.bincount(key % nv, minlength=nv) == 1

@@ -154,26 +154,28 @@ def _polar_cell(bare: faces._BareHull, dual: TaggedPolytope, zv: Array) -> Tagge
     inv = 1.0 / faces._rownorm(dual.points)
     normals = dual.points * inv[:, None]
     # cell facet p holds the cell vertices of the dual triangles at p
-    key = np.sort((np.array(dual.facets) * nf + np.arange(nf)[:, None]).ravel())
+    tri = np.searchsorted(bare.vertices, bare.qhull.simplices)
+    key = np.sort((tri * nf + np.arange(nf)[:, None]).ravel())
     verts = (key % nf).tolist()
     ends = np.searchsorted(key, np.arange(1, inv.size + 1) * nf).tolist()
     starts = [0, *ends[:-1]]
     # Cell edge i joins zv[s[i]] and zv[t[i]], the dual triangles s < t
     # that meet at dual edge i, which joins the cell facets sides[i].
     s, _, t = bare.pairs
+    s, t = np.concatenate([s, s]), np.concatenate([t, t])  # once per side
     sides = np.array(dual.edges)
     side, other = sides.T.ravel(), sides[:, ::-1].T.ravel()
     # Facet p's area is the sum over its edges e of |e| h / 2, h the signed
     # distance in its plane from its foot point p/|p|^2 to the line of e,
     # along the plane's unit normal to e that points across e.
-    diff = zv[t] - zv[s]
-    half = 0.5 * np.sqrt(faces._rowdot(diff, diff))
+    corner = zv[s]
+    diff = zv[t] - corner
     n_in, n_out = normals[side], normals[other]
     across = n_out - faces._rowdot(n_in, n_out)[:, None] * n_in
-    lever = zv[np.concatenate([s, s])] - n_in * inv[side][:, None]
-    h = faces._rowdot(lever, across) / faces._rownorm(across)
-    area = np.bincount(side, weights=np.concatenate([half, half]) * h, minlength=inv.size)
-    fans = faces._fans(key[starts] % nf, side, np.tile(np.column_stack([s, t]), (2, 1)))
+    h = faces._rowdot(corner - n_in * inv[side][:, None], across) / faces._rownorm(across)
+    area = np.bincount(side, weights=0.5 * np.sqrt(faces._rowdot(diff, diff)) * h,
+                       minlength=inv.size)
+    fans = faces._fans(key[starts] % nf, side, np.column_stack([s, t]))
     return TaggedPolytope(
         dim=3, points=zv, owners=np.arange(nf),
         facets=tuple(tuple(verts[a:b]) for a, b in zip(starts, ends)),

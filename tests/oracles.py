@@ -569,11 +569,11 @@ def tagged_hull_3d(points: np.ndarray, owners: np.ndarray) -> TaggedPolytope:
         edges = {(new[a], new[b]): gg for (a, b), gg in edges.items()}
         sims = [tuple(new[v] for v in sims[s]) for s in range(nf)
                 if group_ids[find(s)] not in refan]
-        for g in refan:
-            apex = min(facet_vsets[g])
-            for col in (0, 1):
-                for (a, b), gg in edges.items():
-                    if gg[col] == g and apex not in (a, b):
+        for col in (0, 1):
+            for (a, b), gg in edges.items():
+                if gg[col] in refan:
+                    apex = min(facet_vsets[gg[col]])
+                    if apex not in (a, b):
                         sims.append((apex, a, b))
 
     return TaggedPolytope(
