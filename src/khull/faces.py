@@ -260,29 +260,23 @@ def _cycle_start(points: Array) -> int | None:
     return int(left[np.argmin(A[left, 1])])
 
 
-def _ccw_cycle_order(points: Array) -> Array:
-    """Hull order of points that already run counter-clockwise around a
-    convex polygon: the order `_monotone_chain` gives, without its sort
-    and stack.
+def _tagged_cycle(points: Array) -> TaggedPolytope:
+    """tagged_hull_from_points(points) for points that already run
+    counter-clockwise around a convex polygon, every field bit for bit,
+    without the chain's sort and stack.
 
     When every turn of the cycle is strictly left (`_cycle_start`), each
     point is a hull vertex and the chain lists them counter-clockwise from
-    their lexicographic minimum, so that is the cycle rolled to start
-    there. Otherwise (a collinear or repeated point, or fewer than three
-    points) the chain itself runs."""
+    their lexicographic minimum, so the hull order is the cycle rolled to
+    start there; the rest is the same arithmetic. Otherwise (a collinear
+    or repeated point, or fewer than three points) the chain runs."""
+    n = points.shape[0]
     start = _cycle_start(points)
     if start is None:
-        return np.array(_monotone_chain(points))
-    return np.concatenate((np.arange(start, points.shape[0]), np.arange(start)))
-
-
-def _tagged_cycle(points: Array) -> TaggedPolytope:
-    """tagged_hull_from_points(points) for points in counter-clockwise
-    order around a convex polygon, every field bit for bit: the hull
-    order comes from `_ccw_cycle_order`, the rest from the same
-    arithmetic."""
-    bare = _bare_polygon(points, _ccw_cycle_order(points))
-    return _tag_hull_2d(bare, np.arange(points.shape[0]))
+        hull = np.array(_monotone_chain(points))
+    else:
+        hull = np.concatenate((np.arange(start, n), np.arange(start)))
+    return _tag_hull_2d(_bare_polygon(points, hull), np.arange(n))
 
 
 def _bare_polygon(points: Array, hull: Array) -> _BareHull:

@@ -275,9 +275,10 @@ def scaled_sample_statistics(K: ConvexBody, points: Array, n_scale: int | None =
 
     X_n is probed radially on the shared direction grid and measured by its
     inscribed polytope; in d = 2 that polygon is the cycle of the radial
-    points in grid order, with the bits of their hull. The gap to the outer
-    support-bound polytope is reported as the discretization diagnostic. The f-vector uses the exact
-    arc pipeline for planar disks and the tagged polar hull otherwise.
+    points in grid order, with the bits of their hull. The gap to the
+    outer support-bound polytope is reported as the discretization
+    diagnostic. The f-vector uses the exact arc pipeline for planar disks
+    and the tagged polar hull otherwise.
     """
     X = IntersectionBody(K, points)
     n = X.points.shape[0] if n_scale is None else int(n_scale)
