@@ -265,11 +265,12 @@ class TestBareCertification:
             dual = oracles.tagged_hull(clouds[-1])
             oracles.assert_same_polytope(z.dual, dual)
             zv = dual.facet_normals / dual.facet_offsets[:, None]
-            if K.dim == 2:
+            if K.dim == 2 or len(z.dual.facets) < len(z.dual.simplices):
+                # a d = 3 dual with merged triangles keeps the hull of zv
                 oracles.assert_same_polytope(z.cell, oracles.tagged_hull(zv))
             else:
-                assert len(z.dual.facets) == len(z.dual.simplices)  # simplicial
                 assert_polar_cell(z.cell, zv)
+            if K.dim == 3:
                 assert intrinsic_volumes_of_cell(z)[1] == oracles.intrinsic_v1_3d(z.cell)
 
     def test_merged_dual_keeps_hull_of_polar_vertices(self, unit_ball3):
