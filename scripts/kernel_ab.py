@@ -15,7 +15,12 @@ one layer this is meant to show. The samples are SAMPLES unit-disk draws
 of N points from seeds SEED, SEED + 1, ...; `scaled_sample_statistics`
 draws CONVERGENCE_N points instead, the size of a disk `convergence` row,
 and the two zero-cell kernels draw one cell of the unit disk or the unit
-d = 3 ball from each seed. Each side runs every kernel REPS times. It
+d = 3 ball from each seed. `IntersectionBody` builds X and reads its
+`active` rows, so it times the sample check and the prune. `_polar_hull`
+builds X and the polar hull of a unit d = 3 ball sample of POLAR_N points
+at resolution POLAR_M, and `summarize` summarizes the rows of
+SUMMARY_ROWS unit-disk zero cells drawn from each seed (200, the size of
+a `zero-cell` `cells-disk` campaign). Each side runs every kernel REPS times. It
 prints, per kernel and side, the min and the median of the per-call time
 over the repetitions, and the change's ratios to the parent. Run it from
 the repository root.
@@ -37,9 +42,14 @@ import numpy as np
 from bench_pairs import SIDES, checkouts, git
 
 KERNELS = ("uniform_sample", "IntersectionBody", "_disk_pass", "_hull_stage", "_hull_row",
-           "zero_cell_disk", "zero_cell_ball3", "scaled_sample_statistics")
+           "zero_cell_disk", "zero_cell_ball3", "scaled_sample_statistics", "_polar_hull",
+           "summarize")
 N = 5000
 CONVERGENCE_N = 2000
+POLAR_N = 1000
+POLAR_M = 256
+SUMMARY_ROWS = 200
+SUMMARY_T0 = 5.0
 SAMPLES = 20
 REPS = 25
 SEED = 1
@@ -73,12 +83,26 @@ def calls(name: str, pkg, n: int, seeds: list[int]) -> list:
     if name == "scaled_sample_statistics":
         samples = [pkg.uniform_sample(K, CONVERGENCE_N, g()) for g in rngs]
         return [lambda p=p: pkg.scaled_sample_statistics(K, p) for p in samples]
+    if name == "_polar_hull":
+        faces = importlib.import_module(f"{pkg.__name__}.faces")
+        K = pkg.Ball(1.0, np.zeros(3))
+        samples = [pkg.uniform_sample(K, POLAR_N, g()) for g in rngs]
+        return [lambda p=p: faces._polar_hull(hull.IntersectionBody(K, p), POLAR_M)
+                for p in samples]
+    if name == "summarize":
+        sampler = K.surface_sampler()
+        tables = []
+        for g in rngs:
+            rng = g()
+            tables.append([experiments._zerocell_row(K, sampler, SUMMARY_T0, i, 0, rng)[0]
+                           for i in range(SUMMARY_ROWS)])
+        return [lambda rows=rows: experiments.summarize(rows) for rows in tables]
     if name == "_hull_row":
         return [lambda g=g: experiments._hull_row(K, "fvector-mc", n, 256, 0, 0, g())
                 for g in rngs]
     samples = [pkg.uniform_sample(K, n, g()) for g in rngs]
     if name == "IntersectionBody":
-        return [lambda p=p: hull.IntersectionBody(K, p) for p in samples]
+        return [lambda p=p: hull.IntersectionBody(K, p).active for p in samples]
     bodies = [hull.IntersectionBody(K, p) for p in samples]
     if name == "_disk_pass":
         return [lambda X=X: hull._disk_pass(X) for X in bodies]

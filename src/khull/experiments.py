@@ -376,28 +376,38 @@ def summarize(rows: list[dict]) -> dict:
     """Mean, sample SD and SE per statistic, plus raw moments to order 4.
 
     Flag columns contribute only their mean (a fraction); identifier
-    columns are skipped.
+    columns are skipped. The values sit in one (columns x rows) array, so
+    each reduction runs along the rows of every column at once and rounds
+    each column as a reduction over that column alone does.
     """
     if not rows:
         raise DomainError("cannot summarize an empty row stream")
     R = len(rows)
     out: dict = {"rows": R, "mean": {}, "sd": {}, "SE": {},
                  "moments": {}, "moment_SE": {}}
-    for col in rows[0]:
-        if col in _ID_COLUMNS:
-            continue
-        vals = np.array([float(r[col]) for r in rows])
-        out["mean"][col] = float(np.mean(vals))
-        if col in _FLAG_COLUMNS:
-            continue
-        sd = float(np.std(vals, ddof=1)) if R > 1 else 0.0
+    cols = [c for c in rows[0] if c not in _ID_COLUMNS]
+    vals = np.array([[float(r[c]) for r in rows] for c in cols]).reshape(len(cols), R)
+    for col, mean in zip(cols, np.mean(vals, axis=1).tolist()):
+        out["mean"][col] = mean
+    stats = [k for k, c in enumerate(cols) if c not in _FLAG_COLUMNS]
+    if not stats:
+        return out
+    svals = vals[stats]
+    # (statistics, powers 1-4, rows)
+    powers = np.stack([svals ** m for m in (1, 2, 3, 4)], axis=1)
+    moments = np.mean(powers, axis=2).tolist()
+    if R > 1:
+        sds = np.std(svals, ddof=1, axis=1).tolist()
+        moment_se = (np.std(powers, ddof=1, axis=2) / math.sqrt(R)).tolist()
+    else:
+        sds = [0.0] * len(stats)
+        moment_se = [[0.0] * 4 for _ in stats]
+    for k, sd, mom, mse in zip(stats, sds, moments, moment_se):
+        col = cols[k]
         out["sd"][col] = sd
         out["SE"][col] = sd / math.sqrt(R)
-        powers = [vals ** m for m in (1, 2, 3, 4)]
-        out["moments"][col] = [float(np.mean(p)) for p in powers]
-        out["moment_SE"][col] = [
-            float(np.std(p, ddof=1) / math.sqrt(R)) if R > 1 else 0.0
-            for p in powers]
+        out["moments"][col] = mom
+        out["moment_SE"][col] = mse
     return out
 
 

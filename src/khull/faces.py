@@ -17,8 +17,8 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .body import ConvexBody, direction_grid
 from .errors import DomainError, GeneralPositionError, NumericError
-from .hull import (ArcBoundary, DegeneracyWitness, IntersectionBody, _disk_pass,
-                   _khull_pair, _require_disk)
+from .hull import (SCREEN_SLACK, ArcBoundary, DegeneracyWitness, IntersectionBody,
+                   _disk_pass, _khull_pair, _require_disk)
 
 Array = np.ndarray
 
@@ -503,37 +503,63 @@ def fvector_from_tagged_hull(T: TaggedPolytope) -> FVector:
     return (f0, len(pairs), len(triples))
 
 
+def _winner_rows(W: Array, base: Array, points: Array) -> Array:
+    """Rows of a d = 3 sample that may attain the least support gap on some
+    direction of W, ascending: a superset of every exact minimizer.
+
+    One product S = W @ points.T scores every row on every direction, and
+    a row is kept where its score is within SCREEN_SLACK times
+    |w_j|_1 max|x| + |h_K(w_j)| of the direction's best. The score and the
+    dot product inside `_support_gaps` are both 3-term sums, good to a few
+    ulps of |w_j|_1 max|x|, and the exact gap h_K(w_j) - <w_j, x> is a
+    non-increasing function of that dot product whose rounding merges
+    values only within an ulp of |h_K(w_j)| + |w_j|_1 max|x|. So a row of
+    exact least gap scores within a few ulps of that scale of the best
+    score, far inside the slack.
+    """
+    S = W @ points.T  # (m, n): each direction's scores run along memory
+    slack = SCREEN_SLACK * (np.abs(W).sum(axis=1) * float(np.abs(points).max())
+                            + np.abs(base))
+    return np.flatnonzero((S >= (S.max(axis=1) - slack)[:, None]).any(axis=0))
+
+
 def _polar_hull(X: IntersectionBody, m: int = 256) -> TaggedPolytope:
     """owner_tagged_hull(polar_family(K, points, m)) for the intersection
     body X of the sample with respect to K, built from about m points.
 
     Member i's vertex on the ray through w_j sits at radius
-    1 / (h_K(w_j) - <w_j, x_i>), a convex function of x_i. Two reductions
-    follow, and neither changes the hull:
+    1 / (h_K(w_j) - <w_j, x_i>). On each ray only the member(s) of least
+    support gap, the farthest out, are kept; exact ties keep every tied
+    member. Any other member's vertex on that ray lies strictly between
+    the origin and the winner's, and the origin is interior to every polar
+    model, so that vertex is strictly inside the hull. The gaps are exact
+    only on a few candidate rows, which hold every winner over the whole
+    sample:
 
-    - On each ray the radius is largest at a convex-hull vertex of the
-      sample, since a convex function on a polytope peaks at a vertex.
-      Only the members at those vertices, and repeated copies of them,
-      are kept: they are X's `active` rows, so X's build has checked the
-      sample and pruned it.
-    - On each ray only the member(s) of least support gap, the farthest
-      out, are kept; exact ties keep every tied member. Any other
-      member's vertex on that ray lies strictly between the origin and
-      the winner's, and the origin is interior to every polar model, so
-      that vertex is strictly inside the hull.
+    - In d = 2 they are X's `active` rows, the sample's convex-hull
+      vertices and their copies: the radius is a convex function of x_i,
+      so on each ray it peaks at a hull vertex. Reading `active` prunes
+      the sample; the planar screen and qhull make that cheap.
+    - In d = 3 they are the rows `_winner_rows` keeps from one screening
+      product, without the sample's hull, which costs more in d = 3 than
+      the screen. The screen keeps every row of exact least gap on some
+      direction, so the winners among the candidates are the exact-gap
+      minimizers over all rows: the members the full family's hull keeps.
 
-    The support gaps of the kept members are one stacked product, and the
-    winners are read off it in row-major order, which is member-major,
-    direction-minor: the hull lists its vertices, with their owners, in
-    the same order as the hull of the full family. In d = 3 qhull may list
-    the facets in another order, or triangulate a merged facet another
-    way, because its processing order depends on the points it is given.
+    The exact gaps of the candidates are one stacked product, each row
+    rounded as over the whole sample, and the winners are read off it in
+    row-major order, which is member-major, direction-minor: the hull
+    lists its vertices, with their owners, in the same order as the hull
+    of the full family. In d = 3 qhull may list the facets in another
+    order, or triangulate a merged facet another way, because its
+    processing order depends on the points it is given.
     """
     W = direction_grid(X.dim, m)
-    members = X.active
-    gaps = _support_gaps(W, X.base.support_batch(W), X.points[members])
+    base = X.base.support_batch(W)
+    rows = X.active if X.dim == 2 else _winner_rows(W, base, X.points)
+    gaps = _support_gaps(W, base, X.points[rows])
     ii, jj = np.nonzero(gaps == gaps.min(axis=0))
-    return tagged_hull_from_points(W[jj] / gaps[ii, jj][:, None], members[ii])
+    return tagged_hull_from_points(W[jj] / gaps[ii, jj][:, None], rows[ii])
 
 
 def fvector_approx(K: ConvexBody, points: Array, m: int = 256) -> FVector:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
@@ -25,8 +25,9 @@ Array = np.ndarray
 EPS_GEO = 1e-9
 # Near-degeneracy window for general-position diagnostics, relative to the radius.
 EPS_GP = 1e-7
-# Rounding allowance of the cocircularity screen's candidate test, relative
-# to the coordinate scale; the distances it compares are good to a few ulps.
+# Rounding allowance of the cocircularity screen's candidate test and of
+# the d = 3 polar hull's winner screen, relative to the coordinate scale;
+# the distances and dot products they compare are good to a few ulps.
 SCREEN_SLACK = 1e-12
 
 TWO_PI = 2.0 * math.pi
@@ -121,12 +122,14 @@ class IntersectionBody:
     `active` holds the rows that can touch X, ascending: the convex-hull
     vertices of the sample and every row equal to one of them. The copies
     change no radial or support value of X; the disk arc pass dedupes them
-    and the polar hull keeps them as tied members.
+    and the planar polar hull keeps them as tied members. The sample is
+    pruned to them on the first read of `active`, once, so a reader that
+    does not need the hull rows (the d = 3 polar hull) does not pay for
+    qhull.
     """
 
     base: ConvexBody
     points: Array
-    active: Array = field(init=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -137,7 +140,10 @@ class IntersectionBody:
         if not np.all(self.base._interior_batch(pts)):
             raise DomainError("all sample points must lie in the interior of K")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "active", _prune_to_hull(pts))
+
+    @functools.cached_property
+    def active(self) -> Array:
+        return _prune_to_hull(self.points)
 
     @property
     def dim(self) -> int:

@@ -3,10 +3,10 @@
 Everything here is deliberately written by a different route than the
 package: linear programs instead of facet algebra, dense boundary search
 instead of closed forms, halfspace enumeration instead of vertex maps.
-Slow is fine; these only run at test scale. The exception is the
-per-element tagged-hull and intrinsic-volume references near the end:
-they are the package's earlier loops, kept so that its array code can be
-held to their exact bits.
+Slow is fine; these only run at test scale. The exceptions are the
+per-element tagged-hull and intrinsic-volume references and the one-shot
+summary and surface-mass references near the end: they are the package's
+earlier code, kept so that its array code can be held to their exact bits.
 """
 import math
 
@@ -15,7 +15,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 from scipy.special import ellipe
 
-from khull.body import Ball, ConvexBody
+from khull.body import Ball, ConvexBody, _unit_rows, sphere_area
 from khull.errors import DomainError, NumericError
 from khull.faces import COPLANAR_TOL, TaggedPolytope
 from khull.hull import (EPS_GEO, EPS_GP, TWO_PI, Arc, ArcBoundary, ArcVertex,
@@ -448,6 +448,14 @@ def full_radial_min(U: np.ndarray, h: np.ndarray) -> np.ndarray:
     return r
 
 
+def gap_minimizers(W: np.ndarray, base: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Rows of X that attain the least support gap base_j - <w_j, x> on
+    some direction w_j of W, ascending, from the gaps of every row, one
+    row at a time."""
+    gaps = np.array([base - W @ x for x in X])
+    return np.flatnonzero((gaps == gaps.min(axis=0)).any(axis=1))
+
+
 # Per-element references for the tagged-hull builders and intrinsic
 # volumes: the original loops, kept verbatim. The package's array code
 # must reproduce every field of theirs bit for bit.
@@ -613,3 +621,42 @@ def assert_same_polytope(A: TaggedPolytope, B: TaggedPolytope) -> None:
         a, b = getattr(A, name), getattr(B, name)
         assert a.shape == b.shape and a.dtype == b.dtype, name
         assert a.tobytes() == b.tobytes(), name
+
+
+# One-shot references for the summary and the ellipsoid surface mass: the
+# earlier code, one column and one draw of every sample at a time. The
+# package's stacked and blocked versions must give the same bits.
+
+def one_shot_summarize(rows: list[dict]) -> dict:
+    """Reference for `summarize`, one column at a time."""
+    R = len(rows)
+    out: dict = {"rows": R, "mean": {}, "sd": {}, "SE": {},
+                 "moments": {}, "moment_SE": {}}
+    for col in rows[0]:
+        if col in ("replicate", "seed"):
+            continue
+        vals = np.array([float(r[col]) for r in rows])
+        out["mean"][col] = float(np.mean(vals))
+        if col in ("gp_ok", "certified"):
+            continue
+        sd = float(np.std(vals, ddof=1)) if R > 1 else 0.0
+        out["sd"][col] = sd
+        out["SE"][col] = sd / math.sqrt(R)
+        powers = [vals ** m for m in (1, 2, 3, 4)]
+        out["moments"][col] = [float(np.mean(p)) for p in powers]
+        out["moment_SE"][col] = [
+            float(np.std(p, ddof=1) / math.sqrt(R)) if R > 1 else 0.0
+            for p in powers]
+    return out
+
+
+def one_shot_surface_mass(E, mass_samples: int = 200_000) -> tuple[float, float]:
+    """(total_mass, total_mass_se) of `Ellipsoid.surface_sampler`, from all
+    the normal draws at once."""
+    d = E.dim
+    rng = np.random.default_rng(1_234_567)
+    W = _unit_rows(rng.standard_normal((mass_samples, d)))
+    dens = np.linalg.norm(W @ E._Ainv, axis=1) * abs(float(np.linalg.det(E._A)))
+    total = float(np.mean(dens)) * sphere_area(d)
+    se = float(np.std(dens, ddof=1) / math.sqrt(mass_samples)) * sphere_area(d)
+    return total, se

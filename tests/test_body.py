@@ -267,6 +267,25 @@ class TestSurfaceSampler:
         assert s.total_mass_se < 0.01
         assert s.total_mass == pytest.approx(perimeter, abs=4.0 * s.total_mass_se)
 
+    @pytest.mark.parametrize("axes, center, rotated", [
+        ([2.0, 1.0], [0.0, 0.0], False),
+        ([1.5, 1.0, 0.7], [0.0, 0.0, 0.0], False),
+        ([3.0, 0.2, 1.1], [5.0, -3.0, 2.0], True),
+        ([1e-6, 3e-6], [1.0, 1.0], False),
+    ])
+    def test_blocked_mass_matches_one_shot(self, monkeypatch, axes, center, rotated):
+        import khull.body as body
+
+        R = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+        E = Ellipsoid(axes, center, R if rotated else None)
+        s = E.surface_sampler()
+        assert (s.total_mass, s.total_mass_se) == oracles.one_shot_surface_mass(E)
+        # several blocks and a short last one
+        monkeypatch.setattr(body, "SAMPLER_BLOCK", 1000)
+        for size in (999, 1000, 1001, 4500):
+            s = E.surface_sampler(size)
+            assert (s.total_mass, s.total_mass_se) == oracles.one_shot_surface_mass(E, size)
+
     def test_ball_draws_uniform_chi_square(self, unit_disk, rng):
         draws = unit_disk.surface_sampler().draw(rng, 100_000)
         np.testing.assert_allclose(np.linalg.norm(draws, axis=1), 1.0, atol=1e-12)

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+
 from khull import (Ball, ConfigError, DomainError, Ellipsoid, ExperimentConfig,
                    NumericError, Polytope, body_from_spec, load_config,
                    run_experiment, summarize, uniform_sample)
@@ -185,6 +187,23 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             summarize([])
+
+    @pytest.mark.parametrize("R", [1, 2, 3, 9, 200])
+    def test_matches_one_shot_reference(self, R):
+        rng = np.random.default_rng(R)
+        rows = [{"replicate": i, "seed": int(rng.integers(1 << 30)), "T": 5.0,
+                 "f0": int(rng.integers(3, 30)), "x": float(rng.standard_normal()),
+                 "tiny": float(1e-9 * rng.random()), "big": float(1e9 * rng.random()),
+                 "gp_ok": bool(rng.random() < 0.9), "certified": True}
+                for i in range(R)]
+        for k in sorted({1, 2, R}):
+            want = oracles.one_shot_summarize(rows[:k])
+            assert json.dumps(summarize(rows[:k])) == json.dumps(want)
+
+    def test_identifiers_and_flags_only(self):
+        rows = [{"replicate": 0, "seed": 5, "gp_ok": True},
+                {"replicate": 1, "seed": 6, "gp_ok": False}]
+        assert summarize(rows) == oracles.one_shot_summarize(rows)
 
 
 class TestRunExperiment:

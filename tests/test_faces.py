@@ -10,7 +10,7 @@ from khull import (Ball, DomainError, Ellipsoid, GeneralPositionError, PNormBall
                    general_position_check_2d, kfacet_count_2d,
                    intrinsic_volumes, khull_boundary_2d, owner_tagged_hull, polar_family,
                    polytope_fvector, tagged_hull_from_points, uniform_sample)
-from khull import IntersectionBody, faces
+from khull import IntersectionBody, faces, hull
 
 LENS = np.array([[0.0, 0.6], [0.0, -0.6]])
 
@@ -171,6 +171,32 @@ PARITY_BODIES = {
 }
 
 
+D3_BODIES = [k for k, K in PARITY_BODIES.items() if K.dim == 3]
+
+
+def moved(K, scale, shift):
+    """The d = 3 body K scaled by `scale` about the origin, then shifted."""
+    c = scale * K.center + np.asarray(shift, dtype=float)
+    if isinstance(K, Ball):
+        return Ball(scale * K.radius, c)
+    if isinstance(K, Ellipsoid):
+        return Ellipsoid(scale * K.axes, c, K.rotation)
+    return PNormBall(K.p, scale * K.scale, c)
+
+
+def prune_calls(monkeypatch):
+    """Calls of the sample prune that IntersectionBody.active runs."""
+    calls = []
+    prune = hull._prune_to_hull
+
+    def counted(points):
+        calls.append(len(points))
+        return prune(points)
+
+    monkeypatch.setattr(hull, "_prune_to_hull", counted)
+    return calls
+
+
 def hull_inputs(monkeypatch):
     """Point counts of every cloud tagged_hull_from_points is given; the
     polar hull hands it its kept points and their owners."""
@@ -203,6 +229,53 @@ class TestPolarHull:
         pts = uniform_sample(K, n, rng)
         assert _screen_rows(pts).size < n // 2
         assert_same_polar_hull(K, pts, m)
+
+    @pytest.mark.parametrize("n, m", [(1000, 64), (1000, 256), (5000, 64), (5000, 256)])
+    @pytest.mark.parametrize("body", D3_BODIES)
+    def test_matches_full_family_screened_d3(self, body, n, m, rng):
+        # d = 3 samples skip the prune: one screening product picks the rows
+        K = PARITY_BODIES[body]
+        assert_same_polar_hull(K, uniform_sample(K, n, rng), m)
+
+    @pytest.mark.parametrize("scale, shift", [(1e-6, (0.0, 0.0, 0.0)), (1e6, (0.0, 0.0, 0.0)),
+                                              (1.0, (5.0, -3.0, 2.0)),
+                                              (1e6, (5e6, -3e6, 2e6))],
+                             ids=["small", "large", "off-centre", "large-off-centre"])
+    @pytest.mark.parametrize("body", D3_BODIES)
+    def test_matches_full_family_moved_d3(self, body, scale, shift, rng):
+        K = moved(PARITY_BODIES[body], scale, shift)
+        assert_same_polar_hull(K, uniform_sample(K, 1000, rng), 256)
+
+    @pytest.mark.parametrize("body", D3_BODIES)
+    def test_screen_keeps_every_gap_minimizer(self, body, unit_ball3, rng):
+        W = direction_grid(3, 256)
+        K = PARITY_BODIES[body]
+        base = K.support_batch(W)
+        # tied directions: mirror images in y tie on w_0, whose y is 0
+        tied = np.array([[0.1, 0.3, 0.6], [0.1, -0.3, 0.6]])
+        for scale in (1e-6, 1.0, 1e6):
+            Ks = moved(K, scale, (0.0, 0.0, 0.0))
+            pts = uniform_sample(Ks, 300, rng)
+            for X in (pts, np.vstack([pts, pts[::7]]), np.vstack([0.5 * pts, scale * tied])):
+                want = oracles.gap_minimizers(W, scale * base, X)
+                got = faces._winner_rows(W, scale * base, X)
+                assert np.isin(want, got).all()
+                assert np.all(np.diff(got) > 0)
+        X = np.vstack([0.5 * uniform_sample(unit_ball3, 30, rng), tied])
+        want = oracles.gap_minimizers(W, unit_ball3.support_batch(W), X)
+        assert {30, 31} <= set(want.tolist())
+
+    def test_d3_route_does_not_prune(self, monkeypatch, rng):
+        calls = prune_calls(monkeypatch)
+        for body in D3_BODIES:
+            K = PARITY_BODIES[body]
+            _polar_hull(K, uniform_sample(K, 1000, rng), 256)
+        assert calls == []
+
+    def test_d2_route_prunes_once(self, monkeypatch, ellipse21, rng):
+        calls = prune_calls(monkeypatch)
+        _polar_hull(ellipse21, uniform_sample(ellipse21, 400, rng), 256)
+        assert calls == [400]
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_stacked_gaps_match_per_member(self, d, rng):

@@ -14,6 +14,7 @@ from khull import (ArcBoundary, Ball, DomainError, GeneralPositionWarning,
                    disk_intersection_boundary, fvector_approx, fvector_exact_2d,
                    general_position_check_2d, kfacet_count_2d, khull_boundary_2d,
                    khull_contains, mink_diff_contains, uniform_sample)
+from khull import hull
 from khull.hull import EPS_GEO, EPS_GP
 
 A_LENS = 0.8
@@ -112,6 +113,33 @@ class TestIntersectionBody:
             IntersectionBody(unit_disk, np.array([[1.5, 0.0]]))
         with pytest.raises(DomainError):
             IntersectionBody(unit_disk.translate([5.0, 5.0]), np.array([[0.0, 0.0]]))
+
+    def test_bad_sample_rejected_before_any_prune(self, monkeypatch, unit_disk,
+                                                  unit_ball3):
+        calls = []
+        monkeypatch.setattr(hull, "_prune_to_hull", lambda pts: calls.append(1))
+        for K, pts in ((unit_disk, np.array([[0.0, 0.0], [1.5, 0.0]])),
+                       (unit_ball3, np.array([[0.0, 0.0, 1.0]])),
+                       (unit_ball3, np.zeros((0, 3))),
+                       (unit_ball3, np.zeros((2, 2)))):
+            with pytest.raises(DomainError):
+                IntersectionBody(K, pts)
+        assert calls == []
+
+    def test_active_pruned_once_when_read(self, monkeypatch, unit_disk, rng):
+        calls = []
+        prune = hull._prune_to_hull
+        monkeypatch.setattr(hull, "_prune_to_hull",
+                            lambda pts: calls.append(1) or prune(pts))
+        pts = uniform_sample(unit_disk, 500, rng)
+        X = IntersectionBody(unit_disk, pts)
+        assert calls == []
+        U = direction_grid(2, 64)
+        X.radial_batch(U)
+        X.outer_support_bound_batch(U)
+        hull._disk_pass(X)
+        np.testing.assert_array_equal(X.active, prune(pts))
+        assert calls == [1]
 
     def test_off_centre_base_matches_centred(self, ellipse21, rng):
         # X is made of translations, so shifting K and the sample with it
