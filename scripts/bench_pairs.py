@@ -138,8 +138,8 @@ def main(argv=None) -> int:
                 "first": [SIDES[i % 2] for i in range(len(args.seeds))],
                 "metrics": compare(runs, spec["end_to_end"]),
                 "correct": {side: [r["correct"] for r in runs[side]] for side in SIDES},
-                "failed_share": {side: sorted({f"{r['failed']}/{r['attempted']}"
-                                               for r in runs[side]}) for side in SIDES},
+                "failed_share": {side: [f"{r['failed']}/{r['attempted']}" for r in runs[side]]
+                                 for side in SIDES},
             }
             if args.trace_seed is not None:
                 traced = {}

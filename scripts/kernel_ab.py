@@ -6,24 +6,28 @@
 Both revisions are checked out as detached `git worktree`s in a temporary
 directory (by `bench_pairs.checkouts`), and their `src/khull` packages are
 imported into one interpreter under two names, `khull_parent` and
-`khull_change`. Each
-kernel runs on the same seeded unit-disk samples on both sides, and its
-repetitions alternate between the sides (the side that goes first
-alternates too), so a slow phase of the machine falls on both alike: its
-speed can drift by 20-50% between separate runs, more than the change of
-one layer this is meant to show. The samples are SAMPLES unit-disk draws
-of N points from seeds SEED, SEED + 1, ...; `scaled_sample_statistics`
-draws CONVERGENCE_N points instead, the size of a disk `convergence` row,
-and the two zero-cell kernels draw one cell of the unit disk or the unit
-d = 3 ball from each seed. `IntersectionBody` builds X and reads its
-`active` rows, so it times the sample check and the prune. `_polar_hull`
-builds X and the polar hull of a unit d = 3 ball sample of POLAR_N points
-at resolution POLAR_M, and `summarize` summarizes the rows of
-SUMMARY_ROWS unit-disk zero cells drawn from each seed (200, the size of
-a `zero-cell` `cells-disk` campaign). Each side runs every kernel REPS times. It
-prints, per kernel and side, the min and the median of the per-call time
-over the repetitions, and the change's ratios to the parent. Run it from
-the repository root.
+`khull_change`. Each kernel runs on the same seeded unit-disk samples on
+both sides, and its repetitions alternate between the sides (the side
+that goes first alternates too), so a slow phase of the machine falls on
+both alike: its speed can drift by 20-50% between separate runs, more
+than the change of one layer this is meant to show. The samples are
+SAMPLES unit-disk draws of N points from seeds SEED, SEED + 1, ...;
+`scaled_sample_statistics` draws CONVERGENCE_N points instead, the size
+of a disk `convergence` row, `scaled_sample_statistics_ball3` draws
+CONVERGENCE_BALL3_N points of the unit d = 3 ball, the size of a ball
+d = 3 `convergence` row, and the two zero-cell kernels draw one cell of
+the unit disk or the unit d = 3 ball from each seed. `IntersectionBody`
+builds X and reads its `active` rows, so it times the sample check and
+the prune. `_polar_hull` builds X and the polar hull of a unit d = 3 ball
+sample of POLAR_N points at resolution POLAR_M, and `summarize`
+summarizes the rows of SUMMARY_ROWS unit-disk zero cells drawn from each
+seed (200, the size of a `zero-cell` `cells-disk` campaign). The two
+`ef0_symmetric` kernels evaluate the expected zero-cell vertex count of
+the unit disk and of the unit d = 3 ball, once per repetition and with
+no sample. Each side runs every kernel REPS times. It prints, per kernel
+and side, the min and the median of the per-call time over the
+repetitions, and the change's ratios to the parent. Run it from the
+repository root.
 """
 from __future__ import annotations
 
@@ -42,10 +46,12 @@ import numpy as np
 from bench_pairs import SIDES, checkouts, git
 
 KERNELS = ("uniform_sample", "IntersectionBody", "_disk_pass", "_hull_stage", "_hull_row",
-           "zero_cell_disk", "zero_cell_ball3", "scaled_sample_statistics", "_polar_hull",
-           "summarize")
+           "zero_cell_disk", "zero_cell_ball3", "scaled_sample_statistics",
+           "scaled_sample_statistics_ball3", "_polar_hull", "summarize", "ef0_symmetric_disk",
+           "ef0_symmetric_ball3")
 N = 5000
 CONVERGENCE_N = 2000
+CONVERGENCE_BALL3_N = 500
 POLAR_N = 1000
 POLAR_M = 256
 SUMMARY_ROWS = 200
@@ -80,9 +86,16 @@ def calls(name: str, pkg, n: int, seeds: list[int]) -> list:
         K = pkg.Ball(1.0, np.zeros(3 if name == "zero_cell_ball3" else 2))
         sampler = K.surface_sampler()
         return [lambda g=g: pkg.zero_cell(K, g(), sampler=sampler) for g in rngs]
-    if name == "scaled_sample_statistics":
-        samples = [pkg.uniform_sample(K, CONVERGENCE_N, g()) for g in rngs]
+    if name.startswith("scaled_sample_statistics"):
+        if name.endswith("ball3"):
+            K, n = pkg.Ball(1.0, np.zeros(3)), CONVERGENCE_BALL3_N
+        else:
+            n = CONVERGENCE_N
+        samples = [pkg.uniform_sample(K, n, g()) for g in rngs]
         return [lambda p=p: pkg.scaled_sample_statistics(K, p) for p in samples]
+    if name.startswith("ef0_symmetric"):
+        K = pkg.Ball(1.0, np.zeros(3 if name.endswith("ball3") else 2))
+        return [lambda: pkg.ef0_symmetric(K)]
     if name == "_polar_hull":
         faces = importlib.import_module(f"{pkg.__name__}.faces")
         K = pkg.Ball(1.0, np.zeros(3))
@@ -134,7 +147,7 @@ def main(argv=None) -> int:
         pkgs = {side: load(f"khull_{side}", trees[side]) for side in SIDES}
         print(f"parent {revs['parent'][:10]}  change {revs['change'][:10]}  "
               f"n = {N}, {SAMPLES} samples, {REPS} alternating repetitions")
-        print(f"{'kernel':<26}{'side':<8}{'min ms':>10}{'median ms':>11}")
+        print(f"{'kernel':<32}{'side':<8}{'min ms':>10}{'median ms':>11}")
         warnings.simplefilter("ignore")
         for name in KERNELS:
             fns = {side: calls(name, pkgs[side], N, seeds) for side in SIDES}
@@ -147,7 +160,7 @@ def main(argv=None) -> int:
             stats = {side: (min(t), statistics.median(t)) for side, t in times.items()}
             for side in SIDES:
                 lo, med = stats[side]
-                print(f"{name if side == 'parent' else '':<26}{side:<8}{lo:>10.4f}{med:>11.4f}",
+                print(f"{name if side == 'parent' else '':<32}{side:<8}{lo:>10.4f}{med:>11.4f}",
                       end="")
                 if side == "change":
                     print(f"   ratio min {lo / stats['parent'][0]:.3f}"

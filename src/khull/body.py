@@ -27,6 +27,9 @@ BOUNDARY_TOL = 1e-9
 # Rows of normal draws per block when an ellipsoid's surface mass is
 # estimated.
 SAMPLER_BLOCK = 16384
+# Entries of the (candidates x directions) dot table per block in
+# `_radial_min`.
+RADIAL_BLOCK = 2 ** 16
 
 
 def kappa(d: int) -> float:
@@ -56,6 +59,46 @@ def direction_grid(d: int, m: int) -> Array:
         rho = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
         return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
     raise DomainError(f"direction grids are provided for d in {{2, 3}}, got d={d}")
+
+
+def _radial_min(U: Array, h: Array) -> Array:
+    """Radial function of {x : <x, u_k> <= h_k for all k} at the unit rows
+    u_j of U themselves: the least h_k / <u_k, u_j> over <u_k, u_j> > 1e-12.
+    The support values need not be convex.
+
+    1 / r_j is the support of Q = conv{u_k / h_k} at u_j, attained at a
+    vertex of Q, so only the rows of Q's vertices and of the points qhull
+    keeps as coplanar with its facets enter the table (every row when
+    qhull fails, as for infinite h). The table runs in even blocks of
+    candidate rows against every direction, U[rows] @ U.T, each reduced
+    over its rows into the running minimum. No block has a single row: a
+    one-row product runs through a matrix-vector kernel, whose dots can
+    differ in the last bit from those of the full table U @ U.T.
+    """
+    try:
+        hull = ConvexHull(U / h[:, None])
+        rows = np.concatenate([hull.vertices, hull.coplanar[:, 0]])
+    except QhullError:
+        rows = np.arange(U.shape[0])
+    r = np.full(U.shape[0], np.inf)
+    step = max(2, RADIAL_BLOCK // U.shape[0])
+    for block in np.array_split(rows, -(-rows.size // step)):
+        dots = U[block] @ U.T
+        with np.errstate(divide="ignore"):
+            ratios = np.where(dots > 1e-12, h[block, None] / dots, np.inf)
+        np.minimum(r, ratios.min(axis=0), out=r)
+    if not np.all(np.isfinite(r)):
+        raise NumericError("support bounds do not enclose a bounded region")
+    return r
+
+
+def _radial_volume(r: Array, d: int) -> float:
+    """Spherical quadrature of the volume below a radial profile on
+    `direction_grid`; the same grid on both profiles keeps inner/outer
+    gaps nonnegative."""
+    if d == 2:
+        return 0.5 * float(np.mean(r ** 2)) * 2.0 * math.pi
+    return float(np.mean(r ** 3)) * (4.0 * math.pi / 3.0)
 
 
 def _as_point(x, d: int | None = None) -> Array:
@@ -450,7 +493,7 @@ class PNormBall(_BodyBase):
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             pts = P + mid[:, :, None] * D
-            inside = _pnorm_nd(pts - self.center, self.p) <= self.scale
+            inside = _pnorm(pts - self.center, self.p) <= self.scale
             lo = np.where(inside, mid, lo)
             hi = np.where(inside, hi, mid)
             if np.all(hi - lo <= GAUGE_REL_TOL * np.maximum(hi, 1.0)):
@@ -459,10 +502,6 @@ class PNormBall(_BodyBase):
 
 
 def _pnorm(X: Array, p: float) -> Array:
-    return np.sum(np.abs(X) ** p, axis=1) ** (1.0 / p)
-
-
-def _pnorm_nd(X: Array, p: float) -> Array:
     return np.sum(np.abs(X) ** p, axis=-1) ** (1.0 / p)
 
 

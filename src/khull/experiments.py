@@ -35,8 +35,15 @@ _CONFIG_KEYS = ("experiment", "body", "n", "T", "T0", "replicates", "seed",
                 "resolution", "directions", "n_values", "sphere_nodes",
                 "mc_inner_samples", "estimator", "out")
 
+_INTEGER_KEYS = ("n", "replicates", "seed", "resolution", "directions", "sphere_nodes",
+                 "mc_inner_samples")
+
 _FLAG_COLUMNS = ("gp_ok", "certified")
 _ID_COLUMNS = ("replicate", "seed")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def body_from_spec(spec: dict) -> ConvexBody:
@@ -127,6 +134,12 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"use one of {', '.join(EXPERIMENTS)}")
         body_from_spec(self.body)  # fail fast, with the grammar error
+        for key in _INTEGER_KEYS:
+            value = getattr(self, key)
+            if value is not None and not _is_integer(value):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if not all(_is_integer(n) for n in self.n_values):
+            raise ConfigError(f"n_values entries must be integers, got {list(self.n_values)}")
         if self.replicates < 1:
             raise ConfigError("replicates must be at least 1")
         if not 0 <= self.seed < 2 ** 64:
@@ -169,7 +182,9 @@ def load_config(path, experiment: str | None = None,
     if "T" in kwargs:  # accepted alias
         kwargs["T0"] = kwargs.pop("T")
     if "n_values" in kwargs:
-        kwargs["n_values"] = tuple(int(v) for v in kwargs["n_values"])
+        if not isinstance(kwargs["n_values"], list):
+            raise ConfigError("n_values must be a list of integers")
+        kwargs["n_values"] = tuple(kwargs["n_values"])
     named = raw.get("experiment")
     if experiment is not None and named is not None and named != experiment:
         raise ConfigError(

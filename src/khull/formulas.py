@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .body import (Ball, ConvexBody, Ellipsoid, PNormBall, Polytope,
-                   direction_grid, kappa, sphere_area, _as_direction, _unit_rows)
+                   direction_grid, kappa, sphere_area, _as_direction, _radial_min,
+                   _radial_volume, _unit_rows)
 from .errors import DomainError, NumericError
 
 Array = np.ndarray
@@ -162,21 +163,6 @@ def _pk_support_curves(K: ConvexBody, U: Array, spec: QuadratureSpec) -> Array:
     return np.array(curves)
 
 
-def _radial_from_support(U: Array, hv: Array, X: Array) -> Array:
-    """Radial function of {y : <y, u_k> <= h_k for all k} at directions X:
-    the smallest positive ratio h_k / <x, u_k>."""
-    r = np.empty(X.shape[0])
-    step = max(1, 4_000_000 // max(U.shape[0], 1))
-    for lo in range(0, X.shape[0], step):
-        dots = X[lo:lo + step] @ U.T
-        with np.errstate(divide="ignore"):
-            ratios = np.where(dots > 0.0, hv[None, :] / dots, np.inf)
-        r[lo:lo + step] = ratios.min(axis=1)
-    if not np.all(np.isfinite(r)):
-        raise DomainError("support values do not bound a compact body")
-    return r
-
-
 def _zonotope_volume(V: Array) -> float:
     """Volume of the zonotope sum_i [-v_i/2, v_i/2] by the determinant
     expansion over d-subsets of the generating vectors."""
@@ -193,20 +179,6 @@ def _zonotope_volume(V: Array) -> float:
             for k in range(j + 1, n):
                 total += abs(float(cross @ V[k]))
     return total
-
-
-def _support_body_volume(U: Array, hv: Array, d: int) -> float:
-    """Volume of the support-bound body from node values, by radial
-    integration on the same node grid.
-
-    Evaluating the radial minimum on the grid that carries the constraints
-    makes the result exact for rotation-invariant h and second-order
-    accurate otherwise.
-    """
-    r = _radial_from_support(U, hv, U)
-    if d == 2:
-        return 0.5 * float(np.mean(r ** 2)) * 2.0 * math.pi
-    return float(np.mean(r ** 3)) * sphere_area(3) / 3.0
 
 
 def volume_polar_radial(h, d: int, nodes: int | None = None,
@@ -248,9 +220,11 @@ def ef0_symmetric(K: ConvexBody, spec: QuadratureSpec | None = None) -> Expectat
     2^-d d! V_d(PK) V_d((PK)^o).
 
     Both volumes come from h(PK, .) on a shared node grid: the body volume
-    by radial integration of the support-bound region, the polar volume by
-    the h^-d integral. Monte Carlo support curves (ellipsoids, p-balls)
-    propagate a batch standard error through the product.
+    by radial integration of the support-bound region, read on the grid
+    that carries the constraints (exact for rotation-invariant h,
+    second-order accurate otherwise), the polar volume by the h^-d
+    integral. Monte Carlo support curves (ellipsoids, p-balls) propagate a
+    batch standard error through the product.
     """
     if not K.is_origin_symmetric():
         raise DomainError("generator is not origin-symmetric; use ef0_general")
@@ -268,7 +242,8 @@ def ef0_symmetric(K: ConvexBody, spec: QuadratureSpec | None = None) -> Expectat
         exact_v_pk = _zonotope_volume(weights[:, None] * normals)
     ests = []
     for hv in curves:
-        v_pk = exact_v_pk if exact_v_pk is not None else _support_body_volume(U, hv, d)
+        v_pk = (exact_v_pk if exact_v_pk is not None
+                else _radial_volume(_radial_min(U, hv), d))
         if d == 2:
             v_polar = 0.5 * float(np.mean(hv ** (-2.0))) * 2.0 * math.pi
         else:

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .body import Ball, ConvexBody, SurfaceMeasureSampler, direction_grid
+from .body import (Ball, ConvexBody, SurfaceMeasureSampler, direction_grid, _radial_min,
+                   _radial_volume)
 from .errors import DomainError, NumericError
 from .faces import FVector, TaggedPolytope, tagged_hull_from_points
 from .hull import IntersectionBody
@@ -69,7 +69,9 @@ class ZeroCell:
     (see `zero_cell`): vertex F of Z, owned by F, polarizes dual facet F.
     `certified` records that every vertex of Z has norm at most the
     truncation actually explored, so no unsampled hyperplane could cut
-    the cell.
+    the cell. It is always True: `zero_cell` raises `NumericError` rather
+    than return an uncertified cell. The field stays because the
+    `certified` CSV column and the benchmark's row check read it.
     """
 
     dual: TaggedPolytope
@@ -290,7 +292,7 @@ def scaled_sample_statistics(K: ConvexBody, points: Array, n_scale: int | None =
     P = r[:, None] * U  # in d = 2 counter-clockwise, as the grid runs
     inner = faces._tagged_cycle(P) if d == 2 else tagged_hull_from_points(P)
     vols = intrinsic_volumes(inner)
-    r_out = _radial_min(d, directions, X.outer_support_bound_batch(U) * n)
+    r_out = _radial_min(U, X.outer_support_bound_batch(U) * n)
     gap = _radial_volume(r_out, d) - _radial_volume(r, d)
 
     # both f-vector routes read X's hull rows; the sample is pruned once
@@ -301,38 +303,3 @@ def scaled_sample_statistics(K: ConvexBody, points: Array, n_scale: int | None =
         fv = faces.fvector_from_tagged_hull(faces._polar_hull(X, fvector_resolution))
     return ScaledSampleStatistics(n=n, volumes=vols, fvector=fv,
                                   fvector_exact=exact, outer_gap=float(gap))
-
-
-@lru_cache(maxsize=8)
-def _grid_pairs(d: int, m: int) -> tuple[Array, Array, Array]:
-    """The pairs (k, j) of `direction_grid(d, m)` with <u_k, u_j> > 1e-12,
-    in row-major order: their dot products, their columns j, and the
-    index where each row k starts. The diagonal keeps every row non-empty.
-    The arrays are shared between calls, so they are read-only."""
-    U = direction_grid(d, m)
-    dots = U @ U.T
-    rows, cols = np.nonzero(dots > 1e-12)
-    pair_dots = dots[rows, cols]
-    starts = np.searchsorted(rows, np.arange(m))
-    for a in (pair_dots, cols, starts):
-        a.setflags(write=False)
-    return pair_dots, cols, starts
-
-
-def _radial_min(d: int, m: int, h: Array) -> Array:
-    """Exact radial function of {x : <x, u_k> <= h_k for all k} at the
-    directions u_k of `direction_grid(d, m)` themselves; the support
-    values need not be convex."""
-    dots, cols, starts = _grid_pairs(d, m)
-    r = np.minimum.reduceat(h[cols] / dots, starts)
-    if not np.all(np.isfinite(r)):
-        raise NumericError("outer support bounds do not enclose a bounded region")
-    return r
-
-
-def _radial_volume(r: Array, d: int) -> float:
-    """Spherical quadrature of the volume below a radial profile; the same
-    lattice on both profiles keeps inner/outer gaps nonnegative."""
-    if d == 2:
-        return 0.5 * float(np.mean(r ** 2)) * 2.0 * math.pi
-    return float(np.mean(r ** 3)) * (4.0 * math.pi / 3.0)

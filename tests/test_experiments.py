@@ -670,6 +670,18 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [
+        {"n_values": 5}, {"n_values": ["a"]}, {"replicates": 1.5}, {"n": 2.5},
+        {"replicates": True}, {"seed": "x"}, {"T0": "x"},
+    ], ids=["n_values-scalar", "n_values-string", "replicates-float", "n-float",
+            "replicates-bool", "seed-string", "T0-string"])
+    def test_mistyped_value_exits_two(self, tmp_path, capsys, bad):
+        payload = {"experiment": "convergence", "body": DISK, "n": 50, **bad}
+        path = write_config(tmp_path, **payload)
+        rc = main(["convergence", "--config", path])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main([])
