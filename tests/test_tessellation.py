@@ -532,6 +532,19 @@ class TestRadialMin:
                 assert np.all(got >= want)
                 assert np.all(got - want <= 2.0 * np.spacing(want))
 
+    def test_no_block_of_one_row(self):
+        # this sample's Q has 33 vertices at m = 2048, one more than a block
+        # of 2^16 entries holds; alone in a block of its own, the last one's
+        # dots came from a matrix-vector product, 1 ulp off in 4 directions
+        K = RADIAL_BODIES["off-centre-ellipsoid3"]
+        U = direction_grid(3, 2048)
+        rng = np.random.default_rng(100)
+        for _ in range(24):
+            pts = uniform_sample(K, 100, rng)
+        h = IntersectionBody(K, pts).outer_support_bound_batch(U) * 100
+        assert ConvexHull(U / h[:, None]).vertices.size == 33
+        assert np.array_equal(_radial_min(U, h), oracles.full_radial_min(U, h))
+
     @pytest.mark.parametrize("m", [512, 2048])
     @pytest.mark.parametrize("K", [Ellipsoid([2.0, 1.0], np.zeros(2)),
                                    PNormBall(4.0, 1.0, np.zeros(2)),
