@@ -4,8 +4,8 @@
     python3 scripts/bench_pairs.py --pr N --parent HEAD~1 --change HEAD \\
         --seeds 601 602 603 604 605 606 607 608 609 610 --trace-seed 611
 
-Both revisions are checked out as detached `git worktree`s in a working
-directory, and `perfbench/run.py` runs unchanged in each. For every
+Both revisions are extracted by `git archive` into a working directory,
+and `perfbench/run.py` runs unchanged in each. For every
 workload and seed the two sides form a pair and run one after the other,
 never at the same time; the side that goes first alternates from pair to
 pair (the parent first in even pairs), so a slow phase of the machine
@@ -23,11 +23,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -41,17 +44,21 @@ def git(*args, cwd=None) -> str:
 
 @contextlib.contextmanager
 def checkouts(revs: dict[str, str], workdir: Path, root: Path):
-    """Each side's revision as a detached `git worktree` at workdir/<side>,
-    yielded as {side: path} and removed on exit."""
+    """Each side's revision extracted by `git archive` at workdir/<side>,
+    yielded as {side: path} and removed on exit. Nothing is written under
+    the repository's .git, so a killed run leaves nothing to prune there."""
     trees: dict[str, Path] = {}
     try:
         for side in SIDES:
-            git("worktree", "add", "--detach", str(workdir / side), revs[side], cwd=root)
+            tar = subprocess.run(["git", "archive", revs[side]], cwd=root, check=True,
+                                 capture_output=True).stdout
             trees[side] = workdir / side
+            with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+                archive.extractall(trees[side], filter="data")
         yield trees
     finally:
         for tree in trees.values():
-            git("worktree", "remove", "--force", str(tree), cwd=root)
+            shutil.rmtree(tree, ignore_errors=True)
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int,
@@ -98,7 +105,7 @@ def main(argv=None) -> int:
     ap.add_argument("--trace-seed", type=int, default=None,
                     help="also make one traced run per side at this seed")
     ap.add_argument("--workdir", default=None,
-                    help="directory for the worktrees and run logs (default: a new temp dir)")
+                    help="directory for the checkouts and run logs (default: a new temp dir)")
     ap.add_argument("--out", default=None, help="default: BENCH_<pr>.json")
     args = ap.parse_args(argv)
     if len(args.seeds) < 2:

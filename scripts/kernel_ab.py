@@ -3,8 +3,8 @@
 
     python3 scripts/kernel_ab.py --parent HEAD~1 --change HEAD
 
-Both revisions are checked out as detached `git worktree`s in a temporary
-directory (by `bench_pairs.checkouts`), and their `src/khull` packages are
+Both revisions are extracted by `git archive` into a temporary directory
+(by `bench_pairs.checkouts`), and their `src/khull` packages are
 imported into one interpreter under two names, `khull_parent` and
 `khull_change`. Each kernel runs on the same seeded unit-disk samples on
 both sides, and its repetitions alternate between the sides (the side

@@ -440,9 +440,6 @@ class PNormBall(_BodyBase):
     def is_origin_symmetric(self, tol: float = 1e-12) -> bool:
         return float(np.linalg.norm(self.center)) <= tol
 
-    def _radial_about_center(self, U: Array) -> Array:
-        return self.scale / _pnorm(U, self.p)
-
     def _surface_jacobian(self, U: Array) -> Array:
         # Boundary as a radial graph rho(u) u: dS = rho^(d-2) sqrt(rho^2 + |grad_S rho|^2).
         d, p, s = self.dim, self.p, self.scale

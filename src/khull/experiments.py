@@ -71,36 +71,42 @@ def body_from_spec(spec: dict) -> ConvexBody:
             f"unknown keys {sorted(extra)} for body kind {kind!r}; "
             f"allowed: {sorted(allowed[kind])}")
 
+    if not _is_integer(spec.get("d", 2)):
+        raise ConfigError(f'body "d" must be an integer, got {spec["d"]!r}')
+
     def center_for(default_dim_source=None):
         if "center" in spec:
             return np.asarray(spec["center"], dtype=float)
-        d = spec.get("d", default_dim_source if default_dim_source else 2)
-        return np.zeros(int(d))
+        return np.zeros(spec.get("d", default_dim_source if default_dim_source else 2))
 
     try:
         if kind == "ball":
             if "r" not in spec:
                 raise ConfigError('ball spec needs "r"')
-            return Ball(float(spec["r"]), center_for())
-        if kind == "ellipsoid":
+            body = Ball(float(spec["r"]), center_for())
+        elif kind == "ellipsoid":
             if "axes" not in spec:
                 raise ConfigError('ellipsoid spec needs "axes"')
             axes = np.asarray(spec["axes"], dtype=float)
             rot = spec.get("rotation")
             rot = np.asarray(rot, dtype=float) if rot is not None else None
-            return Ellipsoid(axes, center_for(axes.size), rot)
-        if kind == "pball":
+            body = Ellipsoid(axes, center_for(axes.size), rot)
+        elif kind == "pball":
             for key in ("p", "scale"):
                 if key not in spec:
                     raise ConfigError(f'pball spec needs "{key}"')
-            return PNormBall(float(spec["p"]), float(spec["scale"]), center_for())
-        if "vertices" not in spec:
+            body = PNormBall(float(spec["p"]), float(spec["scale"]), center_for())
+        elif "vertices" not in spec:
             raise ConfigError('polytope spec needs "vertices"')
-        return Polytope(np.asarray(spec["vertices"], dtype=float))
+        else:
+            body = Polytope(np.asarray(spec["vertices"], dtype=float))
     except ConfigError:
         raise
     except (DomainError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {kind} spec: {exc}") from exc
+    if body.dim not in (2, 3):
+        raise ConfigError(f"{kind} body has dimension {body.dim}; only d = 2 and 3 are supported")
+    return body
 
 
 @dataclass(frozen=True)
@@ -229,10 +235,6 @@ def _replicate_rng(master_seed: int, job_index: int):
     return np.random.default_rng(ss), seed_word
 
 
-def _fvector_columns(dim: int) -> list[str]:
-    return [f"f{k}" for k in range(dim)]
-
-
 def _hull_row(K: ConvexBody, experiment: str, n: int, resolution: int,
               replicate: int, seed_word: int, rng,
               dump: list[str] | None = None) -> dict | None:
@@ -263,7 +265,8 @@ def _hull_row(K: ConvexBody, experiment: str, n: int, resolution: int,
         if not report.ok:
             return None
         if xb is None:
-            raise NumericError("the intersection-body arc cycle failed to close")
+            raise NumericError("the intersection-body arc cycle failed: two active disks "
+                               "coincide or a corner lies outside an active disk")
         if isinstance(stage, NumericError):
             raise stage
         qb, hull_witnesses = stage

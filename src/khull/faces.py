@@ -40,7 +40,8 @@ class GeneralPositionReport:
 
     `boundary` is the X arc cycle the check built, so callers can read the
     f-vector from it without building it again; it is None when the cycle
-    failed to close or when the report was not made by the check.
+    failed, because two active disks coincide or a corner lies outside an
+    active disk, or when the report was not made by the check.
     """
 
     ok: bool

@@ -21,7 +21,8 @@ from .errors import DomainError, GeneralPositionWarning, NumericError
 
 Array = np.ndarray
 
-# Arc classification window (inside-all-disks slack), relative to the radius.
+# Inside-a-disk slack of the arc sweep's coverage test and of its corner
+# check, relative to the radius.
 EPS_GEO = 1e-9
 # Near-degeneracy window for general-position diagnostics, relative to the radius.
 EPS_GP = 1e-7
@@ -398,12 +399,15 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array, inner: Array,
     starts at the center farthest from `inner`, whose circle's point
     farthest from `inner` lies inside every other disk, so it owns an arc;
     a center is popped while the corner its neighbours make left of their
-    step lies in its disk. Every corner of the sweep is then checked
-    against every active disk. Cocircularity is screened against every
-    disk, not only active ones, but measured only for the rows whose
-    distance from `inner` lets their circle reach a corner. The windows
-    are EPS_GEO and EPS_GP times the radius, so the cycle and its
-    witnesses do not depend on the unit of length.
+    step lies in its disk. The arcs are read off the stack that is left:
+    each runs counter-clockwise between its corners with its two stack
+    neighbours. Every corner is checked against every active disk, which
+    certifies the cycle; it fails with NumericError only when two active
+    disks coincide or a corner lies outside an active disk. Cocircularity
+    is screened against every disk, not only active ones, but measured
+    only for the rows whose distance from `inner` lets their circle reach
+    a corner. The windows are EPS_GEO and EPS_GP times the radius, so the
+    cycle and its witnesses do not depend on the unit of length.
     """
     r = radius
     eps_geo = EPS_GEO * r
@@ -506,64 +510,24 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array, inner: Array,
                     "near-cocircular", (*pair, *(ids[k] for k in cols)), pts[v],
                     float(gap[v, cols].min())))
 
-    # Group corners by owner; each center left on the stack meets two.
-    incident: dict[int, list[int]] = {}
-    for v, (i, j) in enumerate(zip(own_i.tolist(), own_j.tolist())):
-        incident.setdefault(i, []).append(v)
-        incident.setdefault(j, []).append(v)
-    owners = sorted(incident.items())
-
-    # Each owner's circle splits at its two corners into two angular
-    # intervals; its arc is the first whose midpoint stays inside all disks.
-    spans = []
-    mids = []
-    for local_owner, (va, vb) in owners:
-        cx, cy = act[local_owner].tolist()
-        ta = math.atan2(xy[va][1] - cy, xy[va][0] - cx)
-        tb = math.atan2(xy[vb][1] - cy, xy[vb][0] - cx)
-        if tb < ta:
-            va, vb, ta, tb = vb, va, tb, ta
-        intervals = ((ta, tb, va, vb), (tb, ta + TWO_PI, vb, va))
-        for a0, a1, _, _ in intervals:
-            amid = 0.5 * (a0 + a1)
-            mids.append((math.cos(amid), math.sin(amid)))
-        spans.append(intervals)
-    local = [o for o, _ in owners]
-    probes = act[local].repeat(2, axis=0) + r * np.array(mids)
-    inside = (_pair_dist(probes, act) <= r + eps_geo).all(axis=1).reshape(-1, 2).tolist()
-
+    # The arcs in stack order, from the lowest owner: the arc of stack[k]
+    # runs counter-clockwise from its corner with stack[k - 1] to its
+    # corner with stack[k + 1], and ends at the cycle's vertex k.
+    at = {s: v for v, s in enumerate(steps)}
+    k0 = stack.index(min(stack))
+    owners = stack[k0:] + stack[:k0]
     arcs: list[Arc] = []
-    arc_ends: list[tuple[int, int]] = []  # (start corner, end corner)
-    for local_owner, intervals, passed in zip(local, spans, inside):
-        if not any(passed):
-            continue  # owner only touches at corners; not an arc owner
-        a0, a1, s, e = intervals[passed.index(True)]
-        arcs.append(Arc(int(active[local_owner]), act[local_owner], a0, a1))
-        arc_ends.append((s, e))
-
-    if not arcs:
-        raise NumericError("no arcs survived classification")
-
-    # Stitch into one closed CCW cycle: each arc starts where another ends.
-    start_at = {s: k for k, (s, e) in enumerate(arc_ends)}
-    order = [0]
-    seen = {0}
-    while len(order) < len(arcs):
-        nxt = start_at.get(arc_ends[order[-1]][1])
-        if nxt is None or nxt in seen:
-            raise NumericError("arc cycle failed to close")
-        order.append(nxt)
-        seen.add(nxt)
-    if arc_ends[order[-1]][1] != arc_ends[order[0]][0]:
-        raise NumericError("arc cycle failed to close")
-
-    cycle = [arcs[k] for k in order]
-    verts = []
-    for k in order:
-        e = arc_ends[k][1]
-        verts.append(ArcVertex(
-            (int(active[own_i[e]]), int(active[own_j[e]])), pts[e]))
-    return cycle, verts
+    verts: list[ArcVertex] = []
+    for prev, o, nxt in zip(owners[-1:] + owners[:-1], owners, owners[1:] + owners[:1]):
+        s, e = at[prev, o], at[o, nxt]
+        cx, cy = cxy[o]
+        a0 = math.atan2(xy[s][1] - cy, xy[s][0] - cx)
+        a1 = math.atan2(xy[e][1] - cy, xy[e][0] - cx)
+        if a1 < a0:
+            a1 += TWO_PI
+        arcs.append(Arc(int(active[o]), act[o], a0, a1))
+        verts.append(ArcVertex((int(active[own_i[e]]), int(active[own_j[e]])), pts[e]))
+    return arcs, verts
 
 
 @dataclass(frozen=True, eq=False)
@@ -571,7 +535,8 @@ class _DiskPass:
     """One build of the X arc cycle of a planar disk sample: the dedupe of
     the hull rows and the corner construction.
 
-    `boundary` is None when the cycle failed to close, and `error` then
+    `boundary` is None when the cycle failed, because two active disks
+    coincide or a corner lies outside an active disk, and `error` then
     holds the NumericError. `witnesses` are the near-degeneracies of the
     cycle; `duplicates` counts the repeated hull-vertex rows dropped before
     it. Repeated interior rows are not counted: they cannot touch X.
@@ -585,7 +550,7 @@ class _DiskPass:
 
     def checked_boundary(self) -> ArcBoundary:
         """The cycle, after the warnings disk_intersection_boundary gives;
-        a cycle that failed to close raises its NumericError here."""
+        a cycle that failed raises its NumericError here."""
         if self.duplicates:
             warnings.warn(f"deduplicated {self.duplicates} repeated sample points",
                           GeneralPositionWarning, stacklevel=3)
@@ -663,7 +628,7 @@ def disk_intersection_boundary(K: ConvexBody, points: Array) -> ArcBoundary:
     construction, and repeated hull vertices are deduplicated with a
     warning (repeated interior points cannot touch X and pass silently);
     near-degeneracies, within windows relative to the disk radius, raise
-    GeneralPositionWarning but the cycle is still returned when it closes.
+    GeneralPositionWarning but the cycle is still returned.
     Arc owners are indices into the original sample, first occurrences for
     repeated rows.
     """

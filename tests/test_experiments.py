@@ -477,7 +477,7 @@ class TestRunExperiment:
 
         def fails_on_first(radius, centers_all, *args):
             if np.array_equal(centers_all, first):
-                raise NumericError("arc cycle failed to close")
+                raise NumericError("a corner of the sweep lies outside an active disk")
             return build(radius, centers_all, *args)
 
         monkeypatch.setattr(exp.hull, "_disk_cycle", fails_on_first)
@@ -673,8 +673,15 @@ class TestCli:
     @pytest.mark.parametrize("bad", [
         {"n_values": 5}, {"n_values": ["a"]}, {"replicates": 1.5}, {"n": 2.5},
         {"replicates": True}, {"seed": "x"}, {"T0": "x"},
+        {"body": {"kind": "ball", "r": 1.0, "d": 2.9}},
+        {"body": {"kind": "pball", "p": 4, "scale": 1.0, "d": True}},
+        {"body": {"kind": "ball", "r": 1.0, "d": 4}},
+        {"body": {"kind": "ball", "r": 1.0, "d": 0}},
+        {"body": {"kind": "ball", "r": 1.0, "center": [0.0, 0.0, 0.0, 0.0]}},
+        {"body": {"kind": "ellipsoid", "axes": [2.0]}},
     ], ids=["n_values-scalar", "n_values-string", "replicates-float", "n-float",
-            "replicates-bool", "seed-string", "T0-string"])
+            "replicates-bool", "seed-string", "T0-string", "d-float", "d-bool",
+            "d-four", "d-zero", "center-four", "ellipsoid-one-axis"])
     def test_mistyped_value_exits_two(self, tmp_path, capsys, bad):
         payload = {"experiment": "convergence", "body": DISK, "n": 50, **bad}
         path = write_config(tmp_path, **payload)

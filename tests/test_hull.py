@@ -735,7 +735,9 @@ class TestCandidateScreen:
         # `inner`: as close to `inner` as the triangle inequality lets a
         # circle through the window be, so a screen without the corner's
         # reach drops it. The planted row goes in the middle of the rows
-        # and after the last one.
+        # and after the last one. Then two circles are planted, one at each
+        # of two corners whose pair order is not their cycle order: the
+        # witnesses come in pair order, the order of the reference's screen.
         import khull.hull as hull
 
         K = Ball(r, r * np.array(shift))
@@ -743,6 +745,24 @@ class TestCandidateScreen:
         for n in (50, 2000):
             pts = r * uniform_sample(Ball(1.0, np.zeros(2)), n, rng) + K.center
             centers, active, inner = self.stage_inputs(K, pts, stage)
+            # The hull stage's rows are the corners of X in cycle order, so
+            # its corners come in pair order; reversed rows put them out of it.
+            rows = centers[::-1] if stage == "hull" else centers
+            arcs, verts = hull._disk_cycle(r, rows, active, inner, [])
+            # vertex k ends arc k: the step between the owners of arcs k, k + 1
+            keys = [(a.owner > b.owner, min(a.owner, b.owner), max(a.owner, b.owner))
+                    for a, b in zip(arcs, arcs[1:] + arcs[:1])]
+            i, j = next((i, j) for j in range(len(keys)) for i in range(j)
+                        if keys[i] > keys[j])
+            thirds = [verts[k].point + (r - 0.5 * EPS_GP * r)
+                      * (inner - verts[k].point) / np.linalg.norm(inner - verts[k].point)
+                      for k in (i, j)]
+            planted = {rows.shape[0], rows.shape[0] + 1}
+            named = [w.indices[2:] for w in
+                     self.assert_same(r, np.concatenate([rows, thirds]), active, inner)
+                     if planted & set(w.indices[2:])]
+            assert named == [(rows.shape[0] + 1,), (rows.shape[0],)]
+
             verts = hull._disk_cycle(r, centers, active, inner, [])[1]
             p = max((v.point for v in verts), key=lambda q: float(np.linalg.norm(q - inner)))
             toward = (inner - p) / np.linalg.norm(inner - p)
