@@ -18,7 +18,10 @@ CONVERGENCE_BALL3_N points of the unit d = 3 ball, the size of a ball
 d = 3 `convergence` row, and the two zero-cell kernels draw one cell of
 the unit disk or the unit d = 3 ball from each seed. `IntersectionBody`
 builds X and reads its `active` rows, so it times the sample check and
-the prune. `_polar_hull` builds X and the polar hull of a unit d = 3 ball
+the prune; `_screen_rows` times the screen ahead of the prune alone.
+`_disk_pass` builds X inside the timed call too: X caches its screen and
+hull rows, so a reused X would time them only in the untimed warm-up.
+`_polar_hull` builds X and the polar hull of a unit d = 3 ball
 sample of POLAR_N points at resolution POLAR_M, and `summarize`
 summarizes the rows of SUMMARY_ROWS unit-disk zero cells drawn from each
 seed (200, the size of a `zero-cell` `cells-disk` campaign). The two
@@ -45,7 +48,8 @@ import numpy as np
 
 from bench_pairs import SIDES, checkouts, git
 
-KERNELS = ("uniform_sample", "IntersectionBody", "_disk_pass", "_hull_stage", "_hull_row",
+KERNELS = ("uniform_sample", "IntersectionBody", "_screen_rows", "_disk_pass", "_hull_stage",
+           "_hull_row",
            "zero_cell_disk", "zero_cell_ball3", "scaled_sample_statistics",
            "scaled_sample_statistics_ball3", "_polar_hull", "summarize", "ef0_symmetric_disk",
            "ef0_symmetric_ball3")
@@ -116,11 +120,12 @@ def calls(name: str, pkg, n: int, seeds: list[int]) -> list:
     samples = [pkg.uniform_sample(K, n, g()) for g in rngs]
     if name == "IntersectionBody":
         return [lambda p=p: hull.IntersectionBody(K, p).active for p in samples]
-    bodies = [hull.IntersectionBody(K, p) for p in samples]
+    if name == "_screen_rows":
+        return [lambda p=p: hull._screen_rows(p) for p in samples]
     if name == "_disk_pass":
-        return [lambda X=X: hull._disk_pass(X) for X in bodies]
+        return [lambda p=p: hull._disk_pass(hull.IntersectionBody(K, p)) for p in samples]
     if name == "_hull_stage":
-        xbs = [(p, hull._disk_pass(X).boundary) for p, X in zip(samples, bodies)]
+        xbs = [(p, hull._disk_pass(hull.IntersectionBody(K, p)).boundary) for p in samples]
         return [lambda p=p, xb=xb: hull._hull_stage(K, p, xb)
                 for p, xb in xbs if xb is not None]
     raise ValueError(f"unknown kernel {name}")

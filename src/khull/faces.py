@@ -18,7 +18,7 @@ from scipy.spatial import ConvexHull, QhullError
 from .body import ConvexBody, direction_grid
 from .errors import DomainError, GeneralPositionError, NumericError
 from .hull import (SCREEN_SLACK, ArcBoundary, DegeneracyWitness, IntersectionBody,
-                   _disk_pass, _khull_pair, _require_disk)
+                   _disk_pass, _khull_pair, _monotone_chain, _require_disk)
 
 Array = np.ndarray
 
@@ -65,6 +65,13 @@ def general_position_check_2d(K: ConvexBody, points: Array) -> GeneralPositionRe
     whole sample). The windows scale with the disk, so the report does not
     depend on the unit of length. A sample that is empty, of another
     dimension or not interior to K raises DomainError.
+
+    The X cycle is `_disk_pass`'s: it sweeps only the screen rows whose
+    circles can reach X once a certificate on the screen rows rules out
+    duplicate and near-tangent witnesses, and reads the hull rows
+    (`IntersectionBody.active`, the qhull prune) only when the certificate
+    or its bound on X fails. Near-cocircular corners are measured against
+    every sample row either way, so the report is the same.
     """
     xpass = _disk_pass(IntersectionBody(_require_disk(K), points))
     witnesses = xpass.witnesses
@@ -181,35 +188,6 @@ class _BareHull:
     qhull: ConvexHull | None = None
     group: Array | None = None            # (F,) facet of each triangle
     pairs: tuple[Array, Array, Array] | None = None  # adjacent (s, k, t), t > s
-
-
-def _monotone_chain(points: Array) -> list[int]:
-    """Indices of hull vertices in CCW order; collinear middles dropped.
-
-    The orientation test runs on Python floats, one IEEE operation at a
-    time, exactly as it would on numpy float64 scalars."""
-    order = np.lexsort((points[:, 1], points[:, 0])).tolist()
-    xy = points.tolist()
-
-    def build(seq):
-        out: list[int] = []
-        for i in seq:
-            px, py = xy[i]
-            while len(out) >= 2:
-                ox, oy = xy[out[-2]]
-                ax, ay = xy[out[-1]]
-                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
-                    break
-                out.pop()
-            out.append(i)
-        return out
-
-    lower = build(order)
-    upper = build(order[::-1])
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        raise DomainError("degenerate planar hull (fewer than 3 extreme points)")
-    return hull
 
 
 def _roll(V: Array) -> Array:

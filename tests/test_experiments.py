@@ -402,25 +402,29 @@ class TestRunExperiment:
             assert serial == (tmp_path / "pooled" / name).read_bytes()
 
     @staticmethod
-    def assert_pruned_once(tmp_path, monkeypatch, cfg):
-        """Every replicate of the campaign prunes its sample exactly once,
-        and the CSV bytes are the same serial and pooled."""
+    def assert_pruned_once(tmp_path, monkeypatch, cfg, prunes: int = 1):
+        """Every replicate of the campaign screens its sample exactly once
+        and runs the qhull prune `prunes` times, and the CSV bytes are the
+        same serial and pooled."""
         import khull.experiments as exp
-        calls = []
-        prune = exp.hull._prune_to_hull
+        calls = {"_screen_rows": [], "_prune_to_hull": []}
+        for name, made in calls.items():
+            original = getattr(exp.hull, name)
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return prune(*args, **kwargs)
+            def counted(*args, _original=original, _made=made, **kwargs):
+                _made.append(1)
+                return _original(*args, **kwargs)
 
-        # patch every module that binds it, so no call goes uncounted
-        owners = [m for m in (exp.hull, exp.faces, exp.tessellation, exp)
-                  if getattr(m, "_prune_to_hull", None) is prune]
-        for owner in owners:
-            monkeypatch.setattr(owner, "_prune_to_hull", counted)
+            # patch every module that binds it, so no call goes uncounted
+            owners = [m for m in (exp.hull, exp.faces, exp.tessellation, exp)
+                      if getattr(m, name, None) is original]
+            for owner in owners:
+                monkeypatch.setattr(owner, name, counted)
         monkeypatch.setenv("KHULL_THREADS", "1")
         run_experiment(cfg, out_dir=str(tmp_path / "serial"))
-        assert len(calls) == cfg.replicates * len(cfg.schedule())
+        rows = cfg.replicates * len(cfg.schedule())
+        assert len(calls["_screen_rows"]) == rows
+        assert len(calls["_prune_to_hull"]) == prunes * rows
         monkeypatch.setenv("KHULL_THREADS", "2")
         run_experiment(cfg, out_dir=str(tmp_path / "pooled"))
         name = f"{cfg.experiment}.csv"
@@ -433,17 +437,19 @@ class TestRunExperiment:
                                replicates=4, seed=29)
         self.assert_pruned_once(tmp_path, monkeypatch, cfg)
 
-    @pytest.mark.parametrize("experiment, body, params", [
-        ("fvector-mc", DISK, {"n": 2000, "replicates": 3}),
-        ("fvector-mc", ELLIPSE, {"n": 1000, "replicates": 3}),
-        ("convergence", ELLIPSE, {"n_values": (300, 1000), "replicates": 2}),
-        ("convergence", BALL3, {"n": 200, "replicates": 2}),
+    @pytest.mark.parametrize("experiment, body, params, prunes", [
+        ("fvector-mc", DISK, {"n": 2000, "replicates": 3}, 0),
+        ("fvector-mc", ELLIPSE, {"n": 1000, "replicates": 3}, 1),
+        ("convergence", ELLIPSE, {"n_values": (300, 1000), "replicates": 2}, 1),
+        ("convergence", BALL3, {"n": 200, "replicates": 2}, 1),
     ], ids=["disk-fvector", "ellipse-fvector", "ellipse-convergence", "ball3-convergence"])
     def test_sample_pruned_once_per_replicate(self, tmp_path, monkeypatch, experiment,
-                                              body, params):
-        # the polar hull and the convergence statistics share one X
+                                              body, params, prunes):
+        # the polar hull and the convergence statistics share one X; the
+        # disk arc pass reads only the screen rows, so a disk fvector-mc
+        # replicate whose certificate holds never runs qhull
         cfg = ExperimentConfig(experiment=experiment, body=body, seed=29, **params)
-        self.assert_pruned_once(tmp_path, monkeypatch, cfg)
+        self.assert_pruned_once(tmp_path, monkeypatch, cfg, prunes)
 
     def test_excluded_replicate_zero_raises_after_writing(self, tmp_path, monkeypatch):
         import khull.experiments as exp

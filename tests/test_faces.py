@@ -189,9 +189,9 @@ def prune_calls(monkeypatch):
     calls = []
     prune = hull._prune_to_hull
 
-    def counted(points):
+    def counted(points, rows):
         calls.append(len(points))
-        return prune(points)
+        return prune(points, rows)
 
     monkeypatch.setattr(hull, "_prune_to_hull", counted)
     return calls

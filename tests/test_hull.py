@@ -117,7 +117,7 @@ class TestIntersectionBody:
     def test_bad_sample_rejected_before_any_prune(self, monkeypatch, unit_disk,
                                                   unit_ball3):
         calls = []
-        monkeypatch.setattr(hull, "_prune_to_hull", lambda pts: calls.append(1))
+        monkeypatch.setattr(hull, "_prune_to_hull", lambda pts, rows: calls.append(1))
         for K, pts in ((unit_disk, np.array([[0.0, 0.0], [1.5, 0.0]])),
                        (unit_ball3, np.array([[0.0, 0.0, 1.0]])),
                        (unit_ball3, np.zeros((0, 3))),
@@ -130,7 +130,7 @@ class TestIntersectionBody:
         calls = []
         prune = hull._prune_to_hull
         monkeypatch.setattr(hull, "_prune_to_hull",
-                            lambda pts: calls.append(1) or prune(pts))
+                            lambda pts, rows: calls.append(1) or prune(pts, rows))
         pts = uniform_sample(unit_disk, 500, rng)
         X = IntersectionBody(unit_disk, pts)
         assert calls == []
@@ -138,7 +138,7 @@ class TestIntersectionBody:
         X.radial_batch(U)
         X.outer_support_bound_batch(U)
         hull._disk_pass(X)
-        np.testing.assert_array_equal(X.active, prune(pts))
+        np.testing.assert_array_equal(X.active, prune(pts, hull._screen_rows(pts)))
         assert calls == [1]
 
     def test_off_centre_base_matches_centred(self, ellipse21, rng):
@@ -812,6 +812,77 @@ class TestCandidateScreen:
                 assert max(widths) < 200
 
 
+class TestReachRows:
+    """`_disk_pass` builds the X cycle over the screen rows that can reach X
+    when its certificate and bound hold, and over every hull row (read from
+    `X.active`) otherwise. Both must give the fields of
+    `oracles.reference_disk_pass`; the inputs below make it fall back."""
+
+    @staticmethod
+    def fell_back(K, pts: np.ndarray) -> bool:
+        X = IntersectionBody(K, pts)
+        hull._disk_pass(X)
+        return "active" in vars(X)
+
+    @staticmethod
+    def fallback_cases() -> dict[str, np.ndarray]:
+        from scipy.spatial import ConvexHull
+
+        rng = np.random.default_rng(4242)
+        unit = Ball(1.0, np.zeros(2))
+        base = uniform_sample(unit, 5000, rng)
+        owners = disk_intersection_boundary(unit, base).arc_owners()
+        cycle = ConvexHull(base).vertices.tolist()
+        ext = set(np.argmax(hull._SCREEN_DIRECTIONS @ base.T, axis=1).tolist())
+        # a hull vertex that owns no arc and is no corner of the screen polygon
+        v = next(i for i in cycle if i not in owners and i not in ext)
+        x, y = base[v]
+        # a point near the circle across the x axis, its x within EPS_GP of v's
+        across = [x + 0.5 * EPS_GP, -math.copysign(math.sqrt(1.0 - x * x) * (1.0 - 1e-6), y)]
+        step = base[cycle[(cycle.index(v) + 1) % len(cycle)]] - base[v]
+        step /= np.linalg.norm(step)
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        rim = (1.0 - 0.3 * EPS_GP) * np.array([math.cos(t), math.sin(t)])
+        turn = np.array([[math.cos(2.5), -math.sin(2.5)], [math.sin(2.5), math.cos(2.5)]])
+        inner = 0.2 * uniform_sample(unit, 3000, rng)
+        return {
+            "copy of an idle hull vertex": np.insert(base, 17, base[v], axis=0),
+            # both stay hull vertices, 0.5 EPS_GP apart: a duplicate witness
+            "near duplicate": np.insert(
+                base, 17, base[v] + 0.5 * EPS_GP * step
+                + 1e-3 * EPS_GP * np.array([step[1], -step[0]]), axis=0),
+            # far apart, but their x coordinates are within EPS_GP
+            "same x": np.insert(base, 17, across, axis=0),
+            "two rows by the circle": np.concatenate([base, [rim, turn @ rim]]),
+            "near-tangent pair": np.concatenate([base, [rim, -rim]]),
+            # the rows near the origin hold the lens of the two far ones
+            "two-owner lens": np.concatenate([inner[:1500], [[0.0, 0.8]], inner[1500:],
+                                              [[0.0, -0.8]]]),
+        }
+
+    @pytest.mark.parametrize("scale, shift", [(1.0, (0.0, 0.0)), (1e-6, (3.0, -2.0)),
+                                              (1e6, (1e3, -2e3))])
+    def test_fallbacks_match_reference(self, scale, shift):
+        K = Ball(scale, scale * np.array(shift))
+        kinds = {}
+        for name, pts in self.fallback_cases().items():
+            pts = scale * pts + K.center
+            assert self.fell_back(K, pts), name
+            kinds[name] = assert_matches_reference(K, pts)
+        assert kinds["near duplicate"] == {"duplicate"}
+        assert kinds["near-tangent pair"] == {"near-tangent"}
+
+    @pytest.mark.parametrize("scale, shift", [(1.0, (0.0, 0.0)), (1e-6, (3.0, -2.0)),
+                                              (1e6, (1e3, -2e3))])
+    def test_seeded_samples_never_read_active(self, scale, shift):
+        K = Ball(scale, scale * np.array(shift))
+        rng = np.random.default_rng(1616)
+        for _ in range(6):
+            pts = scale * uniform_sample(Ball(1.0, np.zeros(2)), 5000, rng) + K.center
+            assert not self.fell_back(K, pts)
+            assert_matches_reference(K, pts)
+
+
 def _edge_rows(pts: np.ndarray, rng, per_edge: int = 4) -> np.ndarray:
     """Rows on the edges of the polygon the screen spans over `pts`, and
     within a few units of rounding either side of them."""
@@ -837,11 +908,11 @@ class TestPrunePrefilter:
 
     @staticmethod
     def assert_parity(pts: np.ndarray) -> None:
-        from khull.hull import _prune_to_hull
+        from khull.hull import _prune_to_hull, _screen_rows
 
         want = oracles.plain_prune(pts)
         copies = np.flatnonzero((pts[:, None] == pts[want]).all(axis=2).any(axis=1))
-        assert np.array_equal(_prune_to_hull(pts), copies)
+        assert np.array_equal(_prune_to_hull(pts, _screen_rows(pts)), copies)
 
     @staticmethod
     def screened(pts: np.ndarray) -> int:
