@@ -22,7 +22,9 @@ the prune; `_screen_rows` times the screen ahead of the prune alone.
 `_disk_pass` builds X inside the timed call too: X caches its screen and
 hull rows, so a reused X would time them only in the untimed warm-up.
 `_polar_hull` builds X and the polar hull of a unit d = 3 ball
-sample of POLAR_N points at resolution POLAR_M, and `summarize`
+sample of POLAR_N points at resolution POLAR_M, `_polar_hull_ellipse`
+the same for an ellipse with semi-axes (2, 1) and POLAR_ELLIPSE_N
+points, the sizes of the two `polar-family` campaigns, and `summarize`
 summarizes the rows of SUMMARY_ROWS unit-disk zero cells drawn from each
 seed (200, the size of a `zero-cell` `cells-disk` campaign). The two
 `ef0_symmetric` kernels evaluate the expected zero-cell vertex count of
@@ -51,12 +53,13 @@ from bench_pairs import SIDES, checkouts, git
 KERNELS = ("uniform_sample", "IntersectionBody", "_screen_rows", "_disk_pass", "_hull_stage",
            "_hull_row",
            "zero_cell_disk", "zero_cell_ball3", "scaled_sample_statistics",
-           "scaled_sample_statistics_ball3", "_polar_hull", "summarize", "ef0_symmetric_disk",
-           "ef0_symmetric_ball3")
+           "scaled_sample_statistics_ball3", "_polar_hull", "_polar_hull_ellipse", "summarize",
+           "ef0_symmetric_disk", "ef0_symmetric_ball3")
 N = 5000
 CONVERGENCE_N = 2000
 CONVERGENCE_BALL3_N = 500
 POLAR_N = 1000
+POLAR_ELLIPSE_N = 400
 POLAR_M = 256
 SUMMARY_ROWS = 200
 SUMMARY_T0 = 5.0
@@ -100,10 +103,13 @@ def calls(name: str, pkg, n: int, seeds: list[int]) -> list:
     if name.startswith("ef0_symmetric"):
         K = pkg.Ball(1.0, np.zeros(3 if name.endswith("ball3") else 2))
         return [lambda: pkg.ef0_symmetric(K)]
-    if name == "_polar_hull":
+    if name.startswith("_polar_hull"):
         faces = importlib.import_module(f"{pkg.__name__}.faces")
-        K = pkg.Ball(1.0, np.zeros(3))
-        samples = [pkg.uniform_sample(K, POLAR_N, g()) for g in rngs]
+        if name.endswith("ellipse"):
+            K, n = pkg.Ellipsoid([2.0, 1.0], np.zeros(2)), POLAR_ELLIPSE_N
+        else:
+            K, n = pkg.Ball(1.0, np.zeros(3)), POLAR_N
+        samples = [pkg.uniform_sample(K, n, g()) for g in rngs]
         return [lambda p=p: faces._polar_hull(hull.IntersectionBody(K, p), POLAR_M)
                 for p in samples]
     if name == "summarize":

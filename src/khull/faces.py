@@ -8,7 +8,7 @@ off an owner-tagged convex hull of inscribed polytopal approximations.
 """
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +18,8 @@ from scipy.spatial import ConvexHull, QhullError
 from .body import ConvexBody, direction_grid
 from .errors import DomainError, GeneralPositionError, NumericError
 from .hull import (SCREEN_SLACK, ArcBoundary, DegeneracyWitness, IntersectionBody,
-                   _disk_pass, _khull_pair, _monotone_chain, _require_disk)
+                   _akl_toussaint, _centred, _disk_pass, _khull_pair, _monotone_chain,
+                   _require_disk)
 
 Array = np.ndarray
 
@@ -201,8 +202,26 @@ def _rownorm(x: Array) -> Array:
     return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
+# Planar clouds of at least this many points drop the points inside the
+# polygon of their extreme rows (`_akl_toussaint`) before the chain. The
+# screen costs about 36 us a cloud and the chain's Python loop about
+# 0.8 us a point, so on polar clouds the screened chain is the faster
+# one from between 32 and 64 points (58 against 45 us at 64, 25 against
+# 43 us at 32); on the 256-point planar polar hulls it cuts the chain's
+# input to about 12 points.
+CHAIN_SCREEN_MIN = 64
+
+
 def _bare_hull_2d(points: Array) -> _BareHull:
-    return _bare_polygon(points, np.array(_monotone_chain(points)))
+    """Bare stage in d = 2: the monotone chain, on clouds of
+    CHAIN_SCREEN_MIN points or more over the points `_akl_toussaint`
+    keeps. The points it drops lie strictly inside the hull, and every
+    hull vertex and copy of one is kept in its input order, so the chain
+    lists the same indices as over the whole cloud."""
+    if points.shape[0] < CHAIN_SCREEN_MIN:
+        return _bare_polygon(points, np.array(_monotone_chain(points)))
+    keep = _akl_toussaint(points)
+    return _bare_polygon(points, keep[_monotone_chain(points[keep])])
 
 
 # Cycles up to this length are tested on Python floats, longer ones on
@@ -460,46 +479,106 @@ def fvector_from_tagged_hull(T: TaggedPolytope) -> FVector:
 
     A hull feature witnesses a k-face when its vertex owners span exactly
     k+1 distinct members; features with the same owner set count once.
+    The owners are read into Python once, and an owner set is counted as
+    its sorted tuple.
     """
-    f0 = len(set(int(o) for o in T.owners))
+    owners = np.asarray(T.owners).tolist()
+    f0 = len(set(owners))
     pairs = set()
     if T.dim == 2:
         for a, b in T.edges:
-            oa, ob = int(T.owners[a]), int(T.owners[b])
+            oa, ob = owners[a], owners[b]
             if oa != ob:
-                pairs.add(frozenset((oa, ob)))
+                pairs.add((oa, ob) if oa < ob else (ob, oa))
         return (f0, len(pairs))
-    for s in T.simplices:
-        for a, b in itertools.combinations(s, 2):
-            oa, ob = int(T.owners[a]), int(T.owners[b])
-            if oa != ob:
-                pairs.add(frozenset((oa, ob)))
     triples = set()
-    for s in T.simplices:
-        owners = frozenset(int(T.owners[v]) for v in s)
-        if len(owners) == 3:
-            triples.add(owners)
+    for a, b, c in T.simplices:
+        x, y, z = sorted((owners[a], owners[b], owners[c]))
+        if x != y:
+            pairs.add((x, y))
+        if y != z:
+            pairs.add((y, z))
+        if x != z:
+            pairs.add((x, z))
+            if x != y != z:
+                triples.add((x, y, z))
     return (f0, len(pairs), len(triples))
 
 
-def _winner_rows(W: Array, base: Array, points: Array) -> Array:
-    """Rows of a d = 3 sample that may attain the least support gap on some
-    direction of W, ascending: a superset of every exact minimizer.
+# Rows of largest gauge whose gaps bound the gauge screen of
+# `_winner_rows`. The screen keeps the rows whose gauge is within that
+# bound of 1; a few dozen of the outermost rows already bound it about
+# as tightly as the whole sample would (probe 64 keeps about 50 of 400
+# ellipse rows and 430 of 1000 d = 3 ball rows), and the probe table is
+# a small share of the score table it shrinks. Samples of at most twice
+# this many rows skip the screen: it would save little there.
+PROBE_ROWS = 64
 
-    One product S = W @ points.T scores every row on every direction, and
-    a row is kept where its score is within SCREEN_SLACK times
-    |w_j|_1 max|x| + |h_K(w_j)| of the direction's best. The score and the
-    dot product inside `_support_gaps` are both 3-term sums, good to a few
-    ulps of |w_j|_1 max|x|, and the exact gap h_K(w_j) - <w_j, x> is a
-    non-increasing function of that dot product whose rounding merges
-    values only within an ulp of |h_K(w_j)| + |w_j|_1 max|x|. So a row of
-    exact least gap scores within a few ulps of that scale of the best
-    score, far inside the slack.
+
+@functools.lru_cache(maxsize=16)
+def _polar_grid(K: ConvexBody, m: int) -> tuple[Array, Array, Array]:
+    """(W, h_K(W), h_c(W)): the direction grid of the polar family at
+    resolution m, K's support on it, and the support h_c(w) = h_K(w) -
+    <w, c> of K - c for the interior point c of `_centred`, all read-only.
+
+    Built once per body and resolution in each process; bodies are
+    immutable and hash by identity, so every replicate of a campaign,
+    which reuses its body, reads the same arrays."""
+    W = direction_grid(K.dim, m)
+    base = K.support_batch(W)
+    hc = base - W @ _centred(K)[1]
+    for a in (W, base, hc):
+        a.setflags(write=False)
+    return W, base, hc
+
+
+def _winner_rows(W: Array, base: Array, hc: Array, points: Array, gauge: Array) -> Array:
+    """Rows of a sample that may attain the least support gap on some
+    direction of W, ascending: a superset of every minimizer of the
+    rounded gaps `_support_gaps` gives, over the whole sample.
+
+    `base` is h_K(W), `hc` is h_c(W) = h_K(W) - <W, c> for a point c
+    interior to K, and `gauge` holds the gauge g_i of each row about c.
+
+    A gauge screen runs first, on samples of more than 2 * PROBE_ROWS
+    rows. Since x_i - c lies in g_i (K - c), the gap of row i on w is at
+    least h_c(w) (1 - g_i). Let delta be the largest, over the grid, of
+    the least gap of the PROBE_ROWS rows of largest gauge, over h_c(w).
+    On every direction some probe row then has a gap of at most
+    delta h_c(w), so a row with g_i < 1 - delta wins no direction. The
+    screen drops the rows with g_i < 1 - delta - margin, where the margin
+    is SCREEN_SLACK times 1 + max_w (|h_K(w)| + |w|_1 max|x|) / h_c(w):
+    the probe gaps, the gaps of `_support_gaps`, h_c and the gauges are
+    each good to a few ulps of |h_K(w)| + |w|_1 max|x|, over h_c(w), or
+    of 1.
+
+    The score screen then runs on the rows left. One product S = W @ X.T
+    scores them on every direction, and a row is kept where its score is
+    within SCREEN_SLACK times |w_j|_1 max|x| + |h_K(w_j)| of the
+    direction's best among them. That best is at most the best over the
+    whole sample, so the screen keeps every row it would keep there. The
+    score and the dot product inside `_support_gaps` are both d-term
+    sums, good to a few ulps of |w_j|_1 max|x|, and the exact gap
+    h_K(w_j) - <w_j, x> is a non-increasing function of that dot product
+    whose rounding merges values only within an ulp of |h_K(w_j)| +
+    |w_j|_1 max|x|. So a row of least gap scores within a few ulps of
+    that scale of the best score, far inside the slack.
     """
+    n = points.shape[0]
+    l1 = np.abs(W).sum(axis=1)
+    xmax = float(np.abs(points).max())
+    rows = None
+    if n > 2 * PROBE_ROWS:
+        probe = np.argpartition(gauge, -PROBE_ROWS)[-PROBE_ROWS:]
+        # the least probe gap on each direction, from the probes' best score
+        delta = float(((base - (W @ points[probe].T).max(axis=1)) / hc).max())
+        margin = SCREEN_SLACK * (1.0 + float(((np.abs(base) + l1 * xmax) / hc).max()))
+        rows = np.flatnonzero(gauge >= 1.0 - delta - margin)
+        points = points[rows]
     S = W @ points.T  # (m, n): each direction's scores run along memory
-    slack = SCREEN_SLACK * (np.abs(W).sum(axis=1) * float(np.abs(points).max())
-                            + np.abs(base))
-    return np.flatnonzero((S >= (S.max(axis=1) - slack)[:, None]).any(axis=0))
+    slack = SCREEN_SLACK * (l1 * xmax + np.abs(base))
+    win = np.flatnonzero((S >= (S.max(axis=1) - slack)[:, None]).any(axis=0))
+    return win if rows is None else rows[win]
 
 
 def _polar_hull(X: IntersectionBody, m: int = 256) -> TaggedPolytope:
@@ -513,29 +592,31 @@ def _polar_hull(X: IntersectionBody, m: int = 256) -> TaggedPolytope:
     the origin and the winner's, and the origin is interior to every polar
     model, so that vertex is strictly inside the hull. The gaps are exact
     only on a few candidate rows, which hold every winner over the whole
-    sample:
+    sample: the rows `_winner_rows` keeps, in d = 2 and 3 alike, from X's
+    `screen` rows (every row, except in a planar sample of
+    PRUNE_SCREEN_MIN rows or more, where the rows strictly inside the
+    hull are dropped: the radius is a convex function of x_i, so on each
+    ray it peaks at a hull vertex). The gauge screen and the score screen
+    of `_winner_rows` keep every row of least gap on some direction, so
+    the winners among the candidates are the gap minimizers over all
+    rows: the members the full family's hull keeps. No sample hull is
+    built: X's `active` rows are not read.
 
-    - In d = 2 they are X's `active` rows, the sample's convex-hull
-      vertices and their copies: the radius is a convex function of x_i,
-      so on each ray it peaks at a hull vertex. Reading `active` prunes
-      the sample; the planar screen and qhull make that cheap.
-    - In d = 3 they are the rows `_winner_rows` keeps from one screening
-      product, without the sample's hull, which costs more in d = 3 than
-      the screen. The screen keeps every row of exact least gap on some
-      direction, so the winners among the candidates are the exact-gap
-      minimizers over all rows: the members the full family's hull keeps.
-
-    The exact gaps of the candidates are one stacked product, each row
-    rounded as over the whole sample, and the winners are read off it in
-    row-major order, which is member-major, direction-minor: the hull
-    lists its vertices, with their owners, in the same order as the hull
-    of the full family. In d = 3 qhull may list the facets in another
-    order, or triangulate a merged facet another way, because its
-    processing order depends on the points it is given.
+    The grid, K's support on it and h_c come from `_polar_grid`, once per
+    body and resolution. The exact gaps of the candidates are one stacked
+    product, each row rounded as over the whole sample, and the winners
+    are read off it in row-major order, which is member-major,
+    direction-minor: the hull lists its vertices, with their owners, in
+    the same order as the hull of the full family. In d = 3 qhull may list
+    the facets in another order, or triangulate a merged facet another
+    way, because its processing order depends on the points it is given;
+    so the winner points reach it as they are, unscreened.
     """
-    W = direction_grid(X.dim, m)
-    base = X.base.support_batch(W)
-    rows = X.active if X.dim == 2 else _winner_rows(W, base, X.points)
+    W, base, hc = _polar_grid(X.base, m)
+    Kc, c = _centred(X.base)
+    rows = X.screen
+    pts = X.points[rows]
+    rows = rows[_winner_rows(W, base, hc, pts, Kc.gauge_batch(pts - c))]
     gaps = _support_gaps(W, base, X.points[rows])
     ii, jj = np.nonzero(gaps == gaps.min(axis=0))
     return tagged_hull_from_points(W[jj] / gaps[ii, jj][:, None], rows[ii])

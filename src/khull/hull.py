@@ -27,8 +27,9 @@ EPS_GEO = 1e-9
 # Near-degeneracy window for general-position diagnostics, relative to the radius.
 EPS_GP = 1e-7
 # Rounding allowance of the cocircularity screen's candidate test and of
-# the d = 3 polar hull's winner screen, relative to the coordinate scale;
-# the distances and dot products they compare are good to a few ulps.
+# the polar hull's gauge and score screens, relative to the coordinate
+# scale; the distances, gauges and dot products they compare are good to
+# a few ulps.
 SCREEN_SLACK = 1e-12
 
 TWO_PI = 2.0 * math.pi
@@ -69,20 +70,30 @@ PRUNE_SCREEN_MARGIN = 1e-9
 def _screen_rows(points: Array) -> Array:
     """Rows of a sample that may be convex-hull vertices, ascending.
 
-    Only planar samples of PRUNE_SCREEN_MIN rows or more are screened, by the
-    throw-away step of Akl and Toussaint (1978): the rows extreme in a
+    Only planar samples of PRUNE_SCREEN_MIN rows or more are screened, by
+    `_akl_toussaint`; any other sample keeps every row.
+    """
+    n = points.shape[0]
+    if points.shape[1] != 2 or n < PRUNE_SCREEN_MIN:
+        return np.arange(n)
+    return _akl_toussaint(points)
+
+
+def _akl_toussaint(points: Array) -> Array:
+    """Rows of a planar cloud on or outside the polygon of its extreme
+    rows, ascending: a superset of the convex-hull vertices.
+
+    The throw-away step of Akl and Toussaint (1978): the rows extreme in a
     fixed set of directions span a polygon inside the hull, and a row
     strictly inside every edge of it, by PRUNE_SCREEN_MARGIN times the
     largest coordinate, is strictly inside the hull. The directions run by
     increasing angle, so their extreme rows come counter-clockwise around
     the hull and are the polygon's corners in order, with no hull call.
     Hull vertices and every copy of one sit on or outside the polygon, so
-    they are kept whatever the rounding of the test; a sample too thin for
+    they are kept whatever the rounding of the test; a cloud too thin for
     the polygon to have such an interior keeps every row.
     """
     n = points.shape[0]
-    if points.shape[1] != 2 or n < PRUNE_SCREEN_MIN:
-        return np.arange(n)
     ext = np.argmax(_SCREEN_DIRECTIONS @ points.T, axis=1)
     ext = points[ext[ext != np.roll(ext, 1)]]
     if ext.shape[0] < 3:
@@ -128,12 +139,12 @@ class IntersectionBody:
     vertices and their copies found with no hull call. `active` holds the
     rows that can touch X, ascending: the convex-hull vertices of the
     sample and every row equal to one of them, found by qhull over the
-    screen rows. The copies change no radial or support value of X; the
-    planar polar hull keeps them as tied members, and the disk arc pass
-    dedupes them. Both are computed on their first read, once, so a reader
-    that does not need the hull rows does not pay for qhull: the d = 3
-    polar hull reads neither, and the disk arc pass reads only `screen`
-    unless its certificate or its bound on X fails (`_reach_rows`).
+    screen rows. The copies change no radial or support value of X, and
+    the disk arc pass dedupes them. Both are computed on their first read,
+    once, so a reader that does not need the hull rows does not pay for
+    qhull: the polar hull reads only `screen`, in d = 2 and 3, and the
+    disk arc pass reads only `screen` unless its certificate or its bound
+    on X fails (`_reach_rows`).
     """
 
     base: ConvexBody

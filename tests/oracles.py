@@ -8,6 +8,7 @@ per-element tagged-hull and intrinsic-volume references and the one-shot
 summary and surface-mass references near the end: they are the package's
 earlier code, kept so that its array code can be held to their exact bits.
 """
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 from scipy.special import ellipe
 
-from khull.body import Ball, ConvexBody, _unit_rows, sphere_area
+from khull.body import Ball, ConvexBody, _unit_rows, direction_grid, sphere_area
 from khull.errors import DomainError, NumericError
 from khull.faces import COPLANAR_TOL, TaggedPolytope
 from khull.hull import (EPS_GEO, EPS_GP, TWO_PI, Arc, ArcBoundary, ArcVertex,
@@ -454,6 +455,42 @@ def gap_minimizers(W: np.ndarray, base: np.ndarray, X: np.ndarray) -> np.ndarray
     row at a time."""
     gaps = np.array([base - W @ x for x in X])
     return np.flatnonzero((gaps == gaps.min(axis=0)).any(axis=1))
+
+
+def reference_polar_hull(K: ConvexBody, points: np.ndarray, m: int) -> TaggedPolytope:
+    """The polar hull from the winners over every row: the exact gaps of
+    each row, one at a time, the least gap on each direction with every
+    tied row, and the per-element tagged hull of those points, with no
+    row screen and no chain screen."""
+    W = direction_grid(K.dim, m)
+    base = K.support_batch(W)
+    gaps = np.array([base - W @ x for x in points])
+    ii, jj = np.nonzero(gaps == gaps.min(axis=0))
+    return tagged_hull(W[jj] / gaps[ii, jj][:, None], ii)
+
+
+def reference_fvector(T: TaggedPolytope) -> tuple[int, ...]:
+    """The family f-vector of a tagged hull from frozensets of owners,
+    each owner read as a numpy scalar: the package's earlier read-out."""
+    f0 = len(set(int(o) for o in T.owners))
+    pairs = set()
+    if T.dim == 2:
+        for a, b in T.edges:
+            oa, ob = int(T.owners[a]), int(T.owners[b])
+            if oa != ob:
+                pairs.add(frozenset((oa, ob)))
+        return (f0, len(pairs))
+    for s in T.simplices:
+        for a, b in itertools.combinations(s, 2):
+            oa, ob = int(T.owners[a]), int(T.owners[b])
+            if oa != ob:
+                pairs.add(frozenset((oa, ob)))
+    triples = set()
+    for s in T.simplices:
+        owners = frozenset(int(T.owners[v]) for v in s)
+        if len(owners) == 3:
+            triples.add(owners)
+    return (f0, len(pairs), len(triples))
 
 
 # Per-element references for the tagged-hull builders and intrinsic

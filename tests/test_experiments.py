@@ -439,15 +439,17 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("experiment, body, params, prunes", [
         ("fvector-mc", DISK, {"n": 2000, "replicates": 3}, 0),
-        ("fvector-mc", ELLIPSE, {"n": 1000, "replicates": 3}, 1),
+        ("fvector-mc", ELLIPSE, {"n": 1000, "replicates": 3}, 0),
         ("convergence", ELLIPSE, {"n_values": (300, 1000), "replicates": 2}, 1),
         ("convergence", BALL3, {"n": 200, "replicates": 2}, 1),
     ], ids=["disk-fvector", "ellipse-fvector", "ellipse-convergence", "ball3-convergence"])
     def test_sample_pruned_once_per_replicate(self, tmp_path, monkeypatch, experiment,
                                               body, params, prunes):
         # the polar hull and the convergence statistics share one X; the
-        # disk arc pass reads only the screen rows, so a disk fvector-mc
-        # replicate whose certificate holds never runs qhull
+        # polar hull and the disk arc pass read only the screen rows, so
+        # an fvector-mc replicate never runs qhull (a disk one when its
+        # certificate holds), while the convergence statistics read the
+        # hull rows
         cfg = ExperimentConfig(experiment=experiment, body=body, seed=29, **params)
         self.assert_pruned_once(tmp_path, monkeypatch, cfg, prunes)
 
@@ -494,6 +496,48 @@ class TestRunExperiment:
         assert summary["exclusion_reasons"] == {"numeric": 1}
         assert (tmp_path / "sample-hull.csv").exists()
         assert not (tmp_path / "boundary.json").exists()
+
+    @pytest.mark.parametrize("experiment, body, small, large", [
+        # few rows span a long polar hull
+        ("sample-hull", ELLIPSE, {"n": 400, "replicates": 2}, {"n": 10, "replicates": 9}),
+        ("sample-hull", DISK, {"n": 40, "replicates": 2}, {"n": 3000, "replicates": 9}),
+        ("zerocell-mc", DISK, {"T0": 2.0, "replicates": 2}, {"T0": 5.0, "replicates": 9}),
+    ])
+    def test_rerun_over_longer_files_matches_fresh_run(self, tmp_path, monkeypatch,
+                                                       experiment, body, small, large):
+        # a directory that holds longer files from a larger earlier run is
+        # rewritten in place to the bytes a fresh directory gets
+        monkeypatch.setenv("KHULL_THREADS", "1")
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        run_experiment(ExperimentConfig(experiment=experiment, body=body, seed=31, **large),
+                       out_dir=str(reused))
+        before = {p.name: p.stat().st_size for p in reused.iterdir()}
+        cfg = ExperimentConfig(experiment=experiment, body=body, seed=32, **small)
+        run_experiment(cfg, out_dir=str(reused))
+        run_experiment(cfg, out_dir=str(fresh))
+        names = sorted(p.name for p in fresh.iterdir())
+        assert sorted(before) == names and len(names) == 3
+        for name in names:
+            got, want = (reused / name).read_bytes(), (fresh / name).read_bytes()
+            assert before[name] > len(want), name
+            if name.endswith("_summary.json"):
+                got, want = json.loads(got), json.loads(want)
+                assert got.pop("runtime") > 0.0 and want.pop("runtime") > 0.0
+            assert got == want, name
+
+    def test_artifact_rewritten_in_place(self, tmp_path):
+        from khull.experiments import _write_artifact
+
+        path = tmp_path / "a.txt"
+        _write_artifact(path, "first, longer text\n")
+        inode = path.stat().st_ino
+        _write_artifact(path, "short\n")
+        assert path.read_bytes() == b"short\n"
+        _write_artifact(path, "a longer text again\n")
+        assert path.read_bytes() == b"a longer text again\n"
+        assert path.stat().st_ino == inode
+        _write_artifact(path, "")
+        assert path.read_bytes() == b""
 
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig(experiment="zerocell-mc", body=DISK, T0=2.0,

@@ -175,8 +175,11 @@ D3_BODIES = [k for k, K in PARITY_BODIES.items() if K.dim == 3]
 
 
 def moved(K, scale, shift):
-    """The d = 3 body K scaled by `scale` about the origin, then shifted."""
-    c = scale * K.center + np.asarray(shift, dtype=float)
+    """The body K scaled by `scale` about the origin, then shifted."""
+    shift = np.asarray(shift, dtype=float)
+    if isinstance(K, Polytope):
+        return Polytope(scale * K.vertices + shift)
+    c = scale * K.center + shift
     if isinstance(K, Ball):
         return Ball(scale * K.radius, c)
     if isinstance(K, Ellipsoid):
@@ -209,6 +212,25 @@ def hull_inputs(monkeypatch):
 
     monkeypatch.setattr(faces, "tagged_hull_from_points", counting)
     return sizes
+
+
+def tied_pair_2d(m):
+    """Two rows of the ellipse (2, 1) whose support gaps on w_0 are equal,
+    bit for bit: y sits on the line through x orthogonal to w_0."""
+    W = direction_grid(2, m)
+    x = np.array([1.5, 0.2])
+    perp = np.array([-W[0, 1], W[0, 0]])
+    y = next(x + s * perp for s in np.arange(1, 400) / 256.0
+             if (W @ (x + s * perp))[0] == (W @ x)[0])
+    return np.vstack([x, y])
+
+
+def winner_rows(K, X, m=256):
+    """faces._winner_rows over the sample X of K, with K's grid and the
+    gauges of X about K's interior point."""
+    W, base, hc = faces._polar_grid(K, m)
+    Kc, c = hull._centred(K)
+    return faces._winner_rows(W, base, hc, X, Kc.gauge_batch(X - c))
 
 
 class TestPolarHull:
@@ -248,19 +270,25 @@ class TestPolarHull:
 
     @pytest.mark.parametrize("body", D3_BODIES)
     def test_screen_keeps_every_gap_minimizer(self, body, unit_ball3, rng):
-        W = direction_grid(3, 256)
         K = PARITY_BODIES[body]
-        base = K.support_batch(W)
         # tied directions: mirror images in y tie on w_0, whose y is 0
         tied = np.array([[0.1, 0.3, 0.6], [0.1, -0.3, 0.6]])
-        for scale in (1e-6, 1.0, 1e6):
-            Ks = moved(K, scale, (0.0, 0.0, 0.0))
+        for scale, shift in [(1e-6, (0.0, 0.0, 0.0)), (1.0, (0.0, 0.0, 0.0)),
+                             (1e6, (0.0, 0.0, 0.0)), (1.0, (5.0, -3.0, 2.0)),
+                             (1e6, (5e6, -3e6, 2e6))]:
+            Ks = moved(K, scale, shift)
+            W, base, _ = faces._polar_grid(Ks, 256)
             pts = uniform_sample(Ks, 300, rng)
-            for X in (pts, np.vstack([pts, pts[::7]]), np.vstack([0.5 * pts, scale * tied])):
-                want = oracles.gap_minimizers(W, scale * base, X)
-                got = faces._winner_rows(W, scale * base, X)
+            for X in (pts, np.vstack([pts, pts[::7]]),
+                      np.vstack([0.5 * (pts - Ks.center) + Ks.center,
+                                 scale * tied + Ks.center])):
+                want = oracles.gap_minimizers(W, base, X)
+                got = winner_rows(Ks, X)
                 assert np.isin(want, got).all()
                 assert np.all(np.diff(got) > 0)
+                # the gauge screen runs, and drops rows
+                assert got.size < X.shape[0]
+        W = direction_grid(3, 256)
         X = np.vstack([0.5 * uniform_sample(unit_ball3, 30, rng), tied])
         want = oracles.gap_minimizers(W, unit_ball3.support_batch(W), X)
         assert {30, 31} <= set(want.tolist())
@@ -272,10 +300,15 @@ class TestPolarHull:
             _polar_hull(K, uniform_sample(K, 1000, rng), 256)
         assert calls == []
 
-    def test_d2_route_prunes_once(self, monkeypatch, ellipse21, rng):
+    def test_d2_route_does_not_prune(self, monkeypatch, rng):
+        # both dimensions pick their rows with `_winner_rows`; a planar
+        # sample of PRUNE_SCREEN_MIN rows or more is screened, not pruned
         calls = prune_calls(monkeypatch)
-        _polar_hull(ellipse21, uniform_sample(ellipse21, 400, rng), 256)
-        assert calls == [400]
+        for body in [k for k, K in PARITY_BODIES.items() if K.dim == 2]:
+            K = PARITY_BODIES[body]
+            for n in (400, 1000):
+                _polar_hull(K, uniform_sample(K, n, rng), 256)
+        assert calls == []
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_stacked_gaps_match_per_member(self, d, rng):
@@ -302,15 +335,8 @@ class TestPolarHull:
         assert sizes == [256]
 
     def test_tied_direction_keeps_both_members_2d(self, monkeypatch, ellipse21, rng):
-        # y sits on the line through x orthogonal to w_0, so both members
-        # have the same support gap there, bit for bit
         m = 64
-        W = direction_grid(2, m)
-        x = np.array([1.5, 0.2])
-        perp = np.array([-W[0, 1], W[0, 0]])
-        y = next(x + s * perp for s in np.arange(1, 400) / 256.0
-                 if (W @ (x + s * perp))[0] == (W @ x)[0])
-        pts = np.vstack([0.5 * uniform_sample(ellipse21, 50, rng), x, y])
+        pts = np.vstack([0.5 * uniform_sample(ellipse21, 50, rng), tied_pair_2d(m)])
         sizes = hull_inputs(monkeypatch)
         assert_same_polar_hull(ellipse21, pts, m)
         assert sizes[0] == m + 1
@@ -344,6 +370,137 @@ class TestPolarHull:
         with pytest.raises(DomainError):
             _polar_hull(unit_disk.translate([5.0, 5.0]),
                         np.array([[5.0, 5.0], [0.0, 0.0]]), m=64)
+
+
+# Bodies of every kind the polar route serves, off-centre and cornered
+# ones among them.
+PARITY_BODIES_SCREENED = {
+    "ellipse-off-centre": Ellipsoid([2.0, 1.0], [5.0, -3.0],
+                                    [[0.8, -0.6], [0.6, 0.8]]),
+    "triangle": Polytope([[-1.0, -1.0], [1.5, -0.5], [0.0, 1.2]]),
+    "square": Polytope([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]),
+    "cube": Polytope([[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0)
+                      for z in (-1.0, 1.0)]),
+    "pball4-2": PNormBall(4.0, 1.0, np.zeros(2)),
+    "pball4-3": PNormBall(4.0, 1.0, np.zeros(3)),
+    "ellipse": Ellipsoid([2.0, 1.0], np.zeros(2)),
+    "ball3": Ball(1.0, np.zeros(3)),
+}
+
+
+def assert_polar_parity(K, pts, m):
+    """Every field of the polar hull equals that of the hull of the
+    winners over every row (`oracles.reference_polar_hull`); in d = 2 it
+    also equals the hull of the full family, field for field. In d = 3
+    qhull lists the full family's facets in its own order."""
+    T = _polar_hull(K, pts, m)
+    oracles.assert_same_polytope(T, oracles.reference_polar_hull(K, pts, m))
+    if K.dim == 2:
+        oracles.assert_same_polytope(T, full_polar_hull(K, pts, m))
+    else:
+        assert_same_polar_hull(K, pts, m)
+    return T
+
+
+class TestPolarHullParity:
+    """The gauge screen and the screened chain leave every field as it is."""
+
+    @pytest.mark.parametrize("n", [2 * faces.PROBE_ROWS, 2 * faces.PROBE_ROWS + 1, 400])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("body", PARITY_BODIES_SCREENED)
+    def test_matches_every_row(self, body, scale, n, rng):
+        K = moved(PARITY_BODIES_SCREENED[body], scale, np.zeros(PARITY_BODIES_SCREENED[body].dim))
+        assert_polar_parity(K, uniform_sample(K, n, rng), 256)
+
+    @pytest.mark.parametrize("body", PARITY_BODIES_SCREENED)
+    def test_copies_of_winning_rows(self, monkeypatch, body, rng):
+        K = PARITY_BODIES_SCREENED[body]
+        pts = uniform_sample(K, 300, rng)
+        won = np.unique(_polar_hull(K, pts, 64).owners)
+        pts = np.vstack([pts, pts[won[::2]], pts[won[:3]]])
+        sizes = hull_inputs(monkeypatch)
+        assert_polar_parity(K, pts, 64)
+        # each copy of a winning row wins the same rays, as a tied member
+        assert sizes[0] > 64
+
+    def test_exact_tie_2d(self, ellipse21, rng):
+        # the tied pair of test_tied_direction_keeps_both_members_2d, among
+        # enough rows for the gauge screen to run
+        pts = np.vstack([0.5 * uniform_sample(ellipse21, 300, rng), tied_pair_2d(64)])
+        T = assert_polar_parity(ellipse21, pts, 64)
+        assert {300, 301} <= set(T.owners.tolist())
+
+    def test_exact_tie_3d(self, unit_ball3, rng):
+        pts = np.vstack([0.5 * uniform_sample(unit_ball3, 300, rng),
+                         [[0.1, 0.3, 0.6], [0.1, -0.3, 0.6]]])
+        T = assert_polar_parity(unit_ball3, pts, 256)
+        assert {300, 301} <= set(T.owners.tolist())
+
+    @pytest.mark.parametrize("body", ["ellipse", "ball3", "square", "cube"])
+    def test_gauge_screen_drops_rows(self, monkeypatch, body, rng):
+        # the screen runs above 2 * PROBE_ROWS rows and keeps far fewer
+        K = PARITY_BODIES_SCREENED[body]
+        kept = []
+        screen = faces._winner_rows
+
+        def counted(W, base, hc, points, gauge):
+            rows = screen(W, base, hc, points, gauge)
+            kept.append((points.shape[0], rows.size))
+            return rows
+
+        monkeypatch.setattr(faces, "_winner_rows", counted)
+        _polar_hull(K, uniform_sample(K, 2 * faces.PROBE_ROWS + 1, rng), 256)
+        # below PRUNE_SCREEN_MIN rows X's screen keeps every planar row
+        _polar_hull(K, uniform_sample(K, 900, rng), 256)
+        assert [n for n, _ in kept] == [2 * faces.PROBE_ROWS + 1, 900]
+        assert kept[1][1] < 500
+
+    def test_grid_cached_read_only(self, ellipse21):
+        W, base, hc = faces._polar_grid(ellipse21, 256)
+        assert faces._polar_grid(ellipse21, 256)[0] is W
+        assert W.tobytes() == direction_grid(2, 256).tobytes()
+        assert base.tobytes() == ellipse21.support_batch(W).tobytes()
+        for a in (W, base, hc):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
+def ring(n, scale=1.0, shift=(0.0, 0.0)):
+    t = np.arange(n) * (2.0 * math.pi / n)
+    return scale * np.column_stack([np.cos(t), np.sin(t)]) + np.asarray(shift)
+
+
+def chain_clouds(rng):
+    """Planar clouds for the screened chain: polar clouds, rings, rows on
+    lines and repeated rows, around CHAIN_SCREEN_MIN and above it."""
+    low = faces.CHAIN_SCREEN_MIN
+    clouds = {}
+    for name in ("ellipse", "pball4-2", "square", "triangle", "ellipse-off-centre"):
+        K = PARITY_BODIES_SCREENED[name]
+        pts = uniform_sample(K, 200, rng)
+        fam = polar_family(K, pts, 256)
+        clouds[f"family-{name}"] = np.concatenate([c for _, c in fam])
+        W, base, _ = faces._polar_grid(K, 256)
+        gaps = faces._support_gaps(W, base, pts)
+        clouds[f"winners-{name}"] = W / gaps.min(axis=0)[:, None]
+    for n in (low - 1, low, low + 1, 300):
+        clouds[f"ring-{n}"] = ring(n)
+        clouds[f"ring-far-{n}"] = ring(n, 1e-6, (5e-6, -3e-6))
+        clouds[f"ring-large-{n}"] = ring(n, 1e6, (5e6, 3e6))
+        clouds[f"noisy-disk-{n}"] = rng.uniform(-1.0, 1.0, (n, 2))
+    # rows on the edges of a square, interior rows, and some edge rows, corners
+    # among them, repeated twice
+    t = np.linspace(-1.0, 1.0, 33)
+    edge = np.concatenate([np.column_stack([t, -np.ones_like(t)]),
+                           np.column_stack([np.ones_like(t), t]),
+                           np.column_stack([t[::-1], np.ones_like(t)]),
+                           np.column_stack([-np.ones_like(t), t[::-1]])])
+    clouds["square-edges"] = np.vstack([edge, 0.5 * rng.uniform(-1.0, 1.0, (100, 2))])
+    clouds["square-repeated"] = np.vstack([clouds["square-edges"], edge[::8], edge[::8]])
+    polar = clouds["winners-ellipse"]
+    clouds["winners-repeated"] = np.vstack([polar, polar[::3], polar[::5]])
+    clouds["ring-repeated"] = np.vstack([ring(100), ring(100)[::7], 0.3 * ring(100)])
+    return clouds
 
 
 class TestOwnerTaggedHull:
@@ -479,8 +636,20 @@ class TestTaggedHullParity:
             oracles.assert_same_polytope(owner_tagged_hull(family),
                                          oracles.tagged_hull(pts, owners))
 
+    def test_screened_chain_clouds(self, rng):
+        # the chain runs over the points `_akl_toussaint` keeps from
+        # CHAIN_SCREEN_MIN points up; the oracle's chain runs over all
+        screened = 0
+        for name, pts in chain_clouds(rng).items():
+            self.check(pts)
+            if pts.shape[0] >= faces.CHAIN_SCREEN_MIN:
+                screened += hull._akl_toussaint(pts).size < pts.shape[0]
+        assert screened >= 10
+
     def test_degenerate_inputs_raise_alike(self):
+        t = np.linspace(-1.0, 1.0, faces.CHAIN_SCREEN_MIN + 5)
         for pts in (np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]),
+                    np.column_stack([t, 0.5 * t + 0.25]),
                     np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                               [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])):
             with pytest.raises(DomainError):
@@ -490,6 +659,23 @@ class TestTaggedHullParity:
 
 
 class TestFvectorFromTaggedHull:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_frozenset_readout(self, d, rng):
+        for _ in range(60):
+            n = int(rng.integers(d + 2, 80))
+            pts = rng.standard_normal((n, d))
+            owners = rng.integers(0, max(2, n // int(rng.integers(1, 6))), size=n)
+            T = tagged_hull_from_points(pts, owners)
+            assert fvector_from_tagged_hull(T) == oracles.reference_fvector(T)
+        # grid-merged facets and the polar hull's repeated owners
+        for K, m in ((PARITY_BODIES_SCREENED["square" if d == 2 else "cube"], 64),
+                     (PARITY_BODIES_SCREENED["ellipse" if d == 2 else "ball3"], 256)):
+            T = _polar_hull(K, uniform_sample(K, 300, rng), m)
+            assert fvector_from_tagged_hull(T) == oracles.reference_fvector(T)
+        cube = [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
+        T = tagged_hull_from_points(np.array(cube)[:, :d], np.array([0, 0, 1, 1, 2, 2, 3, 3]))
+        assert fvector_from_tagged_hull(T) == oracles.reference_fvector(T)
+
     def test_lens_family_reaches_exact_value(self, unit_disk):
         for m in (64, 128, 256):
             assert fvector_approx(unit_disk, LENS, m=m) == (2, 1)
