@@ -10,7 +10,6 @@ aggregation and counted, never silently dropped.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -440,36 +439,12 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _csv_text(rows: list[dict], columns: list[str]) -> str:
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_format_cell(row[c]) for c in columns])
-    return buf.getvalue()
-
-
-def _write_artifact(path: Path, text: str) -> None:
-    """Write `text` to `path` as UTF-8, rewriting an existing file in place.
-
-    The file is opened without O_TRUNC, every byte is written over the
-    old ones, and the file is then cut to the new length, so it ends
-    holding exactly `text`, as a fresh file would. Campaigns rerun into
-    one directory rewrite the same files; truncating a file to zero
-    first frees its blocks, which costs far more than the write on a
-    file system that discards freed blocks, while the in-place rewrite
-    frees at most the tail. A write that fails part way leaves a mix of
-    old and new bytes, where a truncating one would leave a short file.
-    """
-    data = text.encode()
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
-        os.ftruncate(fd, len(data))
-    finally:
-        os.close(fd)
+def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_format_cell(row[c]) for c in columns])
 
 
 def _dump_name(cfg: ExperimentConfig) -> str | None:
@@ -567,9 +542,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     if target is not None:
         out_path = Path(target)
         out_path.mkdir(parents=True, exist_ok=True)
-        _write_artifact(out_path / f"{cfg.experiment}.csv", _csv_text(rows, columns))
-        _write_artifact(out_path / f"{cfg.experiment}_summary.json",
-                        json.dumps(summary, indent=1, sort_keys=True))
+        _write_csv(out_path / f"{cfg.experiment}.csv", rows, columns)
+        (out_path / f"{cfg.experiment}_summary.json").write_text(
+            json.dumps(summary, indent=1, sort_keys=True))
         # Replicate 0's geometry is the text its own job returned; when the
         # job could not build it, the campaign fails after the statistics
         # are written.
@@ -577,5 +552,5 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         if name is not None:
             if first_dump is None:
                 raise NumericError(f"replicate 0 was excluded, so {name} has no geometry")
-            _write_artifact(out_path / name, first_dump)
+            (out_path / name).write_text(first_dump)
     return summary

@@ -505,8 +505,8 @@ class TestRunExperiment:
     ])
     def test_rerun_over_longer_files_matches_fresh_run(self, tmp_path, monkeypatch,
                                                        experiment, body, small, large):
-        # a directory that holds longer files from a larger earlier run is
-        # rewritten in place to the bytes a fresh directory gets
+        # a directory that holds longer files from a larger earlier run
+        # ends with the bytes a fresh directory gets
         monkeypatch.setenv("KHULL_THREADS", "1")
         reused, fresh = tmp_path / "reused", tmp_path / "fresh"
         run_experiment(ExperimentConfig(experiment=experiment, body=body, seed=31, **large),
@@ -524,20 +524,6 @@ class TestRunExperiment:
                 got, want = json.loads(got), json.loads(want)
                 assert got.pop("runtime") > 0.0 and want.pop("runtime") > 0.0
             assert got == want, name
-
-    def test_artifact_rewritten_in_place(self, tmp_path):
-        from khull.experiments import _write_artifact
-
-        path = tmp_path / "a.txt"
-        _write_artifact(path, "first, longer text\n")
-        inode = path.stat().st_ino
-        _write_artifact(path, "short\n")
-        assert path.read_bytes() == b"short\n"
-        _write_artifact(path, "a longer text again\n")
-        assert path.read_bytes() == b"a longer text again\n"
-        assert path.stat().st_ino == inode
-        _write_artifact(path, "")
-        assert path.read_bytes() == b""
 
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig(experiment="zerocell-mc", body=DISK, T0=2.0,
