@@ -24,8 +24,12 @@ hull rows, so a reused X would time them only in the untimed warm-up.
 `_polar_hull` builds X and the polar hull of a unit d = 3 ball
 sample of POLAR_N points at resolution POLAR_M, `_polar_hull_ellipse`
 the same for an ellipse with semi-axes (2, 1) and POLAR_ELLIPSE_N
-points, the sizes of the two `polar-family` campaigns, and `summarize`
-summarizes the rows of SUMMARY_ROWS unit-disk zero cells drawn from each
+points, the sizes of the two `polar-family` campaigns. `_hull_row`
+draws one unit-disk `fvector-mc` replicate of N points and builds its
+row, and `_hull_row_ellipse` and `_hull_row_ball3` do the same for one
+replicate of those two polar campaigns, all at resolution POLAR_M, so
+the family route's seam is timed on the arc and the polar route.
+`summarize` summarizes the rows of SUMMARY_ROWS unit-disk zero cells drawn from each
 seed (200, the size of a `zero-cell` `cells-disk` campaign). The two
 `ef0_symmetric` kernels evaluate the expected zero-cell vertex count of
 the unit disk and of the unit d = 3 ball, once per repetition and with
@@ -51,7 +55,7 @@ import numpy as np
 from bench_pairs import SIDES, checkouts, git
 
 KERNELS = ("uniform_sample", "IntersectionBody", "_screen_rows", "_disk_pass", "_hull_stage",
-           "_hull_row",
+           "_hull_row", "_hull_row_ellipse", "_hull_row_ball3",
            "zero_cell_disk", "zero_cell_ball3", "scaled_sample_statistics",
            "scaled_sample_statistics_ball3", "_polar_hull", "_polar_hull_ellipse", "summarize",
            "ef0_symmetric_disk", "ef0_symmetric_ball3")
@@ -120,8 +124,12 @@ def calls(name: str, pkg, n: int, seeds: list[int]) -> list:
             tables.append([experiments._zerocell_row(K, sampler, SUMMARY_T0, i, 0, rng)[0]
                            for i in range(SUMMARY_ROWS)])
         return [lambda rows=rows: experiments.summarize(rows) for rows in tables]
-    if name == "_hull_row":
-        return [lambda g=g: experiments._hull_row(K, "fvector-mc", n, 256, 0, 0, g())
+    if name.startswith("_hull_row"):
+        if name.endswith("ellipse"):
+            K, n = pkg.Ellipsoid([2.0, 1.0], np.zeros(2)), POLAR_ELLIPSE_N
+        elif name.endswith("ball3"):
+            K, n = pkg.Ball(1.0, np.zeros(3)), POLAR_N
+        return [lambda g=g: experiments._hull_row(K, "fvector-mc", n, POLAR_M, 0, 0, g())
                 for g in rngs]
     samples = [pkg.uniform_sample(K, n, g()) for g in rngs]
     if name == "IntersectionBody":

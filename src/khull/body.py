@@ -10,6 +10,7 @@ and polar operations require the origin in the interior of the body.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -277,11 +278,11 @@ class Ellipsoid(_BodyBase):
             raise DomainError("ellipsoid rotation must be an orthonormal d x d matrix")
         object.__setattr__(self, "rotation", R)
 
-    @property
+    @functools.cached_property
     def _A(self) -> Array:
         return self.rotation * self.axes[None, :]      # R @ diag(axes)
 
-    @property
+    @functools.cached_property
     def _Ainv(self) -> Array:
         return (self.rotation / self.axes[None, :]).T  # diag(1/axes) @ R.T
 

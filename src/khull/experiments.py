@@ -40,6 +40,7 @@ _INTEGER_KEYS = ("n", "replicates", "seed", "resolution", "directions", "sphere_
 
 _FLAG_COLUMNS = ("gp_ok", "certified")
 _ID_COLUMNS = ("replicate", "seed")
+_DUMPS = ("sample-hull", "zerocell-mc")  # campaigns that write replicate 0's geometry
 
 
 def _is_integer(value) -> bool:
@@ -237,54 +238,18 @@ def _replicate_rng(master_seed: int, job_index: int):
 
 def _hull_row(K: ConvexBody, experiment: str, n: int, resolution: int,
               replicate: int, seed_word: int, rng,
-              dump: list[str] | None = None) -> dict | None:
-    """The CSV row of one hull replicate, or None when it fails the
-    general-position check.
-
-    With a `dump` list, the replicate's geometry is appended to it as the
-    text of its dump file as soon as it is built, so it is kept even when
-    the row is then excluded: the X and hull cycles of a disk sample as
-    `boundary.json`, or the polar hull as `polar_hull.off`.
-    """
-    pts = uniform_sample(K, n, rng)
-    row: dict = {"replicate": replicate, "seed": seed_word, "n": n}
-    if isinstance(K, Ball) and K.dim == 2:
-        # One X cycle per replicate: the general-position check builds it,
-        # and the hull stage, the f-vector and the dump read it.
-        report = faces.general_position_check_2d(K, pts)
-        xb = report.boundary
-        stage = None  # (hull cycle, hull-stage witnesses), or the NumericError raised
-        if xb is not None and (report.ok or dump is not None):
-            try:
-                stage = hull._hull_stage(K, pts, xb)
-            except NumericError as exc:
-                stage = exc
-        if dump is not None and isinstance(stage, tuple):
-            payload = {"intersection": xb.to_json_dict(), "khull": stage[0].to_json_dict()}
-            dump.append(json.dumps(payload, indent=1))
-        if not report.ok:
-            return None
-        if xb is None:
-            raise NumericError("the intersection-body arc cycle failed: two active disks "
-                               "coincide or a corner lies outside an active disk")
-        if isinstance(stage, NumericError):
-            raise stage
-        qb, hull_witnesses = stage
-        kf = faces._facet_count(xb, qb)
-        if hull_witnesses:
-            return None
-        fv = faces.fvector_exact_2d(xb)
-        row.update(f0=fv[0], f1=fv[1], kfacets=kf)
-        if experiment == "sample-hull":
-            row.update(arcs=len(xb.arcs), vertices=len(xb.vertices))
-    else:
-        polar_hull = faces._polar_hull(hull.IntersectionBody(K, pts), resolution)
-        if dump is not None:
-            dump.append(polar_hull.to_off_text())
-        fv = faces.fvector_from_tagged_hull(polar_hull)
-        row.update({f"f{k}": fv[k] for k in range(len(fv))})
-    row["gp_ok"] = True
-    return row
+              dump: list[tuple[str, str]] | None = None) -> dict:
+    """The CSV row of one hull replicate; an excluded replicate raises
+    GeneralPositionError, a failed one NumericError. With a `dump` list,
+    its geometry's (file name, text) is appended to it before either."""
+    family = faces._family(hull.IntersectionBody(K, uniform_sample(K, n, rng)), resolution)
+    if dump is not None and family.dump is not None:
+        dump.append((family.dump_name, family.dump()))
+    if family.error is not None:
+        raise family.error
+    sizes = family.sizes if experiment == "sample-hull" else {}
+    return {"replicate": replicate, "seed": seed_word, "n": n, **family.columns, **sizes,
+            "gp_ok": True}
 
 
 def _zerocell_row(K: ConvexBody, sampler: SurfaceMeasureSampler, T0: float,
@@ -319,31 +284,28 @@ def _convergence_row(K: ConvexBody, n: int, directions: int | None,
     return row
 
 
-def _run_job(job: tuple) -> tuple[int, dict | None, str | None, str | None]:
-    """(job index, row or None, exclusion reason or None, dump text or None).
+def _run_job(job: tuple) -> tuple[int, dict | None, str | None, tuple[str, str] | None]:
+    """(job index, row or None, exclusion reason or None, dump or None).
 
-    Job 0 of a sample-hull or zerocell-mc campaign also returns the text of
-    its geometry file (see `_dump_name`), or None when that geometry could
-    not be built; every other job returns None there.
+    Job 0 of a campaign in _DUMPS also returns the file name and text of
+    its geometry, or None when that geometry could not be built; every
+    other job returns None there.
     """
     experiment, body_json, master_seed, job_index, replicate, params = job
     K = _cached_body(body_json)
     rng, seed_word = _replicate_rng(master_seed, job_index)
-    dump: list[str] | None = (
-        [] if job_index == 0 and experiment in ("sample-hull", "zerocell-mc") else None)
+    dump: list[tuple[str, str]] | None = [] if job_index == 0 and experiment in _DUMPS else None
     row = reason = None
     try:
         if experiment in ("fvector-mc", "sample-hull"):
             n, resolution = params
             row = _hull_row(K, experiment, n, resolution, replicate, seed_word, rng, dump)
-            if row is None:
-                reason = "general-position"
         elif experiment == "zerocell-mc":
             (T0,) = params
             row, z = _zerocell_row(K, _cached_sampler(body_json), T0,
                                    replicate, seed_word, rng)
             if dump is not None:
-                dump.append(z.cell.to_off_text())
+                dump.append(("zero_cell.off", z.cell.to_off_text()))
         elif experiment == "convergence":
             n, directions, resolution = params
             row = _convergence_row(K, n, directions, resolution,
@@ -447,18 +409,6 @@ def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
             writer.writerow([_format_cell(row[c]) for c in columns])
 
 
-def _dump_name(cfg: ExperimentConfig) -> str | None:
-    """The file replicate 0's geometry is written to next to the statistics:
-    the zero cell, the X and hull cycles of a disk sample, or the polar
-    hull of any other body's sample."""
-    if cfg.experiment == "zerocell-mc":
-        return "zero_cell.off"
-    if cfg.experiment == "sample-hull":
-        K = _cached_body(_body_key(cfg))
-        return "boundary.json" if isinstance(K, Ball) and K.dim == 2 else "polar_hull.off"
-    return None
-
-
 def _run_expected_facets(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     K = body_from_spec(cfg.body)
     spec = formulas.QuadratureSpec(sphere_nodes=cfg.sphere_nodes,
@@ -545,12 +495,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         _write_csv(out_path / f"{cfg.experiment}.csv", rows, columns)
         (out_path / f"{cfg.experiment}_summary.json").write_text(
             json.dumps(summary, indent=1, sort_keys=True))
-        # Replicate 0's geometry is the text its own job returned; when the
+        # Replicate 0's geometry is the file its own job returned; when the
         # job could not build it, the campaign fails after the statistics
         # are written.
-        name = _dump_name(cfg)
-        if name is not None:
+        if cfg.experiment in _DUMPS:
             if first_dump is None:
-                raise NumericError(f"replicate 0 was excluded, so {name} has no geometry")
-            (out_path / name).write_text(first_dump)
+                raise NumericError("replicate 0 was excluded, so its geometry has no file")
+            name, text = first_dump
+            (out_path / name).write_text(text)
     return summary

@@ -9,17 +9,19 @@ off an owner-tagged convex hull of inscribed polytopal approximations.
 from __future__ import annotations
 
 import functools
+import json
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .body import ConvexBody, direction_grid
-from .errors import DomainError, GeneralPositionError, NumericError
+from .body import Ball, ConvexBody, direction_grid
+from .errors import DomainError, GeneralPositionError, KhullError, NumericError
 from .hull import (SCREEN_SLACK, ArcBoundary, DegeneracyWitness, IntersectionBody,
-                   _akl_toussaint, _centred, _disk_pass, _khull_pair, _monotone_chain,
-                   _require_disk)
+                   _akl_toussaint, _centred, _disk_pass, _hull_stage, _khull_pair,
+                   _monotone_chain, _require_disk)
 
 Array = np.ndarray
 
@@ -74,7 +76,11 @@ def general_position_check_2d(K: ConvexBody, points: Array) -> GeneralPositionRe
     or its bound on X fails. Near-cocircular corners are measured against
     every sample row either way, so the report is the same.
     """
-    xpass = _disk_pass(IntersectionBody(_require_disk(K), points))
+    return _report(_disk_pass(IntersectionBody(_require_disk(K), points)))
+
+
+def _report(xpass) -> GeneralPositionReport:
+    """The verdict on an X arc pass; dropped repeated hull rows add a witness."""
     witnesses = xpass.witnesses
     if xpass.duplicates:
         witnesses = (DegeneracyWitness("duplicate", (), None, 0.0),) + witnesses
@@ -652,3 +658,52 @@ def kfacet_count_2d(K: ConvexBody, points: Array) -> int:
     computed and cross-checked. A single-point hull has no facets.
     """
     return _facet_count(*_khull_pair(K, points))
+
+
+@dataclass(frozen=True, eq=False)
+class _Family:
+    """A sample's family f-vector by its route (`_family`), its hull-row
+    `columns` and `sample-hull` `sizes`, its `dump_name` file's text if
+    built (`dump()`), and the `error` that excludes or fails a hull row."""
+
+    fvector: FVector | None
+    exact: bool
+    dump_name: str
+    dump: Callable[[], str] | None = None
+    columns: dict = field(default_factory=dict)
+    sizes: dict = field(default_factory=dict)
+    error: KhullError | None = None
+
+
+def _family(X: IntersectionBody, m: int, hull_stage: bool = True) -> _Family:
+    """The family f-vector of X's sample by its body's one route: a planar
+    disk's exact X arc cycle, or any other body's polar hull at resolution
+    m. The `hull_stage` adds the hull cycle, the facet count and an `error`
+    (X's near-degeneracies, a failed cycle or count, the hull's); without
+    it the cycle warns and raises as `disk_intersection_boundary` does."""
+    if not (isinstance(X.base, Ball) and X.dim == 2):
+        T = _polar_hull(X, m)
+        fv = fvector_from_tagged_hull(T)
+        return _Family(fv, False, "polar_hull.off", T.to_off_text,
+                       {f"f{k}": v for k, v in enumerate(fv)})
+    xpass = _disk_pass(X)
+    if not hull_stage:
+        return _Family(fvector_exact_2d(xpass.checked_boundary()), True, "boundary.json")
+    xb, qb, error, witnesses = xpass.boundary, None, xpass.error, ()
+    if xb is not None:
+        try:
+            qb, witnesses = _hull_stage(X.base, X.points, xb)
+            kf = _facet_count(xb, qb)
+        except NumericError as exc:
+            error = exc
+    dump = None if qb is None else lambda: json.dumps(
+        {"intersection": xb.to_json_dict(), "khull": qb.to_json_dict()}, indent=1)
+    report = _report(xpass)
+    if report.ok and error is None:
+        report = GeneralPositionReport(not witnesses, witnesses)
+    error = error if report.ok else GeneralPositionError(report)
+    if error is not None:
+        return _Family(None, True, "boundary.json", dump, error=error)
+    fv = fvector_exact_2d(xb)
+    return _Family(fv, True, "boundary.json", dump, {"f0": fv[0], "f1": fv[1], "kfacets": kf},
+                   {"arcs": len(xb.arcs), "vertices": len(xb.vertices)})

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import (Ball, ConvexBody, SurfaceMeasureSampler, direction_grid, _radial_min,
+from .body import (ConvexBody, SurfaceMeasureSampler, direction_grid, _radial_min,
                    _radial_volume)
 from .errors import DomainError, NumericError
 from .faces import FVector, TaggedPolytope, tagged_hull_from_points
 from .hull import IntersectionBody
-from . import faces, hull
+from . import faces
 
 Array = np.ndarray
 
@@ -279,8 +279,8 @@ def scaled_sample_statistics(K: ConvexBody, points: Array, n_scale: int | None =
     inscribed polytope; in d = 2 that polygon is the cycle of the radial
     points in grid order, with the bits of their hull. The gap to the
     outer support-bound polytope is reported as the discretization
-    diagnostic. The f-vector uses the exact arc pipeline for planar disks
-    and the tagged polar hull otherwise.
+    diagnostic. The f-vector is read off X by its body's family route
+    (`faces._family`), exact for planar disks.
     """
     X = IntersectionBody(K, points)
     n = X.points.shape[0] if n_scale is None else int(n_scale)
@@ -294,12 +294,6 @@ def scaled_sample_statistics(K: ConvexBody, points: Array, n_scale: int | None =
     vols = intrinsic_volumes(inner)
     r_out = _radial_min(U, X.outer_support_bound_batch(U) * n)
     gap = _radial_volume(r_out, d) - _radial_volume(r, d)
-
-    # both f-vector routes read X's hull rows; the sample is pruned once
-    exact = isinstance(K, Ball) and d == 2
-    if exact:
-        fv = faces.fvector_exact_2d(hull._disk_pass(X).checked_boundary())
-    else:
-        fv = faces.fvector_from_tagged_hull(faces._polar_hull(X, fvector_resolution))
-    return ScaledSampleStatistics(n=n, volumes=vols, fvector=fv,
-                                  fvector_exact=exact, outer_gap=float(gap))
+    family = faces._family(X, fvector_resolution, hull_stage=False)
+    return ScaledSampleStatistics(n=n, volumes=vols, fvector=family.fvector,
+                                  fvector_exact=family.exact, outer_gap=float(gap))

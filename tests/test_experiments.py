@@ -17,6 +17,7 @@ from khull.faces import GeneralPositionReport
 DISK = {"kind": "ball", "r": 1.0, "center": [0.0, 0.0]}
 ELLIPSE = {"kind": "ellipsoid", "axes": [2.0, 1.0], "center": [0.0, 0.0]}
 BALL3 = {"kind": "ball", "r": 1.0, "center": [0.0, 0.0, 0.0]}
+SQUARE = {"kind": "polytope", "vertices": [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]}
 
 
 def write_config(tmp_path, name="config.json", **payload):
@@ -274,6 +275,11 @@ class TestRunExperiment:
          "5b0bc7c7238e3d8efe097cacc02790724beb1e973a2c8c6a6f98b3f91c366b9b"),
         ("sample-hull", BALL3, 1000, 1, "polar_hull.off",
          "84eebd7eab9b4223adb0d3de6f58e188ebc3ae1bae74913198ee73f2dadc8ec2"),
+        ("fvector-mc", SQUARE, 400, 4, "fvector-mc.csv",
+         "774e0a90d868700bc6f52a98e07c7d2e3c5974d19b489a6483a51543cae44ffc"),
+        # the polar f-vector of the convergence statistics, at 512 directions
+        ("convergence", ELLIPSE, 400, 3, "convergence.csv",
+         "60fcd291a7558dffcbdd5f047cf810360d6fc9bd824239014d093dc0c9d17de6"),
     ])
     def test_frozen_seed_polar_digest(self, tmp_path, monkeypatch, experiment,
                                       body, n, replicates, name, digest):
@@ -313,6 +319,12 @@ class TestRunExperiment:
         ("convergence", BALL3, {"n": 300, "replicates": 2}, {
             "convergence.csv":
             "4a11bad4c10951e84ec62aa80ca9e64009466ef36d0bb785242b2597cbc740c6"}),
+        # the arc and corner counts, and the repr'd arc angles and corners
+        ("sample-hull", DISK, {"n": 400, "replicates": 4}, {
+            "sample-hull.csv":
+            "8fe44868495ad87d1d8fc282be8480b27b34bbb14ae2aea8779af0e9ec334127",
+            "boundary.json":
+            "18f86c769847e1e3e37c92ead5e1565d32778354b2948fd63c9a53aa41fac4cd"}),
     ])
     def test_frozen_seed_zero_cell_digest(self, tmp_path, monkeypatch, experiment,
                                           body, params, digests):
@@ -403,12 +415,21 @@ class TestRunExperiment:
 
     @staticmethod
     def assert_pruned_once(tmp_path, monkeypatch, cfg, prunes: int = 1):
-        """Every replicate of the campaign screens its sample exactly once
-        and runs the qhull prune `prunes` times, and the CSV bytes are the
-        same serial and pooled."""
+        """Every replicate of the campaign builds its intersection body and
+        screens its sample exactly once and runs the qhull prune `prunes`
+        times, and the CSV bytes are the same serial and pooled."""
         import khull.experiments as exp
-        calls = {"_screen_rows": [], "_prune_to_hull": []}
-        for name, made in calls.items():
+        calls = {"_screen_rows": [], "_prune_to_hull": [], "IntersectionBody": []}
+        # the constructor calls __post_init__ through the class, under every binding
+        check = exp.hull.IntersectionBody.__post_init__
+
+        def built(self):
+            calls["IntersectionBody"].append(1)
+            check(self)
+
+        monkeypatch.setattr(exp.hull.IntersectionBody, "__post_init__", built)
+        for name in ("_screen_rows", "_prune_to_hull"):
+            made = calls[name]
             original = getattr(exp.hull, name)
 
             def counted(*args, _original=original, _made=made, **kwargs):
@@ -423,6 +444,7 @@ class TestRunExperiment:
         monkeypatch.setenv("KHULL_THREADS", "1")
         run_experiment(cfg, out_dir=str(tmp_path / "serial"))
         rows = cfg.replicates * len(cfg.schedule())
+        assert len(calls["IntersectionBody"]) == rows
         assert len(calls["_screen_rows"]) == rows
         assert len(calls["_prune_to_hull"]) == prunes * rows
         monkeypatch.setenv("KHULL_THREADS", "2")
@@ -440,9 +462,11 @@ class TestRunExperiment:
     @pytest.mark.parametrize("experiment, body, params, prunes", [
         ("fvector-mc", DISK, {"n": 2000, "replicates": 3}, 0),
         ("fvector-mc", ELLIPSE, {"n": 1000, "replicates": 3}, 0),
+        ("sample-hull", DISK, {"n": 2000, "replicates": 3}, 0),
         ("convergence", ELLIPSE, {"n_values": (300, 1000), "replicates": 2}, 1),
         ("convergence", BALL3, {"n": 200, "replicates": 2}, 1),
-    ], ids=["disk-fvector", "ellipse-fvector", "ellipse-convergence", "ball3-convergence"])
+    ], ids=["disk-fvector", "ellipse-fvector", "disk-sample-hull", "ellipse-convergence",
+            "ball3-convergence"])
     def test_sample_pruned_once_per_replicate(self, tmp_path, monkeypatch, experiment,
                                               body, params, prunes):
         # the polar hull and the convergence statistics share one X; the
@@ -497,6 +521,27 @@ class TestRunExperiment:
         assert (tmp_path / "sample-hull.csv").exists()
         assert not (tmp_path / "boundary.json").exists()
 
+    def test_excluded_replicate_zero_still_dumps(self, tmp_path, monkeypatch):
+        # the geometry is built and dumped before the verdict excludes the row
+        import khull.experiments as exp
+        real, calls = exp.faces._report, []
+
+        def first_excluded(xpass):
+            calls.append(1)
+            if len(calls) == 1:
+                return GeneralPositionReport(ok=False, witnesses=())
+            return real(xpass)
+
+        monkeypatch.setenv("KHULL_THREADS", "1")
+        cfg = ExperimentConfig(experiment="sample-hull", body=DISK, n=50,
+                               replicates=3, seed=8)
+        run_experiment(cfg, out_dir=str(tmp_path / "plain"))
+        monkeypatch.setattr(exp.faces, "_report", first_excluded)
+        summary = run_experiment(cfg, out_dir=str(tmp_path / "excluded"))
+        assert summary["exclusion_reasons"] == {"general-position": 1}
+        plain = (tmp_path / "plain" / "boundary.json").read_bytes()
+        assert (tmp_path / "excluded" / "boundary.json").read_bytes() == plain
+
     @pytest.mark.parametrize("experiment, body, small, large", [
         # few rows span a long polar hull
         ("sample-hull", ELLIPSE, {"n": 400, "replicates": 2}, {"n": 10, "replicates": 9}),
@@ -547,16 +592,17 @@ class TestRunExperiment:
         import khull.experiments as exp
 
         calls = {"count": 0}
-        real = exp.faces.general_position_check_2d
+        real = exp.faces._report
 
-        def flaky(K, pts):
+        # the verdict on each replicate's X arc pass
+        def flaky(xpass):
             calls["count"] += 1
             if calls["count"] == 3:
                 return GeneralPositionReport(ok=False, witnesses=())
-            return real(K, pts)
+            return real(xpass)
 
         monkeypatch.setenv("KHULL_THREADS", "1")
-        monkeypatch.setattr(exp.faces, "general_position_check_2d", flaky)
+        monkeypatch.setattr(exp.faces, "_report", flaky)
         cfg = ExperimentConfig(experiment="fvector-mc", body=DISK, n=25,
                                replicates=6, seed=13)
         summary = run_experiment(cfg)
@@ -569,8 +615,7 @@ class TestRunExperiment:
 
         monkeypatch.setenv("KHULL_THREADS", "1")
         monkeypatch.setattr(
-            exp.faces, "general_position_check_2d",
-            lambda K, pts: GeneralPositionReport(ok=False, witnesses=()))
+            exp.faces, "_report", lambda xpass: GeneralPositionReport(ok=False, witnesses=()))
         cfg = ExperimentConfig(experiment="fvector-mc", body=DISK, n=25,
                                replicates=2, seed=13)
         with pytest.raises(NumericError, match="excluded"):
