@@ -4,13 +4,16 @@
     python3 scripts/kernel_ab.py --parent HEAD~1 --change HEAD
 
 Both revisions are extracted by `git archive` into a temporary directory
-(by `bench_pairs.checkouts`), and their `src/khull` packages are
-imported into one interpreter under two names, `khull_parent` and
-`khull_change`. Each kernel runs on the same seeded unit-disk samples on
-both sides, and its repetitions alternate between the sides (the side
-that goes first alternates too), so a slow phase of the machine falls on
-both alike: its speed can drift by 20-50% between separate runs, more
-than the change of one layer this is meant to show. The samples are
+(by `bench_pairs.checkouts`). Each side's `src/khull` package is imported
+in its own worker process, started by `multiprocessing`'s spawn method,
+so each imports only its own package: in one interpreter, the package
+imported first ran a kernel 2-3% slower or faster than the same code
+imported second. Each kernel runs on the same seeded unit-disk samples
+on both sides, and its repetitions alternate between the two workers
+(the side that goes first alternates too), one worker timing while the
+other waits, so a slow phase of the machine falls on both alike: its
+speed can drift by 20-50% between separate runs, more than the change of
+one layer this is meant to show. The samples are
 SAMPLES unit-disk draws of N points from seeds SEED, SEED + 1, ...;
 `scaled_sample_statistics` draws CONVERGENCE_N points instead, the size
 of a disk `convergence` row, `scaled_sample_statistics_ball3` draws
@@ -18,7 +21,9 @@ CONVERGENCE_BALL3_N points of the unit d = 3 ball, the size of a ball
 d = 3 `convergence` row, and the two zero-cell kernels draw one cell of
 the unit disk or the unit d = 3 ball from each seed. `IntersectionBody`
 builds X and reads its `active` rows, so it times the sample check and
-the prune; `_screen_rows` times the screen ahead of the prune alone.
+the prune; `_screen_rows` builds X and reads its `screen` rows, the
+sample check and the screen ahead of the prune (a disk's screen reads the
+squared distances the check keeps).
 `_disk_pass` builds X inside the timed call too: X caches its screen and
 hull rows, so a reused X would time them only in the untimed warm-up.
 `_polar_hull` builds X and the polar hull of a unit d = 3 ball
@@ -43,6 +48,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import multiprocessing
 import statistics
 import sys
 import tempfile
@@ -135,7 +141,7 @@ def calls(name: str, pkg, n: int, seeds: list[int]) -> list:
     if name == "IntersectionBody":
         return [lambda p=p: hull.IntersectionBody(K, p).active for p in samples]
     if name == "_screen_rows":
-        return [lambda p=p: hull._screen_rows(p) for p in samples]
+        return [lambda p=p: hull.IntersectionBody(K, p).screen for p in samples]
     if name == "_disk_pass":
         return [lambda p=p: hull._disk_pass(hull.IntersectionBody(K, p)) for p in samples]
     if name == "_hull_stage":
@@ -152,6 +158,24 @@ def per_call_ms(fns: list) -> float:
     return (time.perf_counter() - t0) * 1e3 / len(fns)
 
 
+def serve(side: str, tree: str, seeds: list[int], conn) -> None:
+    """One side's worker: imports the tree's package, then answers the
+    driver's requests until it sends None. ("build", kernel) builds the
+    kernel's calls and runs them once, untimed; ("time", None) returns
+    their per-call time in ms."""
+    pkg = load(f"khull_{side}", Path(tree))
+    warnings.simplefilter("ignore")
+    fns: list = []
+    while (request := conn.recv()) is not None:
+        kind, name = request
+        if kind == "build":
+            fns = calls(name, pkg, N, seeds)
+            per_call_ms(fns)
+            conn.send(None)
+        else:
+            conn.send(per_call_ms(fns))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", default="HEAD~1", help="baseline revision")
@@ -161,30 +185,49 @@ def main(argv=None) -> int:
     root = Path(git("rev-parse", "--show-toplevel"))
     revs = {side: git("rev-parse", rev) for side, rev in zip(SIDES, (args.parent, args.change))}
     seeds = list(range(SEED, SEED + SAMPLES))
+    ctx = multiprocessing.get_context("spawn")
     with tempfile.TemporaryDirectory(prefix="kernel_ab-") as workdir, \
             checkouts(revs, Path(workdir), root) as trees:
-        pkgs = {side: load(f"khull_{side}", trees[side]) for side in SIDES}
-        print(f"parent {revs['parent'][:10]}  change {revs['change'][:10]}  "
-              f"n = {N}, {SAMPLES} samples, {REPS} alternating repetitions")
-        print(f"{'kernel':<32}{'side':<8}{'min ms':>10}{'median ms':>11}")
-        warnings.simplefilter("ignore")
-        for name in KERNELS:
-            fns = {side: calls(name, pkgs[side], N, seeds) for side in SIDES}
-            times: dict[str, list[float]] = {side: [] for side in SIDES}
-            for side in SIDES:  # one untimed warm-up each
-                per_call_ms(fns[side])
-            for i in range(REPS):
-                for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    times[side].append(per_call_ms(fns[side]))
-            stats = {side: (min(t), statistics.median(t)) for side, t in times.items()}
-            for side in SIDES:
-                lo, med = stats[side]
-                print(f"{name if side == 'parent' else '':<32}{side:<8}{lo:>10.4f}{med:>11.4f}",
-                      end="")
-                if side == "change":
-                    print(f"   ratio min {lo / stats['parent'][0]:.3f}"
-                          f" median {med / stats['parent'][1]:.3f}", end="")
-                print()
+        workers = {}
+        for side in SIDES:
+            conn, child = ctx.Pipe()
+            proc = ctx.Process(target=serve, args=(side, str(trees[side]), seeds, child))
+            proc.start()
+            workers[side] = (proc, conn)
+
+        def ask(side: str, request):
+            conn = workers[side][1]
+            conn.send(request)
+            return conn.recv()
+
+        try:
+            print(f"parent {revs['parent'][:10]}  change {revs['change'][:10]}  "
+                  f"n = {N}, {SAMPLES} samples, {REPS} alternating repetitions, "
+                  "one process per side")
+            print(f"{'kernel':<32}{'side':<8}{'min ms':>10}{'median ms':>11}")
+            for name in KERNELS:
+                for side in SIDES:
+                    ask(side, ("build", name))
+                times: dict[str, list[float]] = {side: [] for side in SIDES}
+                for i in range(REPS):
+                    for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                        times[side].append(ask(side, ("time", None)))
+                stats = {side: (min(t), statistics.median(t)) for side, t in times.items()}
+                for side in SIDES:
+                    lo, med = stats[side]
+                    print(f"{name if side == 'parent' else '':<32}{side:<8}{lo:>10.4f}"
+                          f"{med:>11.4f}", end="")
+                    if side == "change":
+                        print(f"   ratio min {lo / stats['parent'][0]:.3f}"
+                              f" median {med / stats['parent'][1]:.3f}", end="")
+                    print(flush=True)
+        finally:
+            for proc, conn in workers.values():
+                if proc.is_alive():
+                    conn.send(None)
+                proc.join(timeout=30)
+                if proc.is_alive():
+                    proc.terminate()
     return 0
 
 

@@ -165,12 +165,9 @@ class _BodyBase:
         return bool(self._interior_batch(x[None, :], tol)[0])
 
     def bounding_box(self) -> tuple[Array, Array]:
-        """Axis-aligned box [lo, hi] from support values."""
-        d = self.dim
-        eye = np.eye(d)
-        hi = self.support_batch(eye)
-        lo = -self.support_batch(-eye)
-        return lo, hi
+        """Axis-aligned box [lo, hi] from support values, read-only; built
+        once per body (`_bounding_box`)."""
+        return _bounding_box(self)
 
     def _require_origin_interior(self) -> None:
         if not self._origin_interior():
@@ -203,15 +200,20 @@ class Ball(_BodyBase):
         self._require_origin_interior()
         return _ball_gauge(X, self.center, self.radius)
 
-    def _interior_batch(self, X: Array, tol: float = 0.0) -> Array:
-        # np.linalg.norm(X - center, axis=1) by its own arithmetic, the
-        # squares summed column by column, without its (n, d) temporaries
+    def _sq_dist(self, X: Array) -> Array:
+        """Squared distances of the rows of X from the center: the squares
+        np.linalg.norm(X - center, axis=1) sums, summed column by column in
+        its order, without its (n, d) temporaries."""
         q = X[:, 0] - self.center[0]
         s = q * q
         for c in range(1, self.dim):
             np.subtract(X[:, c], self.center[c], out=q)
             q *= q
             s += q
+        return s
+
+    def _interior_batch(self, X: Array, tol: float = 0.0) -> Array:
+        s = self._sq_dist(X)
         return np.sqrt(s, out=s) < self.radius + tol
 
     def normal_at(self, x, tol: float = BOUNDARY_TOL) -> Array:
@@ -301,9 +303,13 @@ class Ellipsoid(_BodyBase):
         self._require_origin_interior()
         return _ball_gauge(X @ self._Ainv.T, self._Ainv @ self.center, 1.0)
 
+    def _unit_norms(self, X: Array) -> Array:
+        """|A^-1 (x - center)| for the rows x of X: the gauge of K - center
+        at x - center, bit for bit as its `gauge_batch` takes it."""
+        return np.linalg.norm((X - self.center) @ self._Ainv.T, axis=1)
+
     def _interior_batch(self, X: Array, tol: float = 0.0) -> Array:
-        W = (X - self.center) @ self._Ainv.T
-        return np.linalg.norm(W, axis=1) < 1.0 + tol
+        return self._unit_norms(X) < 1.0 + tol
 
     def normal_at(self, x, tol: float = BOUNDARY_TOL) -> Array:
         x = _boundary_point(self, x, tol)
@@ -634,6 +640,19 @@ class Polytope(_BodyBase):
 
 
 ConvexBody = Ball | Ellipsoid | PNormBall | Polytope
+
+
+@functools.lru_cache(maxsize=16)
+def _bounding_box(K: ConvexBody) -> tuple[Array, Array]:
+    """K's bounding box [lo, hi] from its support on the coordinate axes,
+    read-only. Bodies are immutable and hash by identity, so every
+    replicate of a campaign, which reuses its body, reads the same box."""
+    eye = np.eye(K.dim)
+    hi = K.support_batch(eye)
+    lo = -K.support_batch(-eye)
+    for a in (lo, hi):
+        a.setflags(write=False)
+    return lo, hi
 
 
 def _boundary_point(K: ConvexBody, x, tol: float) -> Array:

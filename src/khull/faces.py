@@ -556,7 +556,10 @@ def _winner_rows(W: Array, base: Array, hc: Array, points: Array, gauge: Array) 
     is SCREEN_SLACK times 1 + max_w (|h_K(w)| + |w|_1 max|x|) / h_c(w):
     the probe gaps, the gaps of `_support_gaps`, h_c and the gauges are
     each good to a few ulps of |h_K(w)| + |w|_1 max|x|, over h_c(w), or
-    of 1.
+    of 1. That holds for either route to the gauges: K's `gauge_batch`,
+    or a Ball's |x - c| / r from the squares its sample check summed, a
+    square root and a quotient away from the exact value. Which rows are
+    the probes does not matter: delta is measured on the probes chosen.
 
     The score screen then runs on the rows left. One product S = W @ X.T
     scores them on every direction, and a row is kept where its score is
@@ -609,7 +612,8 @@ def _polar_hull(X: IntersectionBody, m: int = 256) -> TaggedPolytope:
     built: X's `active` rows are not read.
 
     The grid, K's support on it and h_c come from `_polar_grid`, once per
-    body and resolution. The exact gaps of the candidates are one stacked
+    body and resolution, and the gauges from X (`IntersectionBody.gauges`:
+    for a Ball or an Ellipsoid, the norms its sample check took). The exact gaps of the candidates are one stacked
     product, each row rounded as over the whole sample, and the winners
     are read off it in row-major order, which is member-major,
     direction-minor: the hull lists its vertices, with their owners, in
@@ -619,10 +623,8 @@ def _polar_hull(X: IntersectionBody, m: int = 256) -> TaggedPolytope:
     so the winner points reach it as they are, unscreened.
     """
     W, base, hc = _polar_grid(X.base, m)
-    Kc, c = _centred(X.base)
     rows = X.screen
-    pts = X.points[rows]
-    rows = rows[_winner_rows(W, base, hc, pts, Kc.gauge_batch(pts - c))]
+    rows = rows[_winner_rows(W, base, hc, X.points[rows], X.gauges(rows))]
     gaps = _support_gaps(W, base, X.points[rows])
     ii, jj = np.nonzero(gaps == gaps.min(axis=0))
     return tagged_hull_from_points(W[jj] / gaps[ii, jj][:, None], rows[ii])

@@ -11,12 +11,12 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-from .body import Ball, ConvexBody, Polytope, direction_grid, _as_point
+from .body import Ball, ConvexBody, Ellipsoid, Polytope, direction_grid, _as_point
 from .errors import DomainError, GeneralPositionWarning, NumericError
 
 Array = np.ndarray
@@ -67,16 +67,67 @@ _SCREEN_DIRECTIONS = direction_grid(2, 16)
 PRUNE_SCREEN_MARGIN = 1e-9
 
 
-def _screen_rows(points: Array) -> Array:
+def _screen_rows(points: Array, disk: Ball | None = None, sq: Array | None = None) -> Array:
     """Rows of a sample that may be convex-hull vertices, ascending.
 
     Only planar samples of PRUNE_SCREEN_MIN rows or more are screened, by
     `_akl_toussaint`; any other sample keeps every row.
+
+    A sample of a planar disk K, given with the squared distances `sq` of
+    its rows from K's center c (`IntersectionBody` keeps them), is first
+    screened from its band alone: the rows with sq >= rho^2, rho =
+    BAND_RATIO * r. Their extreme rows span the polygon. When each edge of
+    it, moved inward by the screen's margin, clears the disk B(c, rho) by
+    SCREEN_SLACK times r + |c|, the rows inside that disk lie strictly
+    inside the polygon, beyond the rounding of its test, and they are
+    dropped unread. They are also below the band's extreme score in every
+    direction, so the polygon is the one `_akl_toussaint` spans over every
+    row: the band screen keeps the rows it keeps. (Both score the rows
+    with one matrix product, whose last bit can differ between row sets;
+    a row within that of an edge could go either way, and either result
+    holds every hull vertex and every copy of one.) A band of fewer than
+    three rows, or a polygon that does not clear the disk, takes the full
+    screen.
     """
     n = points.shape[0]
     if points.shape[1] != 2 or n < PRUNE_SCREEN_MIN:
         return np.arange(n)
+    if sq is not None:
+        rho = BAND_RATIO * disk.radius
+        band = np.flatnonzero(sq >= rho * rho)
+        if band.size >= 3:
+            ring = points.take(band, axis=0)
+            poly = _screen_polygon(ring)
+            if poly is not None:
+                normal, bound = poly
+                slack = SCREEN_SLACK * (disk.radius + float(np.abs(disk.center).max()))
+                length = np.hypot(normal[:, 0], normal[:, 1])
+                if (bound - normal @ disk.center > length * (rho + slack)).all():
+                    return band[_outside(ring, normal, bound)]
     return _akl_toussaint(points)
+
+
+def _screen_polygon(points: Array) -> tuple[Array, Array] | None:
+    """(outward normals, bounds) of the edges of the polygon the extreme
+    rows of a planar cloud span, counter-clockwise; None when it has fewer
+    than three corners. Each bound is moved inward by PRUNE_SCREEN_MARGIN
+    times the largest corner coordinate and the edge's length."""
+    # np.roll by concatenation: the same arrays, without its overhead
+    ext = np.argmax(_SCREEN_DIRECTIONS @ points.T, axis=1)
+    ext = points[ext[ext != np.concatenate((ext[-1:], ext[:-1]))]]
+    if ext.shape[0] < 3:
+        return None
+    edge = np.concatenate((ext[1:], ext[:1])) - ext
+    normal = np.column_stack([edge[:, 1], -edge[:, 0]])  # outward, for a ccw polygon
+    margin = PRUNE_SCREEN_MARGIN * float(np.abs(ext).max()) * np.hypot(edge[:, 0], edge[:, 1])
+    return normal, (normal * ext).sum(axis=1) - margin
+
+
+def _outside(points: Array, normal: Array, bound: Array) -> Array:
+    """Rows of a planar cloud not strictly inside every edge, ascending."""
+    # edges x rows, reduced over the edges: the long axis stays innermost
+    inside = (normal @ points.T < bound[:, None]).all(axis=0)
+    return np.flatnonzero(~inside)
 
 
 def _akl_toussaint(points: Array) -> Array:
@@ -93,18 +144,10 @@ def _akl_toussaint(points: Array) -> Array:
     they are kept whatever the rounding of the test; a cloud too thin for
     the polygon to have such an interior keeps every row.
     """
-    n = points.shape[0]
-    ext = np.argmax(_SCREEN_DIRECTIONS @ points.T, axis=1)
-    ext = points[ext[ext != np.roll(ext, 1)]]
-    if ext.shape[0] < 3:
-        return np.arange(n)
-    edge = np.roll(ext, -1, axis=0) - ext
-    normal = np.column_stack([edge[:, 1], -edge[:, 0]])  # outward, for a ccw polygon
-    margin = PRUNE_SCREEN_MARGIN * float(np.abs(ext).max()) * np.hypot(edge[:, 0], edge[:, 1])
-    bound = (normal * ext).sum(axis=1) - margin
-    # edges x rows, reduced over the edges: the long axis stays innermost
-    inside = (normal @ points.T < bound[:, None]).all(axis=0)
-    return np.flatnonzero(~inside)
+    poly = _screen_polygon(points)
+    if poly is None:
+        return np.arange(points.shape[0])
+    return _outside(points, *poly)
 
 
 def _prune_to_hull(points: Array, rows: Array) -> Array:
@@ -134,39 +177,71 @@ class IntersectionBody:
     """X = intersection of K - x over the sample points, all interior to K.
 
     Building X checks the sample once: it must be a non-empty set of rows
-    of K's dimension, each interior to K, or DomainError is raised.
+    of K's dimension, each interior to K, or DomainError is raised. The
+    check keeps what it measures: for a Ball, `sq`, the squared distance
+    of each row from K's center (its verdict is sqrt(sq) < r, bit for bit
+    `Ball._interior_batch`'s), and for a Ball or an Ellipsoid the gauge of
+    each row about K's center, which `gauges` hands to the polar hull.
     `screen` holds the rows `_screen_rows` keeps, a superset of the hull
-    vertices and their copies found with no hull call. `active` holds the
-    rows that can touch X, ascending: the convex-hull vertices of the
-    sample and every row equal to one of them, found by qhull over the
-    screen rows. The copies change no radial or support value of X, and
-    the disk arc pass dedupes them. Both are computed on their first read,
-    once, so a reader that does not need the hull rows does not pay for
-    qhull: the polar hull reads only `screen`, in d = 2 and 3, and the
-    disk arc pass reads only `screen` unless its certificate or its bound
-    on X fails (`_reach_rows`).
+    vertices and their copies found with no hull call; a planar Ball's
+    screen reads only the rows near its circle (from `sq`) when it can.
+    `active` holds the rows that can touch X, ascending: the convex-hull
+    vertices of the sample and every row equal to one of them, found by
+    qhull over the screen rows. The copies change no radial or support
+    value of X, and the disk arc pass dedupes them. Both are computed on
+    their first read, once, so a reader that does not need the hull rows
+    does not pay for qhull: the polar hull reads only `screen`, in d = 2
+    and 3, and the disk arc pass reads only `screen` (and `sq`) unless its
+    certificate or its bound on X fails (`_reach_rows`).
     """
 
     base: ConvexBody
     points: Array
+    sq: Array | None = field(init=False, repr=False)
+    _norms: Array | None = field(init=False, repr=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.shape[1] != self.base.dim:
+        K = self.base
+        if pts.shape[1] != K.dim:
             raise DomainError("sample dimension does not match the body")
         if pts.shape[0] == 0:
             raise DomainError("empty sample")
-        if not np.all(self.base._interior_batch(pts)):
+        sq = norms = None
+        if isinstance(K, Ball):
+            sq = K._sq_dist(pts)
+            norms = np.sqrt(sq)
+            inside = norms < K.radius
+        elif isinstance(K, Ellipsoid):
+            norms = K._unit_norms(pts)
+            inside = norms < 1.0
+        else:
+            inside = K._interior_batch(pts)
+        if not np.all(inside):
             raise DomainError("all sample points must lie in the interior of K")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "sq", sq)
+        object.__setattr__(self, "_norms", norms)
 
     @functools.cached_property
     def screen(self) -> Array:
-        return _screen_rows(self.points)
+        return _screen_rows(self.points, self.base, self.sq)
 
     @functools.cached_property
     def active(self) -> Array:
         return _prune_to_hull(self.points, self.screen)
+
+    def gauges(self, rows: Array) -> Array:
+        """The gauge of K - c at x - c for the given rows x, c the interior
+        point of `_centred` (K's center for a Ball or an Ellipsoid): the
+        norm the sample check took, over r for a Ball, or K's gauge. The
+        two routes may differ by a few ulps; each is good to a few ulps."""
+        K = self.base
+        if self._norms is None:
+            Kc, c = _centred(K)
+            return Kc.gauge_batch(self.points[rows] - c)
+        g = self._norms[rows]
+        return g / K.radius if isinstance(K, Ball) else g
 
     @property
     def dim(self) -> int:
@@ -514,7 +589,9 @@ def _arc_sweep(r: float, act: Array, inner: Array
 
 
 def _disk_cycle(radius: float, centers_all: Array, active: Array, inner: Array,
-                witnesses: list[DegeneracyWitness]) -> tuple[list[Arc], list[ArcVertex]]:
+                witnesses: list[DegeneracyWitness], sq: Array | None = None,
+                seed: tuple[Array, tuple] | None = None
+                ) -> tuple[list[Arc], list[ArcVertex]]:
     """Arc cycle of the intersection of equal disks centered at
     centers_all[active]; `witnesses` collects near-degeneracies. `inner` is
     a point within the radius of every active center.
@@ -525,11 +602,16 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array, inner: Array,
     cycle comes from `_arc_sweep` over the active rows alone, which checks
     every corner against every active disk and fails with NumericError.
     In the X stage the active rows are those `_reach_rows` picks, or every
-    hull row when it picks none. Cocircularity is screened against every
-    disk, not only active ones, but measured only for the rows whose
-    distance from `inner` lets their circle reach a corner. The windows are
-    EPS_GEO and EPS_GP times the radius, so the cycle and its witnesses do
-    not depend on the unit of length.
+    hull row when it picks none; when it picks them it hands over its
+    seed sweep as `seed` = (seed rows, sweep), and `_seed_cycle` reads the
+    active rows' sweep off it when it can, bit for bit, instead of
+    sweeping again. Cocircularity is screened against every disk, not
+    only active ones, but measured only for the rows whose distance from
+    `inner` lets their circle reach a corner; `sq`, if given, holds the
+    squared distances of the rows of centers_all from `inner`, as
+    dx * dx + dy * dy rounds them. The windows are EPS_GEO and EPS_GP
+    times the radius, so the cycle and its witnesses do not depend on the
+    unit of length.
     """
     r = radius
     eps_gp = EPS_GP * r
@@ -553,7 +635,8 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array, inner: Array,
         if np.any(dist >= 2.0 * r):
             raise DomainError("disjoint constraint disks; sample points not interior to K")
 
-    steps, pts, spans = _arc_sweep(r, act, inner)
+    sweep = None if seed is None else _seed_cycle(active, *seed)
+    steps, pts, spans = _arc_sweep(r, act, inner) if sweep is None else sweep
     own_i = np.array([min(s) for s in steps])
     own_j = np.array([max(s) for s in steps])
 
@@ -575,12 +658,13 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array, inner: Array,
             reach = (r - eps_gp - max(math.hypot(x - ix, y - iy) for x, y in xy)
                      - SCREEN_SLACK * (r + scale))
             if reach > 0.0:
-                dx = centers_all[:, 0] - ix
-                dy = centers_all[:, 1] - iy
-                dx *= dx
-                dy *= dy
-                dx += dy
-                cand = np.flatnonzero(dx > reach * reach)
+                if sq is None:
+                    sq = centers_all[:, 0] - ix
+                    dy = centers_all[:, 1] - iy
+                    sq *= sq
+                    dy *= dy
+                    sq += dy
+                cand = np.flatnonzero(sq > reach * reach)
                 rows, ids = centers_all[cand], cand.tolist()
         gap = _pair_dist(pts, rows)
         gap -= r
@@ -605,6 +689,37 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array, inner: Array,
     return arcs, verts
 
 
+def _seed_cycle(active: Array, rows: Array, sweep: tuple) -> tuple | None:
+    """`_arc_sweep` over the active rows, read off the seed sweep `sweep`
+    of `_reach_rows` over the seed rows `rows`, or None: it applies when
+    every active row is a seed row and every seed arc owner is active.
+
+    The parity argument. Both lists are ascending sample rows. X is the
+    intersection of the active disks (`_reach_rows`), and every seed disk
+    holds X, since each seed row is a sample row; the active disks are
+    among the seed disks, so the seed disks' intersection is exactly X.
+    Its arc owners, in counter-clockwise order, are what either sweep
+    leaves on its stack (`_arc_sweep`). Both sweeps start at the row
+    farthest from the origin: the seed sweep's owns an arc, so it is
+    active, and no active row before it ties with it, or the seed sweep
+    would have started there. So both stacks hold the same owners in the
+    same order, read from the same lowest row. The corner of two owners
+    is the pair formula over the two rows in the order of their positions,
+    and positions in either list are in sample order: the corners are the
+    same bits, the steps sort alike and the arcs read the same angles.
+    The seed sweep checked each corner against every seed disk, the active
+    ones among them. The result is the seed sweep with its positions
+    mapped from `rows` to `active`.
+    """
+    at = {row: k for k, row in enumerate(active.tolist())}
+    to = [at.get(row) for row in rows.tolist()]
+    steps, pts, spans = sweep
+    if len(at) > len(to) - to.count(None) or any(to[o] is None for o, *_ in spans):
+        return None
+    return ([(to[a], to[b]) for a, b in steps], pts,
+            [(to[o], a0, a1, e) for o, a0, a1, e in spans])
+
+
 # Screen rows of the seed sweep that bounds X ahead of the X cycle: the ones
 # farthest from the origin of the centers, i.e. the sample rows nearest the
 # disk's boundary. X's arc owners are among those, pi^2 / 2 of them on
@@ -613,56 +728,65 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array, inner: Array,
 # fell back there, where 6 rows let 18 reach it and fell back on 2; the
 # seed sweep and the X cycle cost about the same for 8 to 16.
 SEED_ROWS = 12
+# Rows at least this fraction of the radius from a disk's center form the
+# band whose extreme rows span `_screen_rows`' polygon; the rows nearer the
+# center are dropped unread when the polygon clears them. A uniform sample
+# of 5000 has about 490 band rows, and the polygon cleared the inner disk
+# on 297 of 300 such samples (209 of 300 at n = 2000, 52 of 300 at 1000).
+BAND_RATIO = 0.95
 
 
-def _reach_rows(r: float, centers: Array, screen: Array) -> Array | None:
+def _reach_rows(r: float, centers: Array, screen: Array, sq: Array
+                ) -> tuple[Array, tuple[Array, tuple]] | None:
     """The screen rows whose circles can reach X, those of them at the
-    vertices of their hull, ascending; None when the certificate or the
-    bound below fails.
+    vertices of their hull, ascending, and the seed rows with their sweep
+    (which `_disk_cycle` may reuse as X's); None when the certificate or
+    the bound below fails.
 
     `centers` are the disk centers in the frame where the origin lies in
-    every disk, and `screen` holds every hull vertex and every copy of
-    one. The certificate: the screen rows' sorted x coordinates are more
-    than EPS_GP * r apart, so are the rows, which rules out a repeated
-    hull row and a `duplicate` witness; and at most one of them lies within
-    EPS_GP * r of the circle of radius r about the origin, where both rows
-    of a `near-tangent` pair must lie. The bound: the sweep over the
-    SEED_ROWS screen rows farthest from the origin has three or more arcs
-    and corners inside every seed disk, so its arcs run over the boundary
-    of the seed disks' intersection, which holds X. When none of them holds
-    the point of its circle farthest from the origin, |x| on that boundary
-    peaks at a corner, so the largest corner norm rho bounds |x| on X. A
-    disk whose center lies within reach = r - rho - EPS_GP * r - slack of
-    the origin holds B(0, rho + EPS_GP * r), and X in its interior: the
-    intersection of the other disks is then X too (a convex set whose
-    intersection with a disk is non-empty and interior to the disk lies
-    inside it), and the disk's circle passes no corner of X within
-    EPS_GP * r.
+    every disk, `sq` their squared norms, and `screen` holds every hull
+    vertex and every copy of one. The certificate: the screen rows' sorted
+    x coordinates are more than EPS_GP * r apart, so are the rows, which
+    rules out a repeated hull row and a `duplicate` witness; and at most
+    one of them lies within EPS_GP * r of the circle of radius r about the
+    origin, where both rows of a `near-tangent` pair must lie. The bound:
+    the sweep over the SEED_ROWS screen rows farthest from the origin has
+    three or more arcs and corners inside every seed disk, so its arcs run
+    over the boundary of the seed disks' intersection, which holds X. When
+    none of them holds the point of its circle farthest from the origin,
+    |x| on that boundary peaks at a corner, so the largest corner norm rho
+    bounds |x| on X. A disk whose center lies within reach = r - rho -
+    EPS_GP * r - slack of the origin holds B(0, rho + EPS_GP * r), and X in
+    its interior: the intersection of the other disks is then X too (a
+    convex set whose intersection with a disk is non-empty and interior to
+    the disk lies inside it), and the disk's circle passes no corner of X
+    within EPS_GP * r.
     """
     eps_gp = EPS_GP * r
     c = centers[screen]
-    x, y = c[:, 0], c[:, 1]
-    sq = x * x + y * y
+    sq = sq[screen]
     # the seed corners are certified to EPS_GEO * r; SCREEN_SLACK covers
     # the rounding of the norms and the distances
     slack = EPS_GEO * r + SCREEN_SLACK * (r + float(np.abs(c).max()))
-    if (np.diff(np.sort(x)) <= eps_gp).any():
+    if (np.diff(np.sort(c[:, 0])) <= eps_gp).any():
         return None
     if np.count_nonzero(sq > (r - eps_gp - slack) ** 2) > 1:
         return None
-    seed = c
+    seed = np.arange(screen.size)
     if screen.size > SEED_ROWS:
-        seed = c[np.sort(np.argpartition(sq, -SEED_ROWS)[-SEED_ROWS:])]
-    if seed.shape[0] < 3:
+        seed = np.sort(np.argpartition(sq, -SEED_ROWS)[-SEED_ROWS:])
+    if seed.size < 3:
         return None
+    sc = c[seed]
     try:
-        _, pts, spans = _arc_sweep(r, seed, np.zeros(2))
+        sweep = _arc_sweep(r, sc, np.zeros(2))
     except NumericError:
         return None
+    _, pts, spans = sweep
     if len(spans) < 3:
         return None
     for o, a0, a1, _ in spans:
-        t = math.atan2(seed[o, 1], seed[o, 0]) - a0
+        t = math.atan2(sc[o, 1], sc[o, 0]) - a0
         if t < 0.0:
             t += TWO_PI
         if t <= a1 - a0:
@@ -673,9 +797,10 @@ def _reach_rows(r: float, centers: Array, screen: Array) -> Array | None:
         return None
     near = screen[sq > reach * reach]
     try:
-        return near[np.sort(_monotone_chain(centers[near]))]
+        active = near[np.sort(_monotone_chain(centers[near]))]
     except DomainError:
         return None  # fewer than three of them, or all on a line
+    return active, (screen[seed], sweep)
 
 
 @dataclass(frozen=True, eq=False)
@@ -731,16 +856,20 @@ def _disk_pass(X: IntersectionBody) -> _DiskPass:
     centers = np.empty_like(pts)
     for c in range(2):
         np.subtract(K.center[c], pts[:, c], out=centers[:, c])
-    active = _reach_rows(K.radius, centers, X.screen)
+    reach = _reach_rows(K.radius, centers, X.screen, X.sq)
     duplicates = 0
-    if active is None:
-        active = X.active[_dedupe_rows(pts[X.active])]
+    if reach is None:
+        active, seed = X.active[_dedupe_rows(pts[X.active])], None
         duplicates = X.active.size - active.size
+    else:
+        active, seed = reach
     witnesses: list[DegeneracyWitness] = []
     boundary = error = None
     try:
-        # the origin is inside every disk: each sample row is interior to K
-        arcs, verts = _disk_cycle(K.radius, centers, active, np.zeros(2), witnesses)
+        # the origin is inside every disk: each sample row is interior to
+        # K, and X.sq holds the squared norms of the centers
+        arcs, verts = _disk_cycle(K.radius, centers, active, np.zeros(2), witnesses,
+                                  X.sq, seed)
         boundary = ArcBoundary(tuple(arcs), tuple(verts), K.radius)
     except NumericError as exc:
         error = exc

@@ -20,7 +20,8 @@ from khull.body import Ball, ConvexBody, _unit_rows, direction_grid, sphere_area
 from khull.errors import DomainError, NumericError
 from khull.faces import COPLANAR_TOL, TaggedPolytope
 from khull.hull import (EPS_GEO, EPS_GP, TWO_PI, Arc, ArcBoundary, ArcVertex,
-                        DegeneracyWitness, _DiskPass, _dedupe_rows, _require_disk)
+                        DegeneracyWitness, IntersectionBody, _DiskPass, _dedupe_rows,
+                        _disk_cycle, _reach_rows, _require_disk)
 
 
 def lp_gauge(vertices: np.ndarray, x) -> float:
@@ -385,6 +386,31 @@ def reference_disk_pass(K: ConvexBody, points: np.ndarray) -> _DiskPass:
     except NumericError as exc:
         error = exc
     return _DiskPass(pts, pts.shape[0] - unique.size, tuple(witnesses), boundary, error)
+
+
+def reference_reach_pass(K: ConvexBody, points: np.ndarray) -> _DiskPass:
+    """`hull._disk_pass` as it was before the seed sweep was reused: the X
+    cycle always sweeps its active rows, and the cocircularity screen
+    computes the squared center norms itself. The rows are those
+    `_reach_rows` picks, or the deduplicated hull rows when it picks none."""
+    X = IntersectionBody(_require_disk(K), points)
+    pts = X.points
+    centers = K.center[None, :] - pts
+    reach = _reach_rows(K.radius, centers, X.screen, X.sq)
+    duplicates = 0
+    if reach is None:
+        active = X.active[_dedupe_rows(pts[X.active])]
+        duplicates = X.active.size - active.size
+    else:
+        active = reach[0]
+    witnesses: list[DegeneracyWitness] = []
+    boundary = error = None
+    try:
+        arcs, verts = _disk_cycle(K.radius, centers, active, np.zeros(2), witnesses)
+        boundary = ArcBoundary(tuple(arcs), tuple(verts), K.radius)
+    except NumericError as exc:
+        error = exc
+    return _DiskPass(pts, duplicates, tuple(witnesses), boundary, error)
 
 
 

@@ -333,6 +333,16 @@ class TestUniformSample:
         with pytest.raises(DomainError):
             uniform_sample(unit_disk, -1, rng)
 
+    def test_bounding_box_built_once_read_only(self):
+        for K in all_kinds_2d() + [Ball(2.0, np.array([1.0, -1.0, 0.5]))]:
+            lo, hi = K.bounding_box()
+            eye = np.eye(K.dim)
+            assert lo.tobytes() == (-K.support_batch(-eye)).tobytes()
+            assert hi.tobytes() == K.support_batch(eye).tobytes()
+            again = K.bounding_box()
+            assert again[0] is lo and again[1] is hi
+            assert not (lo.flags.writeable or hi.flags.writeable)
+
 
 class TestSamplingKernels:
     """`uniform_sample` and `Ball._interior_batch` against the

@@ -414,12 +414,30 @@ class TestRunExperiment:
             assert serial == (tmp_path / "pooled" / name).read_bytes()
 
     @staticmethod
+    def seed_reused(X) -> bool:
+        """Whether the disk pass over X reads X's sweep off the seed sweep:
+        `_reach_rows` picks rows, all of them seed rows, and every seed arc
+        owner is among them."""
+        from khull import hull
+
+        reach = hull._reach_rows(X.base.radius, X.base.center[None, :] - X.points,
+                                 X.screen, X.sq)
+        if reach is None:
+            return False
+        active, (rows, sweep) = reach
+        owners = {int(rows[o]) for o, *_ in sweep[2]}
+        return set(active.tolist()) <= set(rows.tolist()) and owners <= set(active.tolist())
+
+    @staticmethod
     def assert_pruned_once(tmp_path, monkeypatch, cfg, prunes: int = 1):
         """Every replicate of the campaign builds its intersection body and
         screens its sample exactly once and runs the qhull prune `prunes`
-        times, and the CSV bytes are the same serial and pooled."""
+        times, and the CSV bytes are the same serial and pooled. A disk
+        replicate sweeps its seed rows and, unless it reuses that sweep as
+        X's, its X rows, and a hull row sweeps the hull stage too."""
         import khull.experiments as exp
-        calls = {"_screen_rows": [], "_prune_to_hull": [], "IntersectionBody": []}
+        calls = {"_screen_rows": [], "_prune_to_hull": [], "IntersectionBody": [],
+                 "_arc_sweep": []}
         # the constructor calls __post_init__ through the class, under every binding
         check = exp.hull.IntersectionBody.__post_init__
 
@@ -428,7 +446,7 @@ class TestRunExperiment:
             check(self)
 
         monkeypatch.setattr(exp.hull.IntersectionBody, "__post_init__", built)
-        for name in ("_screen_rows", "_prune_to_hull"):
+        for name in ("_screen_rows", "_prune_to_hull", "_arc_sweep"):
             made = calls[name]
             original = getattr(exp.hull, name)
 
@@ -441,12 +459,33 @@ class TestRunExperiment:
                       if getattr(m, name, None) is original]
             for owner in owners:
                 monkeypatch.setattr(owner, name, counted)
+        sweeps = []
+        family = exp.faces._family
+        K = exp._cached_body(exp._body_key(cfg))
+        disk = isinstance(K, Ball) and K.dim == 2
+
+        def traced(X, *args, **kwargs):
+            before = len(calls["_arc_sweep"])
+            out = family(X, *args, **kwargs)
+            made = len(calls["_arc_sweep"]) - before
+            if disk:
+                sweeps.append((made, TestRunExperiment.seed_reused(X)))
+                del calls["_arc_sweep"][before + made:]  # the sweep seed_reused ran
+            return out
+
+        monkeypatch.setattr(exp.faces, "_family", traced)
         monkeypatch.setenv("KHULL_THREADS", "1")
         run_experiment(cfg, out_dir=str(tmp_path / "serial"))
         rows = cfg.replicates * len(cfg.schedule())
         assert len(calls["IntersectionBody"]) == rows
         assert len(calls["_screen_rows"]) == rows
         assert len(calls["_prune_to_hull"]) == prunes * rows
+        if disk:
+            stages = 2 if cfg.experiment in ("fvector-mc", "sample-hull") else 1
+            assert len(sweeps) == rows
+            assert all(made == stages + (not reused) for made, reused in sweeps)
+        else:
+            assert calls["_arc_sweep"] == []
         monkeypatch.setenv("KHULL_THREADS", "2")
         run_experiment(cfg, out_dir=str(tmp_path / "pooled"))
         name = f"{cfg.experiment}.csv"

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import all_kinds_2d, smooth_kinds_2d
-from khull import (ArcBoundary, Ball, DomainError, GeneralPositionWarning,
-                   IntersectionBody, NumericError, Polytope, direction_grid,
+from khull import (ArcBoundary, Ball, DomainError, Ellipsoid, GeneralPositionWarning,
+                   IntersectionBody, NumericError, PNormBall, Polytope, direction_grid,
                    disk_intersection_boundary, fvector_approx, fvector_exact_2d,
                    general_position_check_2d, kfacet_count_2d, khull_boundary_2d,
                    khull_contains, mink_diff_contains, uniform_sample)
@@ -1000,3 +1000,162 @@ class TestPrunePrefilter:
                     np.zeros((2000, 2))):
             assert self.screened(pts) == 0
             self.assert_parity(pts)
+
+
+class TestBandScreen:
+    """A planar Ball's screen spans its polygon over the band rows, those
+    at BAND_RATIO * r or more from the center, and drops the rows nearer
+    the center unread when the polygon clears them. It must keep the rows
+    `_akl_toussaint` keeps over every row, and take that full screen when
+    the band cannot show it."""
+
+    @staticmethod
+    def screen(K, pts: np.ndarray) -> tuple[np.ndarray, bool]:
+        """X's screen rows, and whether they came from the full screen."""
+        calls = []
+        full = hull._akl_toussaint
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hull, "_akl_toussaint", lambda p: calls.append(1) or full(p))
+            rows = IntersectionBody(K, pts).screen
+        return rows, bool(calls)
+
+    @pytest.mark.parametrize("shift", [(0.0, 0.0), (3.0, -2.0), (1e3, -2e3)])
+    @pytest.mark.parametrize("r", [1e-6, 1.0, 1e6])
+    def test_uniform_disks(self, r, shift):
+        K = Ball(r, r * np.array(shift))
+        rng = np.random.default_rng(5353)
+        for n in (1000, 2000, 5000):
+            taken = []
+            for _ in range(4):
+                pts = r * uniform_sample(Ball(1.0, np.zeros(2)), n, rng) + K.center
+                rows, full = self.screen(K, pts)
+                np.testing.assert_array_equal(rows, hull._akl_toussaint(pts))
+                taken.append(full)
+        # at n = 5000 the band's polygon clears the inner disk on about 99%
+        # of samples, at n = 2000 on about 70% and at n = 1000 on 17%
+        assert taken.count(True) <= 1
+
+    @staticmethod
+    def full_cases() -> dict[str, np.ndarray]:
+        rng = np.random.default_rng(5454)
+        unit = Ball(1.0, np.zeros(2))
+        inner = 0.9 * uniform_sample(unit, 2000, rng)
+        rim = 0.97 * np.array([[math.cos(t), math.sin(t)] for t in (0.3, 2.4, 4.5)])
+        half = uniform_sample(unit, 3000, rng)
+        half[:, 1] = np.abs(half[:, 1])
+        return {
+            "half disk": half,
+            "empty band": inner,
+            "two band rows": np.concatenate([inner[:700], rim[:2], inner[700:]]),
+            # a triangle whose edges pass 0.485 r from the center
+            "polygon short of the inner disk": np.concatenate([inner, rim]),
+        }
+
+    @pytest.mark.parametrize("shift", [(0.0, 0.0), (3.0, -2.0), (1e3, -2e3)])
+    @pytest.mark.parametrize("r", [1e-6, 1.0, 1e6])
+    def test_full_screen_cases(self, r, shift):
+        K = Ball(r, r * np.array(shift))
+        for name, pts in self.full_cases().items():
+            pts = r * pts + K.center
+            rows, full = self.screen(K, pts)
+            assert full, name
+            np.testing.assert_array_equal(rows, hull._akl_toussaint(pts))
+            assert_matches_reference(K, pts)
+
+    @pytest.mark.parametrize("r, shift", [(1.0, (0.0, 0.0)), (1e-6, (3.0, -2.0)),
+                                          (1e6, (1e3, -2e3))])
+    def test_squares_are_those_of_the_cycle(self, r, shift):
+        # the X cycle's candidate test sums dx * dx + dy * dy over the
+        # centers K.center - x, about the origin; X keeps the same bits
+        K = Ball(r, r * np.array(shift))
+        pts = r * uniform_sample(Ball(1.0, np.zeros(2)), 3000, np.random.default_rng(5555))
+        pts += K.center
+        centers = K.center[None, :] - pts
+        dx, dy = centers[:, 0] - 0.0, centers[:, 1] - 0.0
+        assert IntersectionBody(K, pts).sq.tobytes() == (dx * dx + dy * dy).tobytes()
+
+
+class TestSeedReuse:
+    """`_disk_pass` reads X's sweep off `_reach_rows`' seed sweep when every
+    active row is a seed row and every seed arc owner is active, and
+    sweeps the active rows otherwise. Every field must be that of
+    `oracles.reference_reach_pass`, which always sweeps them."""
+
+    @staticmethod
+    def reuses(K, pts: np.ndarray) -> bool | None:
+        """Whether the reuse applies; None when `_reach_rows` picks no rows."""
+        X = IntersectionBody(K, pts)
+        reach = hull._reach_rows(K.radius, K.center[None, :] - pts, X.screen, X.sq)
+        if reach is None:
+            return None
+        active, (rows, sweep) = reach
+        owners = {int(rows[o]) for o, *_ in sweep[2]}
+        return set(active.tolist()) <= set(rows.tolist()) and owners <= set(active.tolist())
+
+    @staticmethod
+    def sweeps(K, pts: np.ndarray):
+        """`_disk_pass` over the sample, and how many sweeps it ran."""
+        calls = []
+        sweep = hull._arc_sweep
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hull, "_arc_sweep", lambda *a: calls.append(1) or sweep(*a))
+            got = hull._disk_pass(IntersectionBody(K, pts))
+        return got, len(calls)
+
+    @pytest.mark.parametrize("scale, shift", [(1.0, (0.0, 0.0)), (1e-6, (3.0, -2.0)),
+                                              (1e6, (1e3, -2e3))])
+    def test_matches_reference(self, scale, shift):
+        K = Ball(scale, scale * np.array(shift))
+        rng = np.random.default_rng(3131)
+        seen = []
+        for n in (400, 1000, 2000, 5000) * 6:
+            pts = scale * uniform_sample(Ball(1.0, np.zeros(2)), n, rng) + K.center
+            got, sweeps = self.sweeps(K, pts)
+            assert _pass_fields(got) == _pass_fields(oracles.reference_reach_pass(K, pts))
+            reuse = self.reuses(K, pts)
+            assert reuse is not None
+            assert sweeps == (1 if reuse else 2)
+            seen.append(reuse)
+        assert set(seen) == {True, False}
+
+    def test_fallbacks_match_reference(self):
+        for name, pts in TestReachRows.fallback_cases().items():
+            K = Ball(1.0, np.zeros(2))
+            assert self.reuses(K, pts) is None, name
+            got = hull._disk_pass(IntersectionBody(K, pts))
+            assert _pass_fields(got) == _pass_fields(oracles.reference_reach_pass(K, pts))
+
+
+class TestGauges:
+    """`IntersectionBody.gauges` reads the polar hull's gauges off the
+    sample check: an Ellipsoid's norms are its translate's `gauge_batch`
+    bit for bit, a Ball's |x - c| / r agree with it to rounding, and other
+    kinds take `gauge_batch` itself."""
+
+    @staticmethod
+    def both(K, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        pts = uniform_sample(K, n, np.random.default_rng(seed))
+        rows = np.arange(0, n, 3)
+        Kc, c = hull._centred(K)
+        return IntersectionBody(K, pts).gauges(rows), Kc.gauge_batch(pts[rows] - c)
+
+    def test_ellipsoids_bit_for_bit(self):
+        t = 0.7
+        rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        for k, E in enumerate([Ellipsoid([2.0, 1.0], np.zeros(2)),
+                               Ellipsoid([2.0, 1.0], np.array([5.0, -3.0]), rot),
+                               Ellipsoid([1e-6, 3e-6], np.array([1e-5, 0.0])),
+                               Ellipsoid([3.0, 1.0, 2.0], np.array([0.5, 0.0, -1.0]))]):
+            got, want = self.both(E, 600, 6060 + k)
+            assert got.tobytes() == want.tobytes()
+
+    def test_balls_to_rounding(self):
+        for k, (d, r, c) in enumerate([(2, 1.0, 0.0), (3, 1.0, 0.0), (2, 1e6, 1e3),
+                                       (3, 1e-6, -3.0)]):
+            got, want = self.both(Ball(r, np.full(d, c * r)), 600, 6160 + k)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=8 * np.finfo(float).eps)
+
+    def test_other_kinds_take_the_gauge(self, pball4, square):
+        for k, K in enumerate([pball4, square, PNormBall(3.0, 2.0, np.array([1.0, 1.0]))]):
+            got, want = self.both(K, 300, 6260 + k)
+            assert got.tobytes() == want.tobytes()
