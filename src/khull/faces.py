@@ -613,11 +613,12 @@ def _polar_hull(X: IntersectionBody, m: int = 256) -> TaggedPolytope:
 
     The grid, K's support on it and h_c come from `_polar_grid`, once per
     body and resolution, and the gauges from X (`IntersectionBody.gauges`:
-    for a Ball or an Ellipsoid, the norms its sample check took). The exact gaps of the candidates are one stacked
-    product, each row rounded as over the whole sample, and the winners
-    are read off it in row-major order, which is member-major,
-    direction-minor: the hull lists its vertices, with their owners, in
-    the same order as the hull of the full family. In d = 3 qhull may list
+    for a Ball or an Ellipsoid, the norms its sample check took). The
+    exact gaps of the candidates are one stacked product, each row
+    rounded as over the whole sample, and the winners are read off it in
+    row-major order, which is member-major, direction-minor: the hull
+    lists its vertices, with their owners, in the same order as the hull
+    of the full family. In d = 3 qhull may list
     the facets in another order, or triangulate a merged facet another
     way, because its processing order depends on the points it is given;
     so the winner points reach it as they are, unscreened.
