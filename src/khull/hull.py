@@ -839,15 +839,21 @@ def _disk_pass(X: IntersectionBody) -> _DiskPass:
     """Build the arc cycle of X, the intersection body of a sample interior
     to a planar disk.
 
-    X has checked the sample and screened it (`X.screen`). The cycle is
-    built over the screen rows `_reach_rows` picks, the hull vertices
-    among those whose circles can reach X, about 9 of the 57 hull vertices
-    of a uniform sample of 5000, when its certificate holds: then no row
-    is repeated and the cycle, its witnesses and errors are those over
-    every hull row. Otherwise X is pruned to its hull rows (`X.active`),
-    copies of hull vertices included, since X over the sample is X over
-    its hull, and those few rows are deduplicated for the cycle. Arc owners
-    index the original sample, at the first occurrence of a repeated row.
+    X has checked the sample, keeping the squared center distances
+    (`X.sq`), and screened it (`X.screen`), from the rows near the disk's
+    boundary alone when it can. The cycle is built over the screen rows
+    `_reach_rows` picks, the hull vertices among those whose circles can
+    reach X, about 9 of the 57 hull vertices of a uniform sample of 5000,
+    when its certificate holds: then no row is repeated and the cycle,
+    its witnesses and errors are those over every hull row. Otherwise X
+    is pruned to its hull rows (`X.active`), copies of hull vertices
+    included, since X over the sample is X over its hull, and those few
+    rows are deduplicated for the cycle. On about 83% of uniform samples
+    the rows `_reach_rows` picks are all among its seed rows and hold
+    every arc owner of its seed sweep; that sweep is then X's sweep
+    (`_seed_cycle`), and X is swept once. The cocircularity screen picks
+    its candidate rows from `X.sq`. Arc owners index the original sample,
+    at the first occurrence of a repeated row.
     K need not contain the origin.
     """
     K = _require_disk(X.base)
