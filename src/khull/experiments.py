@@ -320,25 +320,18 @@ def _run_job(job: tuple) -> tuple[int, dict | None, str | None, tuple[str, str] 
 
 
 def _jobs_for(cfg: ExperimentConfig) -> list[tuple]:
-    body_json = _body_key(cfg)
-    jobs = []
-    idx = 0
+    """One job per (per-n parameter tuple, replicate), in that order; the
+    job index counts them from 0."""
     if cfg.experiment == "zerocell-mc":
-        for i in range(cfg.replicates):
-            jobs.append((cfg.experiment, body_json, cfg.seed, idx, i, (cfg.T0,)))
-            idx += 1
+        params = [(cfg.T0,)]
     elif cfg.experiment == "convergence":
-        for n in cfg.schedule():
-            for i in range(cfg.replicates):
-                jobs.append((cfg.experiment, body_json, cfg.seed, idx, i,
-                             (n, cfg.directions, cfg.resolution)))
-                idx += 1
+        params = [(n, cfg.directions, cfg.resolution) for n in cfg.schedule()]
     else:
-        for i in range(cfg.replicates):
-            jobs.append((cfg.experiment, body_json, cfg.seed, idx, i,
-                         (cfg.n, cfg.resolution)))
-            idx += 1
-    return jobs
+        params = [(cfg.n, cfg.resolution)]
+    body_json = _body_key(cfg)
+    pairs = ((p, i) for p in params for i in range(cfg.replicates))
+    return [(cfg.experiment, body_json, cfg.seed, idx, i, p)
+            for idx, (p, i) in enumerate(pairs)]
 
 
 def _worker_count() -> int:

@@ -192,7 +192,8 @@ class IntersectionBody:
     their first read, once, so a reader that does not need the hull rows
     does not pay for qhull: the polar hull reads only `screen`, in d = 2
     and 3, and the disk arc pass reads only `screen` (and `sq`) unless its
-    certificate or its bound on X fails (`_reach_rows`).
+    certificate or its bound on X fails (`_reach_rows`); when no more
+    screen rows reach X than its seed sweep read, that sweep is X's.
     """
 
     base: ConvexBody
@@ -590,8 +591,7 @@ def _arc_sweep(r: float, act: Array, inner: Array
 
 def _disk_cycle(radius: float, centers_all: Array, active: Array, inner: Array,
                 witnesses: list[DegeneracyWitness], sq: Array | None = None,
-                seed: tuple[Array, tuple] | None = None
-                ) -> tuple[list[Arc], list[ArcVertex]]:
+                sweep: tuple | None = None) -> tuple[list[Arc], list[ArcVertex]]:
     """Arc cycle of the intersection of equal disks centered at
     centers_all[active]; `witnesses` collects near-degeneracies. `inner` is
     a point within the radius of every active center.
@@ -602,11 +602,10 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array, inner: Array,
     cycle comes from `_arc_sweep` over the active rows alone, which checks
     every corner against every active disk and fails with NumericError.
     In the X stage the active rows are those `_reach_rows` picks, or every
-    hull row when it picks none; when it picks them it hands over its
-    seed sweep as `seed` = (seed rows, sweep), and `_seed_cycle` reads the
-    active rows' sweep off it when it can, bit for bit, instead of
-    sweeping again. Cocircularity is screened against every disk, not
-    only active ones, but measured only for the rows whose distance from
+    hull row when it picks none; when they are its seed rows it hands
+    over its seed sweep as `sweep`, used as it is instead of sweeping
+    again. Cocircularity is screened against every disk, not only active
+    ones, but measured only for the rows whose distance from
     `inner` lets their circle reach a corner; `sq`, if given, holds the
     squared distances of the rows of centers_all from `inner`, as
     dx * dx + dy * dy rounds them. The windows are EPS_GEO and EPS_GP
@@ -635,7 +634,6 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array, inner: Array,
         if np.any(dist >= 2.0 * r):
             raise DomainError("disjoint constraint disks; sample points not interior to K")
 
-    sweep = None if seed is None else _seed_cycle(active, *seed)
     steps, pts, spans = _arc_sweep(r, act, inner) if sweep is None else sweep
     own_i = np.array([min(s) for s in steps])
     own_j = np.array([max(s) for s in steps])
@@ -689,37 +687,6 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array, inner: Array,
     return arcs, verts
 
 
-def _seed_cycle(active: Array, rows: Array, sweep: tuple) -> tuple | None:
-    """`_arc_sweep` over the active rows, read off the seed sweep `sweep`
-    of `_reach_rows` over the seed rows `rows`, or None: it applies when
-    every active row is a seed row and every seed arc owner is active.
-
-    The parity argument. Both lists are ascending sample rows. X is the
-    intersection of the active disks (`_reach_rows`), and every seed disk
-    holds X, since each seed row is a sample row; the active disks are
-    among the seed disks, so the seed disks' intersection is exactly X.
-    Its arc owners, in counter-clockwise order, are what either sweep
-    leaves on its stack (`_arc_sweep`). Both sweeps start at the row
-    farthest from the origin: the seed sweep's owns an arc, so it is
-    active, and no active row before it ties with it, or the seed sweep
-    would have started there. So both stacks hold the same owners in the
-    same order, read from the same lowest row. The corner of two owners
-    is the pair formula over the two rows in the order of their positions,
-    and positions in either list are in sample order: the corners are the
-    same bits, the steps sort alike and the arcs read the same angles.
-    The seed sweep checked each corner against every seed disk, the active
-    ones among them. The result is the seed sweep with its positions
-    mapped from `rows` to `active`.
-    """
-    at = {row: k for k, row in enumerate(active.tolist())}
-    to = [at.get(row) for row in rows.tolist()]
-    steps, pts, spans = sweep
-    if len(at) > len(to) - to.count(None) or any(to[o] is None for o, *_ in spans):
-        return None
-    return ([(to[a], to[b]) for a, b in steps], pts,
-            [(to[o], a0, a1, e) for o, a0, a1, e in spans])
-
-
 # Screen rows of the seed sweep that bounds X ahead of the X cycle: the ones
 # farthest from the origin of the centers, i.e. the sample rows nearest the
 # disk's boundary. X's arc owners are among those, pi^2 / 2 of them on
@@ -731,17 +698,18 @@ SEED_ROWS = 12
 # Rows at least this fraction of the radius from a disk's center form the
 # band whose extreme rows span `_screen_rows`' polygon; the rows nearer the
 # center are dropped unread when the polygon clears them. A uniform sample
-# of 5000 has about 490 band rows, and the polygon cleared the inner disk
-# on 297 of 300 such samples (209 of 300 at n = 2000, 52 of 300 at 1000).
-BAND_RATIO = 0.95
+# of 5000 has about 680 band rows. Over 6000 uniform samples per n the
+# polygon cleared the inner disk on all of them at n = 5000, on 5957 at
+# n = 2000 and on 5237 at n = 1000; a ratio of 0.95 cleared 5900, 4074 and
+# 1154, and where it fell back the band attempt cost about what it saved.
+BAND_RATIO = 0.93
 
 
 def _reach_rows(r: float, centers: Array, screen: Array, sq: Array
-                ) -> tuple[Array, tuple[Array, tuple]] | None:
-    """The screen rows whose circles can reach X, those of them at the
-    vertices of their hull, ascending, and the seed rows with their sweep
-    (which `_disk_cycle` may reuse as X's); None when the certificate or
-    the bound below fails.
+                ) -> tuple[Array, tuple | None] | None:
+    """X's active rows among the screen rows, ascending, with their sweep
+    when it is the seed sweep (None when it is not); None when the
+    certificate or the bound below fails.
 
     `centers` are the disk centers in the frame where the origin lies in
     every disk, `sq` their squared norms, and `screen` holds every hull
@@ -760,7 +728,13 @@ def _reach_rows(r: float, centers: Array, screen: Array, sq: Array
     its interior: the intersection of the other disks is then X too (a
     convex set whose intersection with a disk is non-empty and interior to
     the disk lies inside it), and the disk's circle passes no corner of X
-    within EPS_GP * r.
+    within EPS_GP * r. Dropping such disks one at a time, the disks of
+    any screen rows that include every row farther than reach from the
+    origin intersect in X. The seed rows are the seed.size screen rows of
+    largest norm, so they include every such row exactly when at most
+    seed.size rows are that far, ties included; the seed rows and their
+    sweep are then X's. Otherwise the rows are the hull vertices of the
+    rows that far, with no sweep.
     """
     eps_gp = EPS_GP * r
     c = centers[screen]
@@ -795,12 +769,14 @@ def _reach_rows(r: float, centers: Array, screen: Array, sq: Array
     reach = r - rho - eps_gp - slack
     if reach <= 0.0:
         return None
-    near = screen[sq > reach * reach]
+    far = sq > reach * reach
+    if np.count_nonzero(far) <= seed.size:
+        return screen[seed], sweep
+    near = screen[far]
     try:
-        active = near[np.sort(_monotone_chain(centers[near]))]
+        return near[np.sort(_monotone_chain(centers[near]))], None
     except DomainError:
-        return None  # fewer than three of them, or all on a line
-    return active, (screen[seed], sweep)
+        return None  # all on a line
 
 
 @dataclass(frozen=True, eq=False)
@@ -841,17 +817,18 @@ def _disk_pass(X: IntersectionBody) -> _DiskPass:
 
     X has checked the sample, keeping the squared center distances
     (`X.sq`), and screened it (`X.screen`), from the rows near the disk's
-    boundary alone when it can. The cycle is built over the screen rows
-    `_reach_rows` picks, the hull vertices among those whose circles can
-    reach X, about 9 of the 57 hull vertices of a uniform sample of 5000,
-    when its certificate holds: then no row is repeated and the cycle,
-    its witnesses and errors are those over every hull row. Otherwise X
-    is pruned to its hull rows (`X.active`), copies of hull vertices
+    boundary alone when it can. When its certificate holds, the cycle is
+    built over the screen rows `_reach_rows` picks: then no row is
+    repeated and the cycle, its witnesses and errors are those over every
+    hull row. On most uniform samples (about 84% at n = 5000) at most
+    SEED_ROWS rows can reach X; the picked rows are then the seed rows
+    it swept to bound X, and that sweep is X's, so X is swept once.
+    Otherwise they are the hull vertices among the rows that can reach
+    X, then about 20 of the 57 hull vertices of a uniform sample of 5000,
+    and are swept again. When the certificate or the bound fails, X is
+    pruned to its hull rows (`X.active`), copies of hull vertices
     included, since X over the sample is X over its hull, and those few
-    rows are deduplicated for the cycle. On about 83% of uniform samples
-    the rows `_reach_rows` picks are all among its seed rows and hold
-    every arc owner of its seed sweep; that sweep is then X's sweep
-    (`_seed_cycle`), and X is swept once. The cocircularity screen picks
+    rows are deduplicated for the cycle. The cocircularity screen picks
     its candidate rows from `X.sq`. Arc owners index the original sample,
     at the first occurrence of a repeated row.
     K need not contain the origin.
@@ -865,17 +842,17 @@ def _disk_pass(X: IntersectionBody) -> _DiskPass:
     reach = _reach_rows(K.radius, centers, X.screen, X.sq)
     duplicates = 0
     if reach is None:
-        active, seed = X.active[_dedupe_rows(pts[X.active])], None
+        active, sweep = X.active[_dedupe_rows(pts[X.active])], None
         duplicates = X.active.size - active.size
     else:
-        active, seed = reach
+        active, sweep = reach
     witnesses: list[DegeneracyWitness] = []
     boundary = error = None
     try:
         # the origin is inside every disk: each sample row is interior to
         # K, and X.sq holds the squared norms of the centers
         arcs, verts = _disk_cycle(K.radius, centers, active, np.zeros(2), witnesses,
-                                  X.sq, seed)
+                                  X.sq, sweep)
         boundary = ArcBoundary(tuple(arcs), tuple(verts), K.radius)
     except NumericError as exc:
         error = exc

@@ -389,10 +389,11 @@ def reference_disk_pass(K: ConvexBody, points: np.ndarray) -> _DiskPass:
 
 
 def reference_reach_pass(K: ConvexBody, points: np.ndarray) -> _DiskPass:
-    """`hull._disk_pass` as it was before the seed sweep was reused: the X
-    cycle always sweeps its active rows, and the cocircularity screen
-    computes the squared center norms itself. The rows are those
-    `_reach_rows` picks, or the deduplicated hull rows when it picks none."""
+    """`hull._disk_pass` without its sweep reuse: the X cycle always sweeps
+    its active rows, and the cocircularity screen computes the squared
+    center norms itself. The rows are those `_reach_rows` picks, its seed
+    rows when it returns their sweep, or the deduplicated hull rows when
+    it picks none. `reference_disk_pass` is the independent check."""
     X = IntersectionBody(_require_disk(K), points)
     pts = X.points
     centers = K.center[None, :] - pts
