@@ -1146,6 +1146,9 @@ class TestSeedReuse:
         # reused with the copy among the seed rows and without it, and swept again
         assert {(True, True), (True, False)} <= seen
         assert any(not reused for reused, _ in seen)
+
+
+class TestGauges:
     """`IntersectionBody.gauges` reads the polar hull's gauges off the
     sample check: an Ellipsoid's norms are its translate's `gauge_batch`
     bit for bit, a Ball's |x - c| / r agree with it to rounding, and other
