@@ -241,10 +241,13 @@ def _hull_row(K: ConvexBody, experiment: str, n: int, resolution: int,
               dump: list[tuple[str, str]] | None = None) -> dict:
     """The CSV row of one hull replicate; an excluded replicate raises
     GeneralPositionError, a failed one NumericError. With a `dump` list,
-    its geometry's (file name, text) is appended to it before either."""
+    its geometry's (file name, text) is appended to it before either, or
+    its NumericError raised."""
     family = faces._family(hull.IntersectionBody(K, uniform_sample(K, n, rng)), resolution)
     if dump is not None and family.dump is not None:
         dump.append((family.dump_name, family.dump()))
+    if not family.report.ok:
+        raise GeneralPositionError(family.report)
     if family.error is not None:
         raise family.error
     sizes = family.sizes if experiment == "sample-hull" else {}

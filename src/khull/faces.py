@@ -18,10 +18,10 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .body import Ball, ConvexBody, direction_grid
-from .errors import DomainError, GeneralPositionError, KhullError, NumericError
+from .errors import DomainError, GeneralPositionError, NumericError
 from .hull import (SCREEN_SLACK, ArcBoundary, DegeneracyWitness, IntersectionBody,
-                   _akl_toussaint, _centred, _disk_pass, _hull_stage, _khull_pair,
-                   _monotone_chain, _require_disk)
+                   _akl_toussaint, _centred, _disk_pass, _hull_stage, _monotone_chain,
+                   _require_disk, khull_boundary_2d)
 
 Array = np.ndarray
 
@@ -643,31 +643,19 @@ def polytope_fvector(points: Array) -> FVector:
     return tagged_hull_from_points(points).fvector()
 
 
-def _facet_count(xb: ArcBoundary, qb: ArcBoundary) -> int:
-    """Facet arcs of the hull cycle qb, cross-checked against the corner
-    count of the X cycle xb of the same sample."""
-    if qb.is_degenerate:
-        return 0
-    if len(qb.arcs) != len(xb.vertices):
-        raise NumericError(
-            f"facet count mismatch: {len(qb.arcs)} hull arcs vs {len(xb.vertices)} corners")
-    return len(qb.arcs)
-
-
 def kfacet_count_2d(K: ConvexBody, points: Array) -> int:
-    """Number of facet arcs of the hull of a planar disk sample.
-
-    Equals the corner count of the intersection-body cycle; both are
-    computed and cross-checked. A single-point hull has no facets.
-    """
-    return _facet_count(*_khull_pair(K, points))
+    """Number of facet arcs of the hull of a planar disk sample, one per
+    corner of the intersection-body cycle, which `khull_boundary_2d`
+    checks. A single-point hull has no facets."""
+    return len(khull_boundary_2d(K, points).arcs)
 
 
 @dataclass(frozen=True, eq=False)
 class _Family:
     """A sample's family f-vector by its route (`_family`), its hull-row
     `columns` and `sample-hull` `sizes`, its `dump_name` file's text if
-    built (`dump()`), and the `error` that excludes or fails a hull row."""
+    built (`dump()`), X's general-position `report` and the `error` of a
+    failed X cycle, which leaves no f-vector."""
 
     fvector: FVector | None
     exact: bool
@@ -675,38 +663,48 @@ class _Family:
     dump: Callable[[], str] | None = None
     columns: dict = field(default_factory=dict)
     sizes: dict = field(default_factory=dict)
-    error: KhullError | None = None
+    report: GeneralPositionReport = GeneralPositionReport(True, ())
+    error: NumericError | None = None
 
 
-def _family(X: IntersectionBody, m: int, hull_stage: bool = True) -> _Family:
-    """The family f-vector of X's sample by its body's one route: a planar
-    disk's exact X arc cycle, or any other body's polar hull at resolution
-    m. The `hull_stage` adds the hull cycle, the facet count and an `error`
-    (X's near-degeneracies, a failed cycle or count, the hull's); without
-    it the cycle warns and raises as `disk_intersection_boundary` does."""
+def _family(X: IntersectionBody, m: int) -> _Family:
+    """The family f-vector of X's sample by its body's one route, built
+    once per sample: a planar disk's exact X arc cycle, or any other body's
+    polar hull at resolution m.
+
+    The hull of a disk sample is the intersection of the disks of radius r
+    about c - v over X's corners v, c being K's center: its arcs are
+    centred at X's corners and its corners are X's arc owners. So
+    `kfacets` is X's corner count, the hull cycle is built only by
+    `dump()`, which raises its NumericError, and the row's verdict is X's.
+    Both stages' windows are EPS_GP * r, and the hull stage's witnesses
+    are X's:
+    - a `duplicate`, two corners of one X arc within the window, puts the
+      circle through the second within the window of the first: X's
+      `near-cocircular` witness (`near-tangent` if X has two arcs);
+    - a `near-cocircular` corner, an X arc owner x within the window of
+      the circle about c - v, is the X corner v as close to x's circle,
+      with the same measure up to rounding;
+    - a `near-tangent` pair, X corners within the window of 2r apart, has
+      no X counterpart. It needs the hull rows within about
+      2 sqrt(EPS_GP) r of one another, and X's verdict keeps such a sample.
+    """
     if not (isinstance(X.base, Ball) and X.dim == 2):
         T = _polar_hull(X, m)
         fv = fvector_from_tagged_hull(T)
         return _Family(fv, False, "polar_hull.off", T.to_off_text,
                        {f"f{k}": v for k, v in enumerate(fv)})
     xpass = _disk_pass(X)
-    if not hull_stage:
-        return _Family(fvector_exact_2d(xpass.checked_boundary()), True, "boundary.json")
-    xb, qb, error, witnesses = xpass.boundary, None, xpass.error, ()
-    if xb is not None:
-        try:
-            qb, witnesses = _hull_stage(X.base, X.points, xb)
-            kf = _facet_count(xb, qb)
-        except NumericError as exc:
-            error = exc
-    dump = None if qb is None else lambda: json.dumps(
-        {"intersection": xb.to_json_dict(), "khull": qb.to_json_dict()}, indent=1)
-    report = _report(xpass)
-    if report.ok and error is None:
-        report = GeneralPositionReport(not witnesses, witnesses)
-    error = error if report.ok else GeneralPositionError(report)
-    if error is not None:
-        return _Family(None, True, "boundary.json", dump, error=error)
+    report, xb = _report(xpass), xpass.boundary
+    if xb is None:
+        return _Family(None, True, "boundary.json", report=report, error=xpass.error)
     fv = fvector_exact_2d(xb)
-    return _Family(fv, True, "boundary.json", dump, {"f0": fv[0], "f1": fv[1], "kfacets": kf},
-                   {"arcs": len(xb.arcs), "vertices": len(xb.vertices)})
+
+    def dump() -> str:
+        qb = _hull_stage(X.base, X.points, xb)[0]
+        return json.dumps({"intersection": xb.to_json_dict(), "khull": qb.to_json_dict()},
+                          indent=1)
+
+    return _Family(fv, True, "boundary.json", dump,
+                   {"f0": fv[0], "f1": fv[1], "kfacets": len(xb.vertices)},
+                   {"arcs": len(xb.arcs), "vertices": len(xb.vertices)}, report)

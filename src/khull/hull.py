@@ -864,8 +864,9 @@ def _hull_stage(K: Ball, points: Array,
     """Hull cycle of a disk sample from its X cycle xb, and the hull-stage
     near-degeneracies, returned rather than warned.
 
-    The hull cycle is validated against the sample; a failure raises
-    NumericError.
+    Every sample row owning an arc of xb must lie on the hull cycle, inside
+    all hull disks and on at least one hull circle, and the cycle must have
+    one arc per corner of xb; a failure raises NumericError.
     """
     if len(xb.vertices) < 2:
         # X has no corners only when every sample row is the same point.
@@ -875,20 +876,14 @@ def _hull_stage(K: Ball, points: Array,
     # a sample row is inside every disk: each corner v of X has x + v in K
     arcs, verts = _disk_cycle(K.radius, K.center[None, :] - vpts, np.arange(vpts.shape[0]),
                               points[0], witnesses)
-    qb = ArcBoundary(tuple(arcs), tuple(verts), K.radius)
-    _validate_hull_boundary(K, points, xb, qb)
-    return qb, tuple(witnesses)
-
-
-def _khull_pair(K: ConvexBody, points: Array) -> tuple[ArcBoundary, ArcBoundary]:
-    """X cycle and hull cycle of a disk sample from one X build, with the
-    warnings of disk_intersection_boundary and khull_boundary_2d."""
-    xpass = _disk_pass(IntersectionBody(_require_disk(K), points))
-    xb = xpass.checked_boundary()
-    qb, witnesses = _hull_stage(K, xpass.points, xb)
-    for w in witnesses:
-        warnings.warn("hull stage: " + w.describe(), GeneralPositionWarning, stacklevel=3)
-    return xb, qb
+    d = _pair_dist(points[sorted(xb.arc_owners())], np.array([a.center for a in arcs]))
+    # corner placement is O(sqrt(eps))-sensitive; relative to the radius
+    tol = math.sqrt(EPS_GEO) * 10 * K.radius
+    if np.any(d.min(axis=1) > K.radius + tol) or np.any(np.abs(d - K.radius).min(axis=1) > tol):
+        raise NumericError("hull boundary failed the owner-incidence validation")
+    if len(arcs) != len(vpts):
+        raise NumericError(f"facet count mismatch: {len(arcs)} hull arcs vs {len(vpts)} corners")
+    return ArcBoundary(tuple(arcs), tuple(verts), K.radius), tuple(witnesses)
 
 
 def disk_intersection_boundary(K: ConvexBody, points: Array) -> ArcBoundary:
@@ -913,18 +908,11 @@ def khull_boundary_2d(K: ConvexBody, points: Array) -> ArcBoundary:
     every constraint arc subtends less than a half turn. Owners of the
     returned arcs index the corner list of the X boundary. A sample whose
     X boundary has no corners hulls to the single sample point itself.
+    Near-degeneracies of either cycle raise GeneralPositionWarning.
     """
-    return _khull_pair(K, points)[1]
+    xpass = _disk_pass(IntersectionBody(_require_disk(K), points))
+    qb, witnesses = _hull_stage(K, xpass.points, xpass.checked_boundary())
+    for w in witnesses:
+        warnings.warn("hull stage: " + w.describe(), GeneralPositionWarning, stacklevel=2)
+    return qb
 
-
-def _validate_hull_boundary(K: Ball, points: Array, xb: ArcBoundary,
-                            qb: ArcBoundary) -> None:
-    """Every sample point owning an arc of the X boundary must lie on the
-    hull boundary: inside all hull disks and on at least one hull circle."""
-    owners = sorted(xb.arc_owners())
-    hull_centers = np.array([a.center for a in qb.arcs])
-    d = _pair_dist(points[owners], hull_centers)
-    # corner placement is O(sqrt(eps))-sensitive; relative to the radius
-    tol = math.sqrt(EPS_GEO) * 10 * K.radius
-    if np.any(d.min(axis=1) > K.radius + tol) or np.any(np.abs(d - K.radius).min(axis=1) > tol):
-        raise NumericError("hull boundary failed the owner-incidence validation")

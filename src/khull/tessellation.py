@@ -9,13 +9,14 @@ statistics of the inverted points.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .body import (ConvexBody, SurfaceMeasureSampler, direction_grid, _radial_min,
                    _radial_volume)
-from .errors import DomainError, NumericError
+from .errors import DomainError, GeneralPositionWarning, NumericError
 from .faces import FVector, TaggedPolytope, tagged_hull_from_points
 from .hull import IntersectionBody
 from . import faces
@@ -280,7 +281,9 @@ def scaled_sample_statistics(K: ConvexBody, points: Array, n_scale: int | None =
     points in grid order, with the bits of their hull. The gap to the
     outer support-bound polytope is reported as the discretization
     diagnostic. The f-vector is read off X by its body's family route
-    (`faces._family`), exact for planar disks.
+    (`faces._family`), exact for planar disks. There a failed X cycle
+    raises its NumericError, and near-degeneracies of X warn
+    GeneralPositionWarning.
     """
     X = IntersectionBody(K, points)
     n = X.points.shape[0] if n_scale is None else int(n_scale)
@@ -294,6 +297,10 @@ def scaled_sample_statistics(K: ConvexBody, points: Array, n_scale: int | None =
     vols = intrinsic_volumes(inner)
     r_out = _radial_min(U, X.outer_support_bound_batch(U) * n)
     gap = _radial_volume(r_out, d) - _radial_volume(r, d)
-    family = faces._family(X, fvector_resolution, hull_stage=False)
+    family = faces._family(X, fvector_resolution)
+    if family.error is not None:
+        raise family.error
+    if not family.report.ok:
+        warnings.warn(family.report.describe(), GeneralPositionWarning, stacklevel=2)
     return ScaledSampleStatistics(n=n, volumes=vols, fvector=family.fvector,
                                   fvector_exact=family.exact, outer_gap=float(gap))

@@ -419,7 +419,8 @@ def reference_hull_stage(K, points: np.ndarray, xb: ArcBoundary
                          ) -> tuple[ArcBoundary, tuple[DegeneracyWitness, ...]]:
     """Hull cycle of a disk sample from its X cycle xb through
     `reference_disk_cycle`, with the owner-incidence validation on the
-    dense distance table; the windows are relative to the radius."""
+    dense distance table and the check of one arc per corner of xb; the
+    windows are relative to the radius."""
     if len(xb.vertices) < 2:
         return ArcBoundary((), (), K.radius, degenerate_point=points[0]), ()
     vpts = np.array([v.point for v in xb.vertices])
@@ -435,6 +436,9 @@ def reference_hull_stage(K, points: np.ndarray, xb: ArcBoundary
     tol = math.sqrt(EPS_GEO) * 10 * K.radius
     if np.any(d.min(axis=1) > K.radius + tol) or np.any(np.abs(d - K.radius).min(axis=1) > tol):
         raise NumericError("hull boundary failed the owner-incidence validation")
+    if len(qb.arcs) != len(xb.vertices):
+        raise NumericError(
+            f"facet count mismatch: {len(qb.arcs)} hull arcs vs {len(xb.vertices)} corners")
     return qb, tuple(witnesses)
 
 def reference_uniform_sample(K: ConvexBody, n: int, rng: np.random.Generator) -> np.ndarray:

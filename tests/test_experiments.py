@@ -429,7 +429,8 @@ class TestRunExperiment:
         screens its sample exactly once and runs the qhull prune `prunes`
         times, and the CSV bytes are the same serial and pooled. A disk
         replicate sweeps its seed rows and, unless it reuses that sweep as
-        X's, its X rows, and a hull row sweeps the hull stage too."""
+        X's, its X rows; the hull cycle of a `sample-hull` dump is swept
+        after `_family` returns."""
         import khull.experiments as exp
         calls = {"_screen_rows": [], "_prune_to_hull": [], "IntersectionBody": [],
                  "_arc_sweep": []}
@@ -476,9 +477,8 @@ class TestRunExperiment:
         assert len(calls["_screen_rows"]) == rows
         assert len(calls["_prune_to_hull"]) == prunes * rows
         if disk:
-            stages = 2 if cfg.experiment in ("fvector-mc", "sample-hull") else 1
             assert len(sweeps) == rows
-            assert all(made == stages + (not reused) for made, reused in sweeps)
+            assert all(made == 1 + (not reused) for made, reused in sweeps)
         else:
             assert calls["_arc_sweep"] == []
         monkeypatch.setenv("KHULL_THREADS", "2")
@@ -678,6 +678,62 @@ class TestRunExperiment:
         assert (index, reason) == (1444, None)
         assert row["replicate"] == 1444 and row["n"] == 2000
         assert row["gp_ok"] is False
+
+    def test_repeated_hull_row_convergence_row_is_kept(self, monkeypatch):
+        # a copy of a hull vertex is dropped with a duplicate witness: the
+        # convergence row keeps the f-vector of the sample without it, flagged
+        import khull.experiments as exp
+        from scipy.spatial import ConvexHull
+
+        K = Ball(1.0, np.zeros(2))
+        pts = uniform_sample(K, 500, np.random.default_rng(7171))
+        rows = {}
+        for name, sample in (("plain", pts),
+                             ("copy", np.insert(pts, 100, pts[ConvexHull(pts).vertices[0]],
+                                                axis=0))):
+            monkeypatch.setattr(exp, "uniform_sample", lambda K, n, rng, s=sample: s)
+            rows[name] = exp._convergence_row(K, 500, None, 256, 0, 0, None)
+        assert (rows["plain"]["gp_ok"], rows["copy"]["gp_ok"]) == (True, False)
+        assert (rows["copy"]["f0"], rows["copy"]["f1"]) == (rows["plain"]["f0"],
+                                                            rows["plain"]["f1"])
+
+    @pytest.mark.parametrize("experiment, reason", [("fvector-mc", "general-position"),
+                                                    ("convergence", "numeric")])
+    def test_witnesses_and_failed_cycle(self, monkeypatch, experiment, reason):
+        # X's witnesses exclude a hull row ahead of its failed cycle; a
+        # convergence row, which keeps flagged rows, fails on the cycle
+        import khull.experiments as exp
+        from khull.hull import DegeneracyWitness
+
+        def fails(radius, centers_all, active, inner, witnesses, *args):
+            witnesses.append(DegeneracyWitness("near-tangent", (0, 1), None, 0.0))
+            raise NumericError("a corner of the sweep lies outside an active disk")
+
+        monkeypatch.setattr(exp.hull, "_disk_cycle", fails)
+        cfg = ExperimentConfig(experiment=experiment, body=DISK, n=50, replicates=1, seed=8)
+        assert exp._run_job(exp._jobs_for(cfg)[0])[1:3] == (None, reason)
+
+    @pytest.mark.parametrize("experiment, stages", [("fvector-mc", 0), ("sample-hull", 1)])
+    def test_hull_cycle_built_only_for_the_dump(self, tmp_path, monkeypatch, experiment,
+                                                stages):
+        # kfacets is X's corner count; the hull cycle is built for job 0's
+        # boundary.json alone
+        import khull.experiments as exp
+        calls = []
+        stage = exp.hull._hull_stage
+
+        def counted(*args):
+            calls.append(1)
+            return stage(*args)
+
+        for owner in (exp.hull, exp.faces):
+            monkeypatch.setattr(owner, "_hull_stage", counted)
+        monkeypatch.setenv("KHULL_THREADS", "1")
+        cfg = ExperimentConfig(experiment=experiment, body=DISK, n=500, replicates=4, seed=31)
+        summary = run_experiment(cfg, out_dir=str(tmp_path))
+        assert summary["rows"] == 4
+        assert len(calls) == stages
+        assert (tmp_path / "boundary.json").exists() == (stages == 1)
 
     def test_expected_facets_auto(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KHULL_THREADS", "1")
