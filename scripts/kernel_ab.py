@@ -22,8 +22,7 @@ d = 3 `convergence` row, and the two zero-cell kernels draw one cell of
 the unit disk or the unit d = 3 ball from each seed. `IntersectionBody`
 builds X and reads its `active` rows, so it times the sample check and
 the prune; `_screen_rows` builds X and reads its `screen` rows, the
-sample check and the screen ahead of the prune (a disk's screen reads the
-squared distances the check keeps).
+sample check and the screen ahead of the prune.
 `_disk_pass` builds X inside the timed call too: X caches its screen and
 hull rows, so a reused X would time them only in the untimed warm-up.
 `_polar_hull` builds X and the polar hull of a unit d = 3 ball
@@ -31,9 +30,10 @@ sample of POLAR_N points at resolution POLAR_M, `_polar_hull_ellipse`
 the same for an ellipse with semi-axes (2, 1) and POLAR_ELLIPSE_N
 points, the sizes of the two `polar-family` campaigns. `_hull_row`
 draws one unit-disk `fvector-mc` replicate of N points and builds its
-row, and `_hull_row_ellipse` and `_hull_row_ball3` do the same for one
-replicate of those two polar campaigns, all at resolution POLAR_M, so
-the family route's seam is timed on the arc and the polar route.
+row, `_hull_row_large` the same at LARGE_N points, and `_hull_row_ellipse`
+and `_hull_row_ball3` do the same for one replicate of those two polar
+campaigns, all at resolution POLAR_M, so the family route's seam is timed
+on the arc and the polar route.
 `summarize` summarizes the rows of SUMMARY_ROWS unit-disk zero cells drawn from each
 seed (200, the size of a `zero-cell` `cells-disk` campaign). The two
 `ef0_symmetric` kernels evaluate the expected zero-cell vertex count of
@@ -61,11 +61,12 @@ import numpy as np
 from bench_pairs import SIDES, checkouts, git
 
 KERNELS = ("uniform_sample", "IntersectionBody", "_screen_rows", "_disk_pass", "_hull_stage",
-           "_hull_row", "_hull_row_ellipse", "_hull_row_ball3",
+           "_hull_row", "_hull_row_large", "_hull_row_ellipse", "_hull_row_ball3",
            "zero_cell_disk", "zero_cell_ball3", "scaled_sample_statistics",
            "scaled_sample_statistics_ball3", "_polar_hull", "_polar_hull_ellipse", "summarize",
            "ef0_symmetric_disk", "ef0_symmetric_ball3")
 N = 5000
+LARGE_N = 100_000
 CONVERGENCE_N = 2000
 CONVERGENCE_BALL3_N = 500
 POLAR_N = 1000
@@ -135,6 +136,8 @@ def calls(name: str, pkg, n: int, seeds: list[int]) -> list:
             K, n = pkg.Ellipsoid([2.0, 1.0], np.zeros(2)), POLAR_ELLIPSE_N
         elif name.endswith("ball3"):
             K, n = pkg.Ball(1.0, np.zeros(3)), POLAR_N
+        elif name.endswith("large"):
+            n = LARGE_N
         return [lambda g=g: experiments._hull_row(K, "fvector-mc", n, POLAR_M, 0, 0, g())
                 for g in rngs]
     samples = [pkg.uniform_sample(K, n, g()) for g in rngs]

@@ -236,6 +236,14 @@ def _replicate_rng(master_seed: int, job_index: int):
     return np.random.default_rng(ss), seed_word
 
 
+def _draw(K: ConvexBody, n: int, rng) -> hull.IntersectionBody:
+    """The intersection body of n rows uniform in K: a planar disk's drawn
+    band first (`hull._disk_sample`), any other body's by `uniform_sample`."""
+    if isinstance(K, Ball) and K.dim == 2:
+        return hull._disk_sample(K, n, rng)
+    return hull.IntersectionBody(K, uniform_sample(K, n, rng))
+
+
 def _hull_row(K: ConvexBody, experiment: str, n: int, resolution: int,
               replicate: int, seed_word: int, rng,
               dump: list[tuple[str, str]] | None = None) -> dict:
@@ -243,7 +251,7 @@ def _hull_row(K: ConvexBody, experiment: str, n: int, resolution: int,
     GeneralPositionError, a failed one NumericError. With a `dump` list,
     its geometry's (file name, text) is appended to it before either, or
     its NumericError raised."""
-    family = faces._family(hull.IntersectionBody(K, uniform_sample(K, n, rng)), resolution)
+    family = faces._family(_draw(K, n, rng), resolution)
     if dump is not None and family.dump is not None:
         dump.append((family.dump_name, family.dump()))
     if not family.report.ok:
@@ -272,12 +280,10 @@ def _zerocell_row(K: ConvexBody, sampler: SurfaceMeasureSampler, T0: float,
 def _convergence_row(K: ConvexBody, n: int, directions: int | None,
                      resolution: int, replicate: int, seed_word: int,
                      rng) -> dict:
-    pts = uniform_sample(K, n, rng)
+    X = _draw(K, n, rng)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        stats = tessellation.scaled_sample_statistics(
-            K, pts, n_scale=n, directions=directions,
-            fvector_resolution=resolution)
+        stats = tessellation._scaled_statistics(X, n, directions, resolution)
     flagged = any(issubclass(w.category, GeneralPositionWarning) for w in caught)
     row = {"replicate": replicate, "seed": seed_word, "n": n}
     row.update({f"f{k}": stats.fvector[k] for k in range(len(stats.fvector))})
@@ -290,14 +296,15 @@ def _convergence_row(K: ConvexBody, n: int, directions: int | None,
 def _run_job(job: tuple) -> tuple[int, dict | None, str | None, tuple[str, str] | None]:
     """(job index, row or None, exclusion reason or None, dump or None).
 
-    Job 0 of a campaign in _DUMPS also returns the file name and text of
-    its geometry, or None when that geometry could not be built; every
-    other job returns None there.
+    A job whose `dump` flag is set (job 0 of a campaign in _DUMPS that
+    writes its files) also returns the file name and text of its geometry,
+    or None when that geometry could not be built; every other job returns
+    None there and builds no file text.
     """
-    experiment, body_json, master_seed, job_index, replicate, params = job
+    experiment, body_json, master_seed, job_index, replicate, params, dumps = job
     K = _cached_body(body_json)
     rng, seed_word = _replicate_rng(master_seed, job_index)
-    dump: list[tuple[str, str]] | None = [] if job_index == 0 and experiment in _DUMPS else None
+    dump: list[tuple[str, str]] | None = [] if dumps else None
     row = reason = None
     try:
         if experiment in ("fvector-mc", "sample-hull"):
@@ -322,9 +329,10 @@ def _run_job(job: tuple) -> tuple[int, dict | None, str | None, tuple[str, str] 
     return job_index, row, reason, dump[0] if dump else None
 
 
-def _jobs_for(cfg: ExperimentConfig) -> list[tuple]:
+def _jobs_for(cfg: ExperimentConfig, write: bool = False) -> list[tuple]:
     """One job per (per-n parameter tuple, replicate), in that order; the
-    job index counts them from 0."""
+    job index counts them from 0. With `write`, job 0 of a campaign in
+    _DUMPS is flagged to return its geometry's file."""
     if cfg.experiment == "zerocell-mc":
         params = [(cfg.T0,)]
     elif cfg.experiment == "convergence":
@@ -333,7 +341,8 @@ def _jobs_for(cfg: ExperimentConfig) -> list[tuple]:
         params = [(cfg.n, cfg.resolution)]
     body_json = _body_key(cfg)
     pairs = ((p, i) for p in params for i in range(cfg.replicates))
-    return [(cfg.experiment, body_json, cfg.seed, idx, i, p)
+    dumps = write and cfg.experiment in _DUMPS
+    return [(cfg.experiment, body_json, cfg.seed, idx, i, p, dumps and idx == 0)
             for idx, (p, i) in enumerate(pairs)]
 
 
@@ -445,7 +454,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         rows, summary = _run_expected_facets(cfg)
         columns = list(rows[0].keys())
     else:
-        jobs = _jobs_for(cfg)
+        jobs = _jobs_for(cfg, target is not None)
         workers = _worker_count()
         if workers > 1:
             chunk = max(1, len(jobs) // (8 * workers))

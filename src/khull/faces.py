@@ -80,10 +80,11 @@ def general_position_check_2d(K: ConvexBody, points: Array) -> GeneralPositionRe
 
 
 def _report(xpass) -> GeneralPositionReport:
-    """The verdict on an X arc pass; dropped repeated hull rows add a witness."""
-    witnesses = xpass.witnesses
-    if xpass.duplicates:
-        witnesses = (DegeneracyWitness("duplicate", (), None, 0.0),) + witnesses
+    """The verdict on an X arc pass. Each repeated hull row the pass dropped
+    adds a `duplicate` witness (first occurrence, dropped row), at distance
+    0, ahead of the cycle's own."""
+    witnesses = tuple(DegeneracyWitness("duplicate", pair, None, 0.0)
+                      for pair in xpass.dropped) + xpass.witnesses
     return GeneralPositionReport(not witnesses, witnesses, xpass.boundary)
 
 

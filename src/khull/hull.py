@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-from .body import Ball, ConvexBody, Ellipsoid, Polytope, direction_grid, _as_point
+from .body import (Ball, ConvexBody, Ellipsoid, Polytope, direction_grid, uniform_sample,
+                   _as_point)
 from .errors import DomainError, GeneralPositionWarning, NumericError
 
 Array = np.ndarray
@@ -67,53 +68,26 @@ _SCREEN_DIRECTIONS = direction_grid(2, 16)
 PRUNE_SCREEN_MARGIN = 1e-9
 
 
-def _screen_rows(points: Array, disk: Ball | None = None, sq: Array | None = None) -> Array:
+def _screen_rows(points: Array) -> Array:
     """Rows of a sample that may be convex-hull vertices, ascending.
 
     Only planar samples of PRUNE_SCREEN_MIN rows or more are screened, by
     `_akl_toussaint`; any other sample keeps every row.
-
-    A sample of a planar disk K, given with the squared distances `sq` of
-    its rows from K's center c (`IntersectionBody` keeps them), is first
-    screened from its band alone: the rows with sq >= rho^2, rho =
-    BAND_RATIO * r. Their extreme rows span the polygon. When each edge of
-    it, moved inward by the screen's margin, clears the disk B(c, rho) by
-    SCREEN_SLACK times r + |c|, the rows inside that disk lie strictly
-    inside the polygon, beyond the rounding of its test, and they are
-    dropped unread. They are also below the band's extreme score in every
-    direction, so the polygon is the one `_akl_toussaint` spans over every
-    row: the band screen keeps the rows it keeps. (Both score the rows
-    with one matrix product, whose last bit can differ between row sets;
-    a row within that of an edge could go either way, and either result
-    holds every hull vertex and every copy of one.) A band of fewer than
-    three rows, or a polygon that does not clear the disk, takes the full
-    screen.
     """
-    n = points.shape[0]
-    if points.shape[1] != 2 or n < PRUNE_SCREEN_MIN:
-        return np.arange(n)
-    if sq is not None:
-        rho = BAND_RATIO * disk.radius
-        band = np.flatnonzero(sq >= rho * rho)
-        if band.size >= 3:
-            ring = points.take(band, axis=0)
-            poly = _screen_polygon(ring)
-            if poly is not None:
-                normal, bound = poly
-                slack = SCREEN_SLACK * (disk.radius + float(np.abs(disk.center).max()))
-                length = np.hypot(normal[:, 0], normal[:, 1])
-                if (bound - normal @ disk.center > length * (rho + slack)).all():
-                    return band[_outside(ring, normal, bound)]
+    if points.shape[1] != 2 or points.shape[0] < PRUNE_SCREEN_MIN:
+        return np.arange(points.shape[0])
     return _akl_toussaint(points)
 
 
-def _screen_polygon(points: Array) -> tuple[Array, Array] | None:
-    """(outward normals, bounds) of the edges of the polygon the extreme
-    rows of a planar cloud span, counter-clockwise; None when it has fewer
-    than three corners. Each bound is moved inward by PRUNE_SCREEN_MARGIN
-    times the largest corner coordinate and the edge's length."""
+def _screen_polygon(points: Array, directions: Array = _SCREEN_DIRECTIONS
+                    ) -> tuple[Array, Array] | None:
+    """(outward normals, bounds) of the edges of the polygon the rows of a
+    planar cloud extreme in `directions` (by increasing angle) span,
+    counter-clockwise; None when it has fewer than three corners. Each
+    bound is moved inward by PRUNE_SCREEN_MARGIN times the largest corner
+    coordinate and the edge's length."""
     # np.roll by concatenation: the same arrays, without its overhead
-    ext = np.argmax(_SCREEN_DIRECTIONS @ points.T, axis=1)
+    ext = np.argmax(directions @ points.T, axis=1)
     ext = points[ext[ext != np.concatenate((ext[-1:], ext[:-1]))]]
     if ext.shape[0] < 3:
         return None
@@ -183,14 +157,14 @@ class IntersectionBody:
     `Ball._interior_batch`'s), and for a Ball or an Ellipsoid the gauge of
     each row about K's center, which `gauges` hands to the polar hull.
     `screen` holds the rows `_screen_rows` keeps, a superset of the hull
-    vertices and their copies found with no hull call; a planar Ball's
-    screen reads only the rows near its circle (from `sq`) when it can.
-    `active` holds the rows that can touch X, ascending: the convex-hull
-    vertices of the sample and every row equal to one of them, found by
-    qhull over the screen rows. The copies change no radial or support
-    value of X, and the disk arc pass dedupes them. Both are computed on
-    their first read, once, so a reader that does not need the hull rows
-    does not pay for qhull: the polar hull reads only `screen`, in d = 2
+    vertices and their copies found with no hull call, unless the body is
+    built with such rows as `_screen` (`_disk_sample` hands over the rows
+    its band screen keeps). `active` holds the rows that can touch X,
+    ascending: the convex-hull vertices of the sample and every row equal
+    to one of them, found by qhull over the screen rows. The copies change
+    no radial or support value of X, and the disk arc pass dedupes them.
+    Both are computed on their first read, once, so a reader that does not
+    need the hull rows does not pay for qhull: the polar hull reads only `screen`, in d = 2
     and 3, and the disk arc pass reads only `screen` (and `sq`) unless its
     certificate or its bound on X fails (`_reach_rows`); when no more
     screen rows reach X than its seed sweep read, that sweep is X's.
@@ -200,6 +174,7 @@ class IntersectionBody:
     points: Array
     sq: Array | None = field(init=False, repr=False)
     _norms: Array | None = field(init=False, repr=False)
+    _screen: Array | None = field(default=None, repr=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -226,7 +201,7 @@ class IntersectionBody:
 
     @functools.cached_property
     def screen(self) -> Array:
-        return _screen_rows(self.points, self.base, self.sq)
+        return _screen_rows(self.points) if self._screen is None else self._screen
 
     @functools.cached_property
     def active(self) -> Array:
@@ -273,6 +248,123 @@ class IntersectionBody:
 
     def contains(self, x, tol: float = 1e-12) -> bool:
         return mink_diff_contains(self.base, self.points, x, tol)
+
+
+# Depth of the band a disk sample is drawn from first, in units of
+# n^(-2/3) r: the band is rho r <= |x - c| < r with 1 - rho = BAND_DEPTH
+# n^(-2/3). The hull of n uniform rows misses the disk's inner part by
+# about that order: 1 - (its inradius) / r read 4.3-5.3 n^(-2/3) in the
+# median and at most 7.8 n^(-2/3) over 100 samples per n from 5000 to
+# 10^6 (30 at 10^6).
+BAND_DEPTH = 10.0
+
+
+@functools.lru_cache(maxsize=32)
+def _band_directions(m: int) -> Array:
+    """direction_grid(2, m), built once per m, read-only."""
+    U = direction_grid(2, m)
+    U.setflags(write=False)
+    return U
+
+
+def _band_screen(K: Ball, band: Array, rho: float, directions: Array) -> Array | None:
+    """Rows of `band` outside the polygon its rows extreme in `directions`
+    span (`_screen_polygon`), ascending, when every edge of that polygon,
+    moved inward by the screen's margin, clears the disk B(c, rho r +
+    EPS_GP r) by SCREEN_SLACK times r + |c|, for K = B(c, r); None when
+    the band or the polygon has fewer than three rows or corners, or the
+    polygon does not clear that disk."""
+    if band.shape[0] < 3:
+        return None
+    poly = _screen_polygon(band, directions)
+    if poly is None:
+        return None
+    normal, bound = poly
+    r, c = K.radius, K.center
+    clear = (rho + EPS_GP) * r + SCREEN_SLACK * (r + float(np.abs(c).max()))
+    if not (bound - normal @ c > np.hypot(normal[:, 0], normal[:, 1]) * clear).all():
+        return None
+    return _outside(band, normal, bound)
+
+
+def _annulus_rows(K: Ball, rho: float, count: int, rng: np.random.Generator) -> Array:
+    """`count` rows uniform in the annulus rho r <= |x - c| < r of K =
+    B(c, r), by polar draws: r^2 uniform in [rho^2 r^2, r^2) and the angle
+    uniform. A row whose computed distance from c rounds to r or more
+    fails the sample check sqrt(sq) < r and is drawn again."""
+    r, c = K.radius, K.center
+    out = np.empty((count, 2))
+    filled = 0
+    while filled < count:
+        u = rng.random((count - filled, 2))
+        s = r * np.sqrt(rho * rho + (1.0 - rho * rho) * u[:, 0])
+        a = TWO_PI * u[:, 1]
+        rows = np.column_stack([c[0] + s * np.cos(a), c[1] + s * np.sin(a)])
+        rows = rows[np.sqrt(K._sq_dist(rows)) < r]
+        out[filled:filled + rows.shape[0]] = rows
+        filled += rows.shape[0]
+    return out
+
+
+def _disk_sample(K: Ball, n: int, rng: np.random.Generator) -> IntersectionBody:
+    """The intersection body of n rows uniform in a planar disk K = B(c, r),
+    drawn band first.
+
+    With 1 - rho = BAND_DEPTH n^(-2/3) (rho = 0 when that is negative), the
+    band count B ~ Binomial(n, 1 - rho^2) is drawn, then B rows uniform in
+    the annulus rho r <= |x - c| < r (`_annulus_rows`). When the polygon of
+    the band's rows extreme in max(16, floor(4 n^(1/3))) directions clears
+    B(c, rho r + EPS_GP r) (`_band_screen`), the draw stops: X is the band
+    rows, and its `screen` is the band rows outside that polygon.
+    Otherwise the n - B inner rows are drawn uniform in B(c, rho r) by
+    `uniform_sample`, and X is built over the band rows followed by them,
+    as over any sample.
+
+    Why the output has the law of X over `uniform_sample(K, n, rng)`:
+    - Given B, the band and the inner rows are independent uniform samples
+      of the annulus and of the inner disk, so together they are n rows
+      uniform in K, band rows first. The stop decision reads only the
+      band. So the output is a function of a sample with exactly the full
+      sampler's law, once a stop is shown to leave out only rows that
+      change nothing.
+    - The band's hull holds the polygon, which holds B(c, rho' r) with
+      rho' >= rho + EPS_GP. So every point p of X has |p| <= (1 - rho') r:
+      p + c + rho' r p / |p| must lie in K. An inner row y, |y - c| <
+      rho r, has the disk B(c - y, r) in X's frame, and every point of X,
+      each corner included, lies more than EPS_GP r inside its circle. So
+      an inner row is no hull vertex and no copy of one, in no duplicate
+      or near-tangent pair, and no third circle near a corner: whether or
+      not `_disk_cycle`'s cocircularity screen takes it as a candidate
+      (sq > reach^2), its measured gap exceeds the window. X, its arc
+      cycle and witnesses, its hull rows and its radial and support bounds
+      are those over all n rows; every decision that picks a row or
+      excludes a replicate reads only band rows.
+    - Rounding. The polygon's corners are band rows, and a row strictly
+      inside every edge moved in by the margin is strictly inside the
+      band's hull (`_akl_toussaint`). The clearance test and the inner
+      rows' check (`uniform_sample` keeps the rows whose computed distance
+      from c is below rho r) are good to a few ulps of r + |c|, and X's
+      corners and the screen's gaps to well under SCREEN_SLACK r: the
+      slack of the clearance, SCREEN_SLACK (r + |c|), covers them, so
+      every inequality above holds strictly.
+
+    Only the row order differs from `uniform_sample`'s, so arc owners
+    index the rows as drawn here. The band holds about 2 BAND_DEPTH
+    n^(-2/3) of the rows: 12% at n = 2000, 6.7% at 5000, 0.93% at 10^5.
+    """
+    r, c = K.radius, K.center
+    depth = BAND_DEPTH * n ** (-2.0 / 3.0)
+    rho = max(0.0, 1.0 - depth)
+    count = int(rng.binomial(n, 1.0 - rho * rho))
+    band = _annulus_rows(K, rho, count, rng)
+    m = max(16, math.floor(4.0 * n ** (1.0 / 3.0)))
+    screen = _band_screen(K, band, rho, _band_directions(m))
+    if screen is not None:
+        return IntersectionBody(K, band, _screen=screen)
+    if count == n:
+        return IntersectionBody(K, band)
+    inner = uniform_sample(Ball(rho * r, c), n - count, rng)
+    return IntersectionBody(K, np.concatenate([band, inner]))
 
 
 @dataclass(frozen=True)
@@ -695,14 +787,6 @@ def _disk_cycle(radius: float, centers_all: Array, active: Array, inner: Array,
 # fell back there, where 6 rows let 18 reach it and fell back on 2; the
 # seed sweep and the X cycle cost about the same for 8 to 16.
 SEED_ROWS = 12
-# Rows at least this fraction of the radius from a disk's center form the
-# band whose extreme rows span `_screen_rows`' polygon; the rows nearer the
-# center are dropped unread when the polygon clears them. A uniform sample
-# of 5000 has about 680 band rows. Over 6000 uniform samples per n the
-# polygon cleared the inner disk on all of them at n = 5000, on 5957 at
-# n = 2000 and on 5237 at n = 1000; a ratio of 0.95 cleared 5900, 4074 and
-# 1154, and where it fell back the band attempt cost about what it saved.
-BAND_RATIO = 0.93
 
 
 def _reach_rows(r: float, centers: Array, screen: Array, sq: Array
@@ -788,12 +872,13 @@ class _DiskPass:
     `boundary` is None when the cycle failed, because two active disks
     coincide or a corner lies outside an active disk, and `error` then
     holds the NumericError. `witnesses` are the near-degeneracies of the
-    cycle; `duplicates` counts the repeated hull-vertex rows dropped before
-    it. Repeated interior rows are not counted: they cannot touch X.
+    cycle; `dropped` pairs each repeated hull-vertex row dropped before it
+    with the row's first occurrence, as (first, dropped), by dropped row.
+    Repeated interior rows are not dropped: they cannot touch X.
     """
 
     points: Array
-    duplicates: int
+    dropped: tuple[tuple[int, int], ...]
     witnesses: tuple[DegeneracyWitness, ...]
     boundary: ArcBoundary | None
     error: NumericError | None
@@ -801,8 +886,8 @@ class _DiskPass:
     def checked_boundary(self) -> ArcBoundary:
         """The cycle, after the warnings disk_intersection_boundary gives;
         a cycle that failed raises its NumericError here."""
-        if self.duplicates:
-            warnings.warn(f"deduplicated {self.duplicates} repeated sample points",
+        if self.dropped:
+            warnings.warn(f"deduplicated {len(self.dropped)} repeated sample points",
                           GeneralPositionWarning, stacklevel=3)
         if self.error is not None:
             raise self.error
@@ -816,8 +901,8 @@ def _disk_pass(X: IntersectionBody) -> _DiskPass:
     to a planar disk.
 
     X has checked the sample, keeping the squared center distances
-    (`X.sq`), and screened it (`X.screen`), from the rows near the disk's
-    boundary alone when it can. When its certificate holds, the cycle is
+    (`X.sq`), and screened it (`X.screen`; a `_disk_sample` hands over
+    its band screen). When its certificate holds, the cycle is
     built over the screen rows `_reach_rows` picks: then no row is
     repeated and the cycle, its witnesses and errors are those over every
     hull row. On most uniform samples (about 84% at n = 5000) at most
@@ -828,7 +913,8 @@ def _disk_pass(X: IntersectionBody) -> _DiskPass:
     and are swept again. When the certificate or the bound fails, X is
     pruned to its hull rows (`X.active`), copies of hull vertices
     included, since X over the sample is X over its hull, and those few
-    rows are deduplicated for the cycle. The cocircularity screen picks
+    rows are deduplicated for the cycle, each dropped row paired with its
+    first occurrence. The cocircularity screen picks
     its candidate rows from `X.sq`. Arc owners index the original sample,
     at the first occurrence of a repeated row.
     K need not contain the origin.
@@ -840,10 +926,13 @@ def _disk_pass(X: IntersectionBody) -> _DiskPass:
     for c in range(2):
         np.subtract(K.center[c], pts[:, c], out=centers[:, c])
     reach = _reach_rows(K.radius, centers, X.screen, X.sq)
-    duplicates = 0
+    dropped: tuple[tuple[int, int], ...] = ()
     if reach is None:
         active, sweep = X.active[_dedupe_rows(pts[X.active])], None
-        duplicates = X.active.size - active.size
+        if active.size < X.active.size:
+            kept = pts[active]
+            dropped = tuple((int(active[(kept == pts[d]).all(axis=1).argmax()]), int(d))
+                            for d in np.setdiff1d(X.active, active))
     else:
         active, sweep = reach
     witnesses: list[DegeneracyWitness] = []
@@ -856,7 +945,7 @@ def _disk_pass(X: IntersectionBody) -> _DiskPass:
         boundary = ArcBoundary(tuple(arcs), tuple(verts), K.radius)
     except NumericError as exc:
         error = exc
-    return _DiskPass(pts, duplicates, tuple(witnesses), boundary, error)
+    return _DiskPass(pts, dropped, tuple(witnesses), boundary, error)
 
 
 def _hull_stage(K: Ball, points: Array,

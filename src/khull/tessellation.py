@@ -287,7 +287,13 @@ def scaled_sample_statistics(K: ConvexBody, points: Array, n_scale: int | None =
     """
     X = IntersectionBody(K, points)
     n = X.points.shape[0] if n_scale is None else int(n_scale)
-    d = K.dim
+    return _scaled_statistics(X, n, directions, fvector_resolution)
+
+
+def _scaled_statistics(X: IntersectionBody, n: int, directions: int | None,
+                       fvector_resolution: int) -> ScaledSampleStatistics:
+    """`scaled_sample_statistics` of the sample of X, scaled by n."""
+    d = X.dim
     if directions is None:
         directions = 512 if d == 2 else 2048
     U = direction_grid(d, directions)

@@ -364,6 +364,21 @@ def plain_prune(points: np.ndarray) -> np.ndarray:
         return np.arange(n)
 
 
+def repeat_pairs(points: np.ndarray, rows) -> tuple[tuple[int, int], ...]:
+    """(first occurrence, row) for each of `rows` equal to an earlier one of
+    them, by row: a dict over the rows' coordinate tuples, -0.0 equal to
+    0.0 as floats compare."""
+    first: dict[tuple, int] = {}
+    out = []
+    for i in sorted(int(i) for i in rows):
+        key = tuple(points[i].tolist())
+        if key in first:
+            out.append((first[key], i))
+        else:
+            first[key] = i
+    return tuple(out)
+
+
 def reference_disk_pass(K: ConvexBody, points: np.ndarray) -> _DiskPass:
     """Build the X arc cycle of a sample interior to a planar disk K.
 
@@ -385,7 +400,8 @@ def reference_disk_pass(K: ConvexBody, points: np.ndarray) -> _DiskPass:
         boundary = ArcBoundary(tuple(arcs), tuple(verts), K.radius)
     except NumericError as exc:
         error = exc
-    return _DiskPass(pts, pts.shape[0] - unique.size, tuple(witnesses), boundary, error)
+    return _DiskPass(pts, repeat_pairs(pts, range(pts.shape[0])), tuple(witnesses),
+                     boundary, error)
 
 
 def reference_reach_pass(K: ConvexBody, points: np.ndarray) -> _DiskPass:
@@ -398,10 +414,10 @@ def reference_reach_pass(K: ConvexBody, points: np.ndarray) -> _DiskPass:
     pts = X.points
     centers = K.center[None, :] - pts
     reach = _reach_rows(K.radius, centers, X.screen, X.sq)
-    duplicates = 0
+    dropped = ()
     if reach is None:
         active = X.active[_dedupe_rows(pts[X.active])]
-        duplicates = X.active.size - active.size
+        dropped = repeat_pairs(pts, X.active)
     else:
         active = reach[0]
     witnesses: list[DegeneracyWitness] = []
@@ -411,7 +427,7 @@ def reference_reach_pass(K: ConvexBody, points: np.ndarray) -> _DiskPass:
         boundary = ArcBoundary(tuple(arcs), tuple(verts), K.radius)
     except NumericError as exc:
         error = exc
-    return _DiskPass(pts, duplicates, tuple(witnesses), boundary, error)
+    return _DiskPass(pts, dropped, tuple(witnesses), boundary, error)
 
 
 

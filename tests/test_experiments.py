@@ -248,12 +248,13 @@ class TestRunExperiment:
         assert summary["mean"]["gp_ok"] == 1.0
 
     @pytest.mark.parametrize("n, replicates, seed, digest, reasons", [
-        # replicate 0 of master seed 256 has a near-cocircular witness
+        # the band-first draws (`hull._disk_sample`); replicate 0 of master
+        # seed 256 drawn by `uniform_sample` had a near-cocircular witness,
+        # its band-first draw has none (test_faces pins the old sample)
         (5000, 5, 256,
-         "84aadb2a626ed2e9ae084d8e5616bfe863057c417bc7e6f0fd6b67b061a00c7c",
-         {"general-position": 1}),
+         "3a0993759485aa767f21195d65e611c0613514756678107f5fba57cbd0719f2f", {}),
         (3, 50, 42,
-         "771c4c075acdce31bd84e0d194a6fe378c46904de4c2336b90d59035415515b7", {}),
+         "e74b88d0e10a9eb3a69227898c253055c1c129c7147e0123d1c4f35bff59b5de", {}),
     ])
     def test_frozen_seed_csv_digest(self, tmp_path, monkeypatch, n, replicates,
                                     seed, digest, reasons):
@@ -311,20 +312,21 @@ class TestRunExperiment:
             "46e9a24e3d4c60ea41679b68661eed04be12f6c645e240ace6b890d03430c3db",
             "zero_cell.off":
             "eba6c4264f12d287df9aa29de1fbfa0fdc22e658260a187345b78c452283b597"}),
-        # 512 grid directions
+        # 512 grid directions, the sample drawn band first
         ("convergence", DISK, {"n": 2000, "replicates": 3}, {
             "convergence.csv":
-            "7ad28d62348652e6ffe220dd313132e5819790dcf50c96ca3275f63cc7a4372f"}),
+            "b58b38aed1854f1dd751c93c3eea6fe9e920bd4ed075a5b130c46bfc4f98c768"}),
         # 2048 grid directions
         ("convergence", BALL3, {"n": 300, "replicates": 2}, {
             "convergence.csv":
             "4a11bad4c10951e84ec62aa80ca9e64009466ef36d0bb785242b2597cbc740c6"}),
-        # the arc and corner counts, and the repr'd arc angles and corners
+        # the arc and corner counts, and the repr'd arc angles and corners,
+        # of band-first draws
         ("sample-hull", DISK, {"n": 400, "replicates": 4}, {
             "sample-hull.csv":
-            "8fe44868495ad87d1d8fc282be8480b27b34bbb14ae2aea8779af0e9ec334127",
+            "39782ef05ffb1eec4eab81222b1e3d49886bc3cdd85c626ba2f994a51de39b1b",
             "boundary.json":
-            "18f86c769847e1e3e37c92ead5e1565d32778354b2948fd63c9a53aa41fac4cd"}),
+            "9deaacd427a46f69992c408896cd9da6b3412fc269be3eca17849df6f402f0ee"}),
     ])
     def test_frozen_seed_zero_cell_digest(self, tmp_path, monkeypatch, experiment,
                                           body, params, digests):
@@ -426,19 +428,22 @@ class TestRunExperiment:
     @staticmethod
     def assert_pruned_once(tmp_path, monkeypatch, cfg, prunes: int = 1):
         """Every replicate of the campaign builds its intersection body and
-        screens its sample exactly once and runs the qhull prune `prunes`
-        times, and the CSV bytes are the same serial and pooled. A disk
-        replicate sweeps its seed rows and, unless it reuses that sweep as
-        X's, its X rows; the hull cycle of a `sample-hull` dump is swept
-        after `_family` returns."""
+        screens its sample exactly once, by `_screen_rows` or by the band
+        screen of `_disk_sample`, which hands its rows to X, and runs the
+        qhull prune `prunes` times, and the CSV bytes are the same serial
+        and pooled. A disk replicate sweeps its seed rows and, unless it
+        reuses that sweep as X's, its X rows; the hull cycle of a
+        `sample-hull` dump is swept after `_family` returns."""
         import khull.experiments as exp
         calls = {"_screen_rows": [], "_prune_to_hull": [], "IntersectionBody": [],
-                 "_arc_sweep": []}
+                 "_arc_sweep": [], "handed": []}
         # the constructor calls __post_init__ through the class, under every binding
         check = exp.hull.IntersectionBody.__post_init__
 
         def built(self):
             calls["IntersectionBody"].append(1)
+            if self._screen is not None:
+                calls["handed"].append(1)
             check(self)
 
         monkeypatch.setattr(exp.hull.IntersectionBody, "__post_init__", built)
@@ -474,7 +479,7 @@ class TestRunExperiment:
         run_experiment(cfg, out_dir=str(tmp_path / "serial"))
         rows = cfg.replicates * len(cfg.schedule())
         assert len(calls["IntersectionBody"]) == rows
-        assert len(calls["_screen_rows"]) == rows
+        assert len(calls["_screen_rows"]) + len(calls["handed"]) == rows
         assert len(calls["_prune_to_hull"]) == prunes * rows
         if disk:
             assert len(sweeps) == rows
@@ -538,7 +543,8 @@ class TestRunExperiment:
         cfg = ExperimentConfig(experiment="sample-hull", body=DISK, n=50,
                                replicates=3, seed=8)
         disk = exp._cached_body(exp._body_key(cfg))
-        first = disk.center[None, :] - uniform_sample(disk, cfg.n, exp._replicate_rng(8, 0)[0])
+        first = disk.center[None, :] - exp.hull._disk_sample(
+            disk, cfg.n, exp._replicate_rng(8, 0)[0]).points
         build = exp.hull._disk_cycle
 
         def fails_on_first(radius, centers_all, *args):
@@ -667,11 +673,15 @@ class TestRunExperiment:
         for col in ("n", "f0", "f1", "V2", "outer_gap", "gp_ok"):
             assert col in summary["columns"]
 
-    def test_near_cocircular_convergence_row_is_kept(self):
-        # job 1444 of the acceptance convergence campaign: three circles
-        # meet 1.7e-9 from one corner, so the row is kept and flagged
+    def test_near_cocircular_convergence_row_is_kept(self, monkeypatch):
+        # job 1444 of the acceptance convergence campaign, its sample drawn
+        # by `uniform_sample`: three circles meet 1.7e-9 from one corner,
+        # so the row is kept and flagged
+        import khull.experiments as exp
         from khull.experiments import _jobs_for, _run_job
 
+        monkeypatch.setattr(exp.hull, "_disk_sample", lambda K, n, rng: exp.hull.IntersectionBody(
+            K, uniform_sample(K, n, rng)))
         cfg = ExperimentConfig(experiment="convergence", body=DISK, n=2000,
                                replicates=1445, seed=404)
         index, row, reason, _ = _run_job(_jobs_for(cfg)[1444])
@@ -691,7 +701,8 @@ class TestRunExperiment:
         for name, sample in (("plain", pts),
                              ("copy", np.insert(pts, 100, pts[ConvexHull(pts).vertices[0]],
                                                 axis=0))):
-            monkeypatch.setattr(exp, "uniform_sample", lambda K, n, rng, s=sample: s)
+            monkeypatch.setattr(exp.hull, "_disk_sample",
+                                lambda K, n, rng, s=sample: exp.hull.IntersectionBody(K, s))
             rows[name] = exp._convergence_row(K, 500, None, 256, 0, 0, None)
         assert (rows["plain"]["gp_ok"], rows["copy"]["gp_ok"]) == (True, False)
         assert (rows["copy"]["f0"], rows["copy"]["f1"]) == (rows["plain"]["f0"],
@@ -734,6 +745,30 @@ class TestRunExperiment:
         assert summary["rows"] == 4
         assert len(calls) == stages
         assert (tmp_path / "boundary.json").exists() == (stages == 1)
+
+    @pytest.mark.parametrize("experiment, built", [("sample-hull", "_hull_stage"),
+                                                   ("zerocell-mc", "to_off_text")])
+    def test_geometry_built_only_when_written(self, tmp_path, monkeypatch, experiment,
+                                              built):
+        # job 0 builds its geometry's file text only for a campaign with an
+        # output directory
+        import khull.experiments as exp
+        calls = []
+        if built == "_hull_stage":
+            stage = exp.hull._hull_stage
+            for owner in (exp.hull, exp.faces):
+                monkeypatch.setattr(owner, built, lambda *a: calls.append(1) or stage(*a))
+        else:
+            text = exp.faces.TaggedPolytope.to_off_text
+            monkeypatch.setattr(exp.faces.TaggedPolytope, built,
+                                lambda self: calls.append(1) or text(self))
+        monkeypatch.setenv("KHULL_THREADS", "1")
+        cfg = ExperimentConfig(experiment=experiment, body=DISK, n=300, replicates=3, seed=37)
+        assert run_experiment(cfg)["rows"] == 3
+        assert calls == []
+        run_experiment(cfg, out_dir=str(tmp_path))
+        assert len(calls) == 1
+        assert len(list(tmp_path.iterdir())) == 3
 
     def test_expected_facets_auto(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KHULL_THREADS", "1")

@@ -66,6 +66,28 @@ class TestGeneralPosition:
         shifted = {o + 1 for o in plain.arc_owners()}
         assert report.boundary.arc_owners() == (shifted - {owner + 1}) | {0}
 
+    def test_dropped_copy_named_with_its_first_occurrence(self, unit_disk):
+        # a copy of a hull vertex at row 100 of 501: the witness names the
+        # row dropped and the row kept, and the report says how many
+        from scipy.spatial import ConvexHull
+
+        pts = uniform_sample(unit_disk, 500, np.random.default_rng(7171))
+        for v in ConvexHull(pts).vertices[:6].tolist():
+            report = general_position_check_2d(unit_disk, np.insert(pts, 100, pts[v], axis=0))
+            pair = (v, 100) if v < 100 else (100, v + 1)
+            assert [w.indices for w in report.witnesses] == [pair]
+            assert report.describe() == f"duplicate at indices {pair} (measure 0.000e+00)"
+
+    def test_old_probe_sample_is_near_cocircular(self, unit_disk):
+        # job 0 of master seed 256 as `uniform_sample` draws it: a third
+        # circle 6.038e-08 from a corner of X, inside the EPS_GP window
+        from khull.experiments import _replicate_rng
+
+        pts = uniform_sample(unit_disk, 5000, _replicate_rng(256, 0)[0])
+        report = faces._family(IntersectionBody(unit_disk, pts), 256).report
+        assert {w.kind for w in report.witnesses} == {"near-cocircular"}
+        assert [f"{w.measure:.3e}" for w in report.witnesses] == ["6.038e-08"]
+
     def test_near_tangent_pair_flagged(self, unit_disk):
         h = 1.0 - 5e-9
         pts = np.array([[0.0, h], [0.0, -h]])

@@ -533,7 +533,7 @@ class TestDedupeRows:
 
 def _pass_fields(xpass) -> tuple:
     """Every field of a `_DiskPass`, as values that compare exactly with ==."""
-    return (xpass.points.tobytes(), xpass.duplicates,
+    return (xpass.points.tobytes(), xpass.dropped,
             _witness_fields(xpass.witnesses), _cycle_fields(xpass.boundary),
             None if xpass.error is None else str(xpass.error))
 
@@ -587,7 +587,7 @@ def assert_matches_reference(K, pts: np.ndarray) -> set[str]:
     kinds = {w.kind for w in want.witnesses}
     if "anomaly" in kinds:
         assert got.error is None and got.boundary is not None
-        assert got.duplicates == want.duplicates
+        assert got.dropped == want.dropped
         assert got.witnesses
         assert {w.kind for w in got.witnesses} == {"near-cocircular"}
         assert set(_witness_fields(got.witnesses)) <= set(_witness_fields(want.witnesses))
@@ -1003,39 +1003,41 @@ class TestPrunePrefilter:
 
 
 class TestBandScreen:
-    """A planar Ball's screen spans its polygon over the band rows, those
-    at BAND_RATIO * r or more from the center, and drops the rows nearer
-    the center unread when the polygon clears them. It must keep the rows
-    `_akl_toussaint` keeps over every row, and take that full screen when
-    the band cannot show it."""
+    """`hull._disk_sample` draws a disk sample band first: its band rows,
+    at rho r or more from the center, and the inner rows only when the
+    polygon of the band's extreme rows does not clear B(c, rho r + EPS_GP
+    r) (`_band_screen`). A draw that stops must give what the same sample
+    with its inner rows drawn gives; it falls back rarely, and then X is
+    built over every row with the full screen."""
+
+    # The seeded draws that fall back to the inner rows, at most, of
+    # DRAWS per n. Over 4000 unit-disk draws per n, 95 fell back at
+    # n = 10 (rho = 0 there: the polygon must hold the center), and none
+    # at n = 30, 50, 100, 400, 1000, 2000, 5000 or (of 300) 10^5.
+    FALLBACKS = {10: 4, 50: 0, 400: 0, 1000: 0, 2000: 0, 5000: 0}
+    DRAWS = 40
 
     @staticmethod
-    def screen(K, pts: np.ndarray) -> tuple[np.ndarray, bool]:
-        """X's screen rows, and whether they came from the full screen."""
-        calls = []
-        full = hull._akl_toussaint
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hull, "_akl_toussaint", lambda p: calls.append(1) or full(p))
-            rows = IntersectionBody(K, pts).screen
-        return rows, bool(calls)
+    def rho(n: int) -> float:
+        return max(0.0, 1.0 - hull.BAND_DEPTH * n ** (-2.0 / 3.0))
 
     @pytest.mark.parametrize("shift", [(0.0, 0.0), (3.0, -2.0), (1e3, -2e3)])
     @pytest.mark.parametrize("r", [1e-6, 1.0, 1e6])
     def test_uniform_disks(self, r, shift):
         K = Ball(r, r * np.array(shift))
         rng = np.random.default_rng(5353)
-        # the band's polygon clears the inner disk on about every sample at
-        # n = 5000, on about 99% at n = 2000 and on about 87% at n = 1000;
-        # at most this many of the 4 samples per n take the full screen
-        fallbacks = {1000: 2, 2000: 1, 5000: 0}
-        for n in (1000, 2000, 5000):
-            taken = []
-            for _ in range(4):
-                pts = r * uniform_sample(Ball(1.0, np.zeros(2)), n, rng) + K.center
-                rows, full = self.screen(K, pts)
-                np.testing.assert_array_equal(rows, hull._akl_toussaint(pts))
-                taken.append(full)
-            assert taken.count(True) <= fallbacks[n], n
+        for n, bound in self.FALLBACKS.items():
+            fallbacks = 0
+            for _ in range(self.DRAWS):
+                X = hull._disk_sample(K, n, rng)
+                if X._screen is None:
+                    fallbacks += 1
+                    assert X.points.shape[0] == n
+                    continue
+                # the rows the band screen keeps hold every hull row
+                assert set(oracles.plain_prune(X.points).tolist()) <= set(X.screen.tolist())
+                assert np.all(np.sqrt(K._sq_dist(X.points)) >= self.rho(n) * r * (1 - 1e-12))
+            assert fallbacks <= bound, n
 
     @staticmethod
     def full_cases() -> dict[str, np.ndarray]:
@@ -1056,13 +1058,44 @@ class TestBandScreen:
     @pytest.mark.parametrize("shift", [(0.0, 0.0), (3.0, -2.0), (1e3, -2e3)])
     @pytest.mark.parametrize("r", [1e-6, 1.0, 1e6])
     def test_full_screen_cases(self, r, shift):
+        # with the band at 0.93 r, none of these bands clears the inner
+        # disk; X over every row takes the full screen
         K = Ball(r, r * np.array(shift))
         for name, pts in self.full_cases().items():
             pts = r * pts + K.center
-            rows, full = self.screen(K, pts)
-            assert full, name
-            np.testing.assert_array_equal(rows, hull._akl_toussaint(pts))
+            band = pts[np.sqrt(K._sq_dist(pts)) >= 0.93 * r]
+            assert hull._band_screen(K, band, 0.93, hull._SCREEN_DIRECTIONS) is None, name
+            np.testing.assert_array_equal(IntersectionBody(K, pts).screen,
+                                          hull._akl_toussaint(pts))
             assert_matches_reference(K, pts)
+
+    @pytest.mark.parametrize("r, shift", [(1e-6, (3.0, -2.0)), (1.0, (3.0, -2.0)),
+                                          (1e6, (1e3, -2e3))])
+    def test_stop_rule(self, r, shift):
+        # rows drawn uniform in B(c, rho r) after a draw that stopped
+        # change nothing the replicate reads
+        from khull.faces import _family
+
+        def fields(X) -> tuple:
+            family = _family(X, 256)
+            return (family.fvector, family.columns, family.sizes,
+                    _witness_fields(family.report.witnesses), family.report.describe(),
+                    _cycle_fields(family.report.boundary),
+                    None if family.error is None else str(family.error))
+
+        K = Ball(r, r * np.array(shift))
+        rng = np.random.default_rng(5656)
+        for n in (50, 400, 1000, 2000, 5000):
+            rho = self.rho(n)
+            for _ in range(3):
+                X = hull._disk_sample(K, n, rng)
+                assert X._screen is not None
+                want = fields(X)
+                band = X.points.shape[0]
+                for count in (1, n - band, 2 * n):
+                    inner = uniform_sample(Ball(rho * r, K.center), count, rng)
+                    got = fields(IntersectionBody(K, np.concatenate([X.points, inner])))
+                    assert got == want, (n, count)
 
     @pytest.mark.parametrize("r, shift", [(1.0, (0.0, 0.0)), (1e-6, (3.0, -2.0)),
                                           (1e6, (1e3, -2e3))])
@@ -1075,6 +1108,58 @@ class TestBandScreen:
         centers = K.center[None, :] - pts
         dx, dy = centers[:, 0] - 0.0, centers[:, 1] - 0.0
         assert IntersectionBody(K, pts).sq.tobytes() == (dx * dx + dy * dy).tobytes()
+
+
+def _homogeneity_p(a: list[int], b: list[int]) -> float:
+    """p-value of the chi-square test that two integer samples share a pmf;
+    values are pooled from each end until every bin holds 20 draws."""
+    from scipy.stats import chi2_contingency
+
+    values = sorted(set(a) | set(b))
+    table = np.array([[a.count(v) for v in values], [b.count(v) for v in values]])
+    bins = [table[:, 0]]
+    for col in table[:, 1:].T:
+        if bins[-1].sum() < 20:
+            bins[-1] = bins[-1] + col
+        else:
+            bins.append(col)
+    if len(bins) > 1 and bins[-1].sum() < 20:
+        bins[-2] = bins[-2] + bins.pop()
+    return float(chi2_contingency(np.array(bins).T)[1])
+
+
+class TestDiskSampleLaw:
+    """The two-sample oracle of `hull._disk_sample` (the slow test of this
+    file, a few seconds): over independent seeded draws, the pmfs of X's
+    f1 and of the sample's hull-vertex count match those of X over
+    `uniform_sample`, by a chi-square test of homogeneity."""
+
+    DRAWS = 1500
+
+    @staticmethod
+    def counts(draw, seeds) -> tuple[list[int], list[int]]:
+        from khull.faces import _family
+
+        f1, hull_rows = [], []
+        for seed in seeds:
+            X = draw(np.random.default_rng(seed))
+            family = _family(X, 256)
+            if family.fvector is not None and family.report.ok:
+                f1.append(family.fvector[1])
+            hull_rows.append(X.active.size)
+        return f1, hull_rows
+
+    @pytest.mark.parametrize("n", [1000, 5000])
+    def test_two_samples(self, n):
+        K = Ball(1.0, np.zeros(2))
+        full = self.counts(lambda g: IntersectionBody(K, uniform_sample(K, n, g)),
+                           range(self.DRAWS))
+        band = self.counts(lambda g: hull._disk_sample(K, n, g),
+                           range(self.DRAWS, 2 * self.DRAWS))
+        for a, b in zip(full, band):
+            assert _homogeneity_p(a, b) > 1e-3
+            assert abs(np.mean(a) - np.mean(b)) < 4 * math.sqrt(
+                (np.var(a) + np.var(b)) / len(a))
 
 
 class TestSeedReuse:
