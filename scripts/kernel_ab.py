@@ -18,8 +18,11 @@ SAMPLES unit-disk draws of N points from seeds SEED, SEED + 1, ...;
 `scaled_sample_statistics` draws CONVERGENCE_N points instead, the size
 of a disk `convergence` row, `scaled_sample_statistics_ball3` draws
 CONVERGENCE_BALL3_N points of the unit d = 3 ball, the size of a ball
-d = 3 `convergence` row, and the two zero-cell kernels draw one cell of
-the unit disk or the unit d = 3 ball from each seed. `IntersectionBody`
+d = 3 `convergence` row, and the two `zero_cell` kernels draw one cell of
+the unit disk or the unit d = 3 ball from each seed. `zero_cell` builds
+the tagged dual and the cell only when they are read, so these kernels
+stop at the certified dual; `_zerocell_row_disk` and `_zerocell_row_ball3`
+draw the same cells and build their CSV rows. `IntersectionBody`
 builds X and reads its `active` rows, so it times the sample check and
 the prune; `_screen_rows` builds X and reads its `screen` rows, the
 sample check and the screen ahead of the prune.
@@ -62,8 +65,9 @@ from bench_pairs import SIDES, checkouts, git
 
 KERNELS = ("uniform_sample", "IntersectionBody", "_screen_rows", "_disk_pass", "_hull_stage",
            "_hull_row", "_hull_row_large", "_hull_row_ellipse", "_hull_row_ball3",
-           "zero_cell_disk", "zero_cell_ball3", "scaled_sample_statistics",
-           "scaled_sample_statistics_ball3", "_polar_hull", "_polar_hull_ellipse", "summarize",
+           "zero_cell_disk", "zero_cell_ball3", "_zerocell_row_disk", "_zerocell_row_ball3",
+           "scaled_sample_statistics", "scaled_sample_statistics_ball3", "_polar_hull",
+           "_polar_hull_ellipse", "summarize",
            "ef0_symmetric_disk", "ef0_symmetric_ball3")
 N = 5000
 LARGE_N = 100_000
@@ -104,6 +108,11 @@ def calls(name: str, pkg, n: int, seeds: list[int]) -> list:
         K = pkg.Ball(1.0, np.zeros(3 if name == "zero_cell_ball3" else 2))
         sampler = K.surface_sampler()
         return [lambda g=g: pkg.zero_cell(K, g(), sampler=sampler) for g in rngs]
+    if name.startswith("_zerocell_row"):
+        K = pkg.Ball(1.0, np.zeros(3 if name.endswith("ball3") else 2))
+        sampler = K.surface_sampler()
+        return [lambda g=g: experiments._zerocell_row(K, sampler, SUMMARY_T0, 0, 0, g())
+                for g in rngs]
     if name.startswith("scaled_sample_statistics"):
         if name.endswith("ball3"):
             K, n = pkg.Ball(1.0, np.zeros(3)), CONVERGENCE_BALL3_N

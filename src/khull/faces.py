@@ -275,13 +275,24 @@ def _tagged_cycle(points: Array) -> TaggedPolytope:
     their lexicographic minimum, so the hull order is the cycle rolled to
     start there; the rest is the same arithmetic. Otherwise (a collinear
     or repeated point, or fewer than three points) the chain runs."""
-    n = points.shape[0]
+    return _tag_hull_2d(_bare_polygon(points, _cycle_order(points)), np.arange(points.shape[0]))
+
+
+def _cycle_order(points: Array) -> Array:
+    """Hull order of points that run counter-clockwise around a convex
+    polygon, as the chain lists it (see `_tagged_cycle`)."""
     start = _cycle_start(points)
     if start is None:
-        hull = np.array(_monotone_chain(points))
-    else:
-        hull = np.concatenate((np.arange(start, n), np.arange(start)))
-    return _tag_hull_2d(_bare_polygon(points, hull), np.arange(n))
+        return np.array(_monotone_chain(points))
+    n = points.shape[0]
+    return np.concatenate((np.arange(start, n), np.arange(start)))
+
+
+def _polygon_measure(V: Array) -> tuple[float, float]:
+    """Area and perimeter of the polygon V, listed counter-clockwise."""
+    W = _roll(V)
+    area = 0.5 * float(np.add.reduce(V[:, 0] * W[:, 1] - W[:, 0] * V[:, 1]))
+    return area, float(np.add.reduce(_rownorm(W - V)))
 
 
 def _bare_polygon(points: Array, hull: Array) -> _BareHull:
@@ -298,10 +309,7 @@ def _tag_hull_2d(bare: _BareHull, owners: Array) -> TaggedPolytope:
     V = bare.points[bare.vertices]
     n = V.shape[0]
     edges = tuple(zip(range(n), [*range(1, n), 0]))
-    W = _roll(V)
-    evec = W - V
-    area = 0.5 * float(np.add.reduce(V[:, 0] * W[:, 1] - W[:, 0] * V[:, 1]))
-    perim = float(np.add.reduce(_rownorm(evec)))
+    area, perim = _polygon_measure(V)
     return TaggedPolytope(
         dim=2, points=V, owners=owners[bare.vertices],
         facets=edges, facet_normals=bare.normals, facet_offsets=bare.offsets,
@@ -383,6 +391,20 @@ def _fans(apex: Array, side: Array, ends: Array) -> Array:
     return np.concatenate([a[keep, None], ends[keep]], axis=1)
 
 
+def _local_simplices(bare: _BareHull) -> Array:
+    """qhull's triangles of a d = 3 bare hull over the hull vertices'
+    own numbers, their ranks in `vertices`."""
+    local = np.empty(bare.points.shape[0], dtype=np.intp)
+    local[bare.vertices] = np.arange(bare.vertices.size)
+    return local[bare.qhull.simplices]
+
+
+def _pair_edges(sims: Array, s: Array, k: Array) -> Array:
+    """The edges between adjacent triangles s and t, as sorted vertex
+    pairs: the edge of a pair is s without its k-th vertex."""
+    return np.sort(sims[s[:, None], _OTHER_TWO[k]], axis=1)
+
+
 def _tag_hull_3d(bare: _BareHull, owners: Array) -> TaggedPolytope:
     """Tagging stage in d = 3.
 
@@ -397,9 +419,7 @@ def _tag_hull_3d(bare: _BareHull, owners: Array) -> TaggedPolytope:
     """
     hull, group, vertices = bare.qhull, bare.group, bare.vertices
     nv = vertices.size
-    local = np.empty(bare.points.shape[0], dtype=np.intp)
-    local[vertices] = np.arange(nv)
-    sims = local[hull.simplices]
+    sims = _local_simplices(bare)
     s, k, t = bare.pairs
     ng = bare.offsets.size
     merged = ng < group.size
@@ -415,8 +435,7 @@ def _tag_hull_3d(bare: _BareHull, owners: Array) -> TaggedPolytope:
         # each triangle is a facet, and each adjacent pair s < t an edge
         key = np.sort((group[:, None] * nv + sims).ravel())
         sides = np.column_stack([s, t])
-    # The edge between adjacent triangles s and t is s without its k-th vertex.
-    edges = np.sort(sims[s[:, None], _OTHER_TWO[k]], axis=1)
+    edges = _pair_edges(sims, s, k)
     if merged:
         # A vertex whose triangles all lie in one merged facet is not a
         # vertex; it is dropped, and that facet is fanned again.

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,9 +67,15 @@ def _draw_layer(sampler: SurfaceMeasureSampler, rate: float, lo: float, hi: floa
 class ZeroCell:
     """Zero cell Z of a tessellation draw, with its polar hull.
 
-    `dual` is the hull of the inverted points u/t, vertex owners being
-    hyperplane indices; `cell` is Z itself, read off the dual by polarity
-    (see `zero_cell`): vertex F of Z, owned by F, polarizes dual facet F.
+    `bare` is the certified bare hull of the inverted points u/t and `zv`
+    the polars of its facets, the vertices of Z (see `zero_cell`). The
+    rest is read off them, each on first read and then kept: `dual` is
+    the tagged hull, vertex owners being hyperplane indices; `cell` is Z
+    itself, read off the dual by polarity: vertex F of Z, owned by F,
+    polarizes dual facet F. `fvector()` and `volumes`, all a CSV row
+    reads, come off the bare hull without either, with the values and the
+    bits that `dual` and `intrinsic_volumes(cell)` give; a d = 3 dual
+    whose triangles qhull merged reads them off `dual` and `cell`.
     `certified` records that every vertex of Z has norm at most the
     truncation actually explored, so no unsampled hyperplane could cut
     the cell. It is always True: `zero_cell` raises `NumericError` rather
@@ -75,15 +83,43 @@ class ZeroCell:
     `certified` CSV column and the benchmark's row check read it.
     """
 
-    dual: TaggedPolytope
-    cell: TaggedPolytope
+    bare: faces._BareHull
+    zv: Array
     certified: bool
     truncation: float
     n_hyperplanes: int
 
+    @cached_property
+    def dual(self) -> TaggedPolytope:
+        return faces._tag_hull(self.bare, np.arange(self.n_hyperplanes))
+
+    @cached_property
+    def cell(self) -> TaggedPolytope:
+        return _polar_cell(self.bare, self.dual, self.zv)
+
     def fvector(self) -> FVector:
         """f-vector of Z: the reversed f-vector of the dual hull."""
-        return tuple(reversed(self.dual.fvector()))
+        nv = self.bare.vertices.size
+        if self.zv.shape[1] == 2:
+            return (nv, nv)
+        if _merged(self.bare):
+            return tuple(reversed(self.dual.fvector()))
+        # each triangle is a facet and each adjacent pair an edge
+        return (self.bare.offsets.size, self.bare.pairs[0].size, nv)
+
+    @cached_property
+    def volumes(self) -> IntrinsicVolumes:
+        """`intrinsic_volumes(self.cell)`, bit for bit."""
+        if self.zv.shape[1] == 2:
+            area, perim = faces._polygon_measure(self.zv[faces._cycle_order(self.zv)])
+            return IntrinsicVolumes((1.0, 0.5 * perim, area))
+        if _merged(self.bare):
+            return intrinsic_volumes(self.cell)
+        polar = _polar_faces(self.bare, self.zv)
+        s, _, t = self.bare.pairs
+        v1 = _angle_sum(self.zv, np.column_stack([s, t]), polar.normals, polar.sides)
+        return IntrinsicVolumes((1.0, v1 / (2.0 * math.pi), 0.5 * polar.surface,
+                                 polar.volume))
 
 
 def zero_cell(K: ConvexBody, rng: np.random.Generator, T0: float = 5.0,
@@ -96,9 +132,12 @@ def zero_cell(K: ConvexBody, rng: np.random.Generator, T0: float = 5.0,
     are extended the same way, never discarded.
 
     Each attempt builds only the bare dual hull (its vertices and facet
-    planes), which is all the radius test reads; the certified one is then
-    tagged. The facet planes are those a fully tagged dual would carry, so
-    the verdicts are those of tagging every attempt.
+    planes), which is all the radius test reads. The facet planes are
+    those a fully tagged dual would carry, so the verdicts are those of
+    tagging every attempt. The certified bare hull is kept, and the
+    tagged dual and the cell are built on first read of `dual` and
+    `cell`; a CSV row's f-vector and intrinsic volumes need neither (see
+    `ZeroCell`).
 
     The cell is built from the tagged dual by polarity, with no second
     hull (`_polar_cell`): dual facet F = {<a, y> = b} becomes cell vertex
@@ -126,10 +165,10 @@ def zero_cell(K: ConvexBody, rng: np.random.Generator, T0: float = 5.0,
     t, u = _draw_layer(sampler, layer_rate, 0.0, T0, rng, d)
     T = T0
     for _ in range(max_doublings):
-        dual = _try_dual_hull(u, t, d)
-        if dual is not None:
+        bare = _try_dual_hull(u, t, d)
+        if bare is not None:
             # each dual facet {<a,y> = b} polarizes to the cell vertex a/b
-            zv = dual.normals / dual.offsets[:, None]
+            zv = bare.normals / bare.offsets[:, None]
             radius = float(faces._rownorm(zv).max())
             if radius <= T:
                 break
@@ -141,32 +180,40 @@ def zero_cell(K: ConvexBody, rng: np.random.Generator, T0: float = 5.0,
     else:
         raise NumericError(f"zero cell not certified after {max_doublings} extensions")
 
-    tagged = faces._tag_hull(dual, np.arange(t.shape[0]))
-    return ZeroCell(dual=tagged, cell=_polar_cell(dual, tagged, zv),
-                    certified=True, truncation=T, n_hyperplanes=int(t.shape[0]))
+    return ZeroCell(bare=bare, zv=zv, certified=True, truncation=T,
+                    n_hyperplanes=int(t.shape[0]))
 
 
-def _polar_cell(bare: faces._BareHull, dual: TaggedPolytope, zv: Array) -> TaggedPolytope:
-    """The cell polar to a certified dual hull, read off the dual; zv
-    holds the polars of the dual facets (see `zero_cell`)."""
-    if dual.dim == 2:
-        return faces._tagged_cycle(zv)
-    if bare.offsets.size < bare.group.size:
-        return tagged_hull_from_points(zv, owners=np.arange(zv.shape[0]))
-    nf = zv.shape[0]
-    inv = 1.0 / faces._rownorm(dual.points)
-    normals = dual.points * inv[:, None]
-    # cell facet p holds the cell vertices of the dual triangles at p
-    tri = np.searchsorted(bare.vertices, bare.qhull.simplices)
-    key = np.sort((tri * nf + np.arange(nf)[:, None]).ravel())
-    verts = (key % nf).tolist()
-    ends = np.searchsorted(key, np.arange(1, inv.size + 1) * nf).tolist()
-    starts = [0, *ends[:-1]]
+def _merged(bare: faces._BareHull) -> bool:
+    """Whether qhull merged coplanar triangles of a d = 3 dual hull."""
+    return bare.offsets.size < bare.group.size
+
+
+class _PolarFaces(NamedTuple):
+    """The facets of the cell polar to a d = 3 dual with no merged
+    triangles, read off the dual (see `zero_cell`)."""
+
+    simplices: Array  # the dual's triangles over its vertices' ranks
+    normals: Array    # (V, 3) cell facet p: unit normal p/|p| ...
+    offsets: Array    # (V,) ... and offset 1/|p|
+    sides: Array      # (E, 2) the cell facets at each cell edge: the dual's edges
+    volume: float
+    surface: float
+
+
+def _polar_faces(bare: faces._BareHull, zv: Array) -> _PolarFaces:
+    """Facet planes, edge sides, volume and surface of the cell polar to
+    a d = 3 bare dual with no merged triangles; zv holds the polars of
+    the dual facets."""
+    vp = bare.points[bare.vertices]
+    inv = 1.0 / faces._rownorm(vp)
+    normals = vp * inv[:, None]
+    tri = faces._local_simplices(bare)
     # Cell edge i joins zv[s[i]] and zv[t[i]], the dual triangles s < t
     # that meet at dual edge i, which joins the cell facets sides[i].
-    s, _, t = bare.pairs
+    s, k, t = bare.pairs
+    sides = faces._pair_edges(tri, s, k)
     s, t = np.concatenate([s, s]), np.concatenate([t, t])  # once per side
-    sides = np.array(dual.edges)
     side, other = sides.T.ravel(), sides[:, ::-1].T.ravel()
     # Facet p's area is the sum over its edges e of |e| h / 2, h the signed
     # distance in its plane from its foot point p/|p|^2 to the line of e,
@@ -178,14 +225,36 @@ def _polar_cell(bare: faces._BareHull, dual: TaggedPolytope, zv: Array) -> Tagge
     h = faces._rowdot(corner - n_in * inv[side][:, None], across) / faces._rownorm(across)
     area = np.bincount(side, weights=0.5 * np.sqrt(faces._rowdot(diff, diff)) * h,
                        minlength=inv.size)
-    fans = faces._fans(key[starts] % nf, side, np.column_stack([s, t]))
+    return _PolarFaces(tri, normals, inv, sides,
+                       volume=float(np.add.reduce(area * inv)) / 3.0,
+                       surface=float(np.add.reduce(area)))
+
+
+def _polar_cell(bare: faces._BareHull, dual: TaggedPolytope, zv: Array) -> TaggedPolytope:
+    """The cell polar to a certified dual hull, read off the dual; zv
+    holds the polars of the dual facets (see `zero_cell`)."""
+    if dual.dim == 2:
+        return faces._tagged_cycle(zv)
+    if _merged(bare):
+        return tagged_hull_from_points(zv, owners=np.arange(zv.shape[0]))
+    nf = zv.shape[0]
+    polar = _polar_faces(bare, zv)
+    nv = polar.offsets.size
+    # cell facet p holds the cell vertices of the dual triangles at p
+    key = np.sort((polar.simplices * nf + np.arange(nf)[:, None]).ravel())
+    verts = (key % nf).tolist()
+    ends = np.searchsorted(key, np.arange(1, nv + 1) * nf).tolist()
+    starts = [0, *ends[:-1]]
+    s, _, t = bare.pairs
+    fans = faces._fans(key[starts] % nf, polar.sides.T.ravel(),
+                       np.tile(np.column_stack([s, t]), (2, 1)))
     return TaggedPolytope(
         dim=3, points=zv, owners=np.arange(nf),
         facets=tuple(tuple(verts[a:b]) for a, b in zip(starts, ends)),
-        facet_normals=normals, facet_offsets=inv,
+        facet_normals=polar.normals, facet_offsets=polar.offsets,
         edges=dual.edge_facets, edge_facets=dual.edges,
         simplices=tuple(map(tuple, fans.tolist())),
-        volume=float(np.add.reduce(area * inv)) / 3.0, surface=float(np.add.reduce(area)))
+        volume=polar.volume, surface=polar.surface)
 
 
 # A dual hull encloses the origin strictly when its smallest facet offset
@@ -243,19 +312,23 @@ def intrinsic_volumes(P: TaggedPolytope) -> IntrinsicVolumes:
         raise DomainError("intrinsic volumes are provided for d in {2, 3}")
     v1 = 0.0
     if P.edges:
-        ends = np.array(P.edges)
-        sides = np.array(P.edge_facets)
-        diff = P.points[ends[:, 0]] - P.points[ends[:, 1]]
-        length = np.sqrt(faces._rowdot(diff, diff))
-        cos = np.clip(faces._rowdot(P.facet_normals[sides[:, 0]],
-                                    P.facet_normals[sides[:, 1]]), -1.0, 1.0)
-        angle = np.array(list(map(math.acos, cos.tolist())))
-        v1 = float(np.add.accumulate(length * angle)[-1])
+        v1 = _angle_sum(P.points, np.array(P.edges), P.facet_normals, np.array(P.edge_facets))
     return IntrinsicVolumes((1.0, v1 / (2.0 * math.pi), 0.5 * P.surface, P.volume))
 
 
+def _angle_sum(points: Array, ends: Array, normals: Array, sides: Array) -> float:
+    """Sum over the edges of a d = 3 polytope of length times exterior
+    dihedral angle: edge i joins points ends[i] and its facets sides[i]
+    have unit normals in `normals`. Rounded as `intrinsic_volumes` says."""
+    diff = points[ends[:, 0]] - points[ends[:, 1]]
+    length = np.sqrt(faces._rowdot(diff, diff))
+    cos = np.clip(faces._rowdot(normals[sides[:, 0]], normals[sides[:, 1]]), -1.0, 1.0)
+    angle = np.array(list(map(math.acos, cos.tolist())))
+    return float(np.add.accumulate(length * angle)[-1])
+
+
 def intrinsic_volumes_of_cell(z: ZeroCell) -> IntrinsicVolumes:
-    return intrinsic_volumes(z.cell)
+    return z.volumes
 
 
 @dataclass(frozen=True, eq=False)

@@ -770,6 +770,28 @@ class TestRunExperiment:
         assert len(calls) == 1
         assert len(list(tmp_path.iterdir())) == 3
 
+    @pytest.mark.parametrize("body", [DISK, BALL3], ids=["disk", "ball3"])
+    def test_zero_cell_tagged_only_when_written(self, tmp_path, monkeypatch, body):
+        # a zero-cell row reads the certified bare dual alone; the tagged
+        # dual and the polar cell are built for job 0's zero_cell.off
+        import khull.experiments as exp
+        calls = {"_tag_hull": 0, "_polar_cell": 0}
+        for owner, name in ((exp.faces, "_tag_hull"), (exp.tessellation, "_polar_cell")):
+            build = getattr(owner, name)
+
+            def counted(*args, name=name, build=build):
+                calls[name] += 1
+                return build(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setenv("KHULL_THREADS", "1")
+        cfg = ExperimentConfig(experiment="zerocell-mc", body=body, replicates=6, seed=23)
+        assert run_experiment(cfg)["rows"] == 6
+        assert calls == {"_tag_hull": 0, "_polar_cell": 0}
+        run_experiment(cfg, out_dir=str(tmp_path))
+        assert calls == {"_tag_hull": 1, "_polar_cell": 1}
+        assert (tmp_path / "zero_cell.off").exists()
+
     def test_expected_facets_auto(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KHULL_THREADS", "1")
         cfg = ExperimentConfig(experiment="expected-facets", body=DISK,

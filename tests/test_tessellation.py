@@ -294,6 +294,33 @@ class TestBareCertification:
         assert len(z.dual.simplices) == 8
 
     @staticmethod
+    def _reference_cells():
+        """Fifteen cells of each reference body, the merged dual of seed
+        390 and the lone-vertex dual of master seed 2639, job 0."""
+        for K, T0 in REFERENCE_BODIES.values():
+            rng = np.random.default_rng(41)
+            for _ in range(15):
+                yield zero_cell(K, rng, T0=T0)
+        ball3 = REFERENCE_BODIES["ball3"][0]
+        yield zero_cell(ball3, np.random.default_rng(390), T0=5.0)
+        yield zero_cell(ball3, _replicate_rng(2639, 0)[0], T0=5.0)
+
+    def test_row_fields_match_dual_and_cell(self):
+        merged = 0
+        for z in self._reference_cells():
+            vols, fv = z.volumes, z.fvector()
+            built = {"dual", "cell"} & set(vars(z))
+            # only a merged d = 3 dual reads its row off the dual and the cell
+            is_merged = z.zv.shape[1] == 3 and tessellation._merged(z.bare)
+            assert built == ({"dual", "cell"} if is_merged else set())
+            merged += is_merged
+            want = intrinsic_volumes(z.cell)
+            assert np.array(vols.values).tobytes() == np.array(want.values).tobytes()
+            assert intrinsic_volumes_of_cell(z) is vols
+            assert fv == tuple(reversed(z.dual.fvector()))
+        assert merged == 2
+
+    @staticmethod
     def _counted(monkeypatch, module, name):
         calls = []
         build = getattr(module, name)
@@ -315,6 +342,7 @@ class TestBareCertification:
             for _ in range(cells):
                 hulls.clear()
                 z = zero_cell(K, rng, T0=T0)
+                z.cell  # built on first read
                 merged = len(z.dual.facets) < len(z.dual.simplices)
                 assert len(hulls) == merged
                 seen.add(merged)
