@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DomainError, NumericError, UnsupportedKindError
 
@@ -76,6 +75,8 @@ def _radial_min(U: Array, h: Array) -> Array:
     one-row product runs through a matrix-vector kernel, whose dots can
     differ in the last bit from those of the full table U @ U.T.
     """
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(U / h[:, None])
         rows = np.concatenate([hull.vertices, hull.coplanar[:, 0]])
@@ -520,6 +521,8 @@ class Polytope(_BodyBase):
     vertices: Array
 
     def __post_init__(self):
+        from scipy.spatial import ConvexHull, QhullError
+
         V = np.asarray(self.vertices, dtype=float)
         if V.ndim != 2 or V.shape[1] not in (2, 3):
             raise DomainError("polytope vertices must be an (m, d) array with d in {2, 3}")

@@ -15,7 +15,6 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -153,8 +152,10 @@ class ExperimentConfig:
             raise ConfigError("seed must fit in 64 bits")
         if self.n < 1:
             raise ConfigError("n must be at least 1")
-        if self.T0 <= 0.0:
-            raise ConfigError("T0 must be positive")
+        if (isinstance(self.T0, bool)
+                or not isinstance(self.T0, (int, float, np.integer, np.floating))
+                or not 0.0 < self.T0 < math.inf):
+            raise ConfigError(f"T0 must be a finite positive number, got {self.T0!r}")
         if self.resolution < 8:
             raise ConfigError("resolution must be at least 8")
         if self.directions is not None and self.directions < 8:
@@ -457,6 +458,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         jobs = _jobs_for(cfg, target is not None)
         workers = _worker_count()
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             chunk = max(1, len(jobs) // (8 * workers))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_run_job, jobs, chunksize=chunk))

@@ -13,15 +13,18 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .body import Ball, ConvexBody, direction_grid
 from .errors import DomainError, GeneralPositionError, NumericError
 from .hull import (SCREEN_SLACK, ArcBoundary, DegeneracyWitness, IntersectionBody,
                    _akl_toussaint, _centred, _disk_pass, _hull_stage, _monotone_chain,
                    _require_disk, khull_boundary_2d)
+
+if TYPE_CHECKING:
+    from scipy.spatial import ConvexHull
 
 Array = np.ndarray
 
@@ -324,6 +327,8 @@ def _rowdot(a: Array, b: Array) -> Array:
 
 
 def _bare_hull_3d(points: Array) -> _BareHull:
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(points)
     except QhullError as exc:

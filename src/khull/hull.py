@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .body import (Ball, ConvexBody, Ellipsoid, Polytope, direction_grid, uniform_sample,
                    _as_point)
@@ -136,6 +135,8 @@ def _prune_to_hull(points: Array, rows: Array) -> Array:
     qhull over all rows. Copies are looked for among the kept rows, which
     hold every one.
     """
+    from scipy.spatial import ConvexHull, QhullError
+
     n = points.shape[0]
     if n <= 3:
         return np.arange(n)
@@ -387,6 +388,8 @@ def khull_contains(K: ConvexBody, points: Array, z, resolution: int = 256) -> Me
     are taken about an interior point c of K (`_centred`), so K need not
     contain the origin: X + z lies in K iff X + z - c lies in K - c.
     """
+    from scipy.spatial import HalfspaceIntersection, QhullError
+
     X = IntersectionBody(K, points)
     Kc, c = _centred(K)
     z = _as_point(z, K.dim) - c

@@ -2,6 +2,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ import oracles
 from khull import (Ball, ConfigError, DomainError, Ellipsoid, ExperimentConfig,
                    NumericError, Polytope, body_from_spec, load_config,
                    run_experiment, summarize, uniform_sample)
+import khull
 from khull.cli import main
 from khull.faces import GeneralPositionReport
 
@@ -78,6 +83,9 @@ class TestExperimentConfig:
             ExperimentConfig(experiment="fvector-mc", body=DISK, n=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="zerocell-mc", body=DISK, T0=0.0)
+        for T0 in (math.nan, math.inf, True):
+            with pytest.raises(ConfigError, match="T0 must be a finite positive number"):
+                ExperimentConfig(experiment="zerocell-mc", body=DISK, T0=T0)
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="fvector-mc", body=DISK, resolution=4)
         with pytest.raises(ConfigError):
@@ -917,6 +925,15 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["T0", "T"])
+    @pytest.mark.parametrize("T0", [math.nan, math.inf, True], ids=["nan", "inf", "bool"])
+    def test_bad_truncation_exits_two(self, tmp_path, capsys, key, T0):
+        # NaN and Infinity reached rng.poisson and exited 1; true read as 1.0
+        path = write_config(tmp_path, experiment="zerocell-mc", body=DISK, **{key: T0})
+        rc = main(["zerocell-mc", "--config", path])
+        assert rc == 2
+        assert "T0 must be a finite positive number" in capsys.readouterr().err
+
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -935,3 +952,48 @@ class TestCli:
         err = capsys.readouterr().err
         assert "numeric failure" in err
         assert "campaign degenerate" in err
+
+
+COLD_START = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import khull
+import khull.cli
+from khull import (ExperimentConfig, Polytope, body_from_spec, load_config,
+                   run_experiment, tagged_hull_from_points)
+
+
+def deferred():
+    return sorted(m for m in sys.modules
+                  if m.startswith(("scipy", "multiprocessing"))
+                  or m == "concurrent.futures.process")
+
+
+for path in sorted(Path(sys.argv[1]).glob("*.json")):
+    body_from_spec(load_config(path).body)
+body_from_spec({"kind": "pball", "p": 4.0, "scale": 1.0, "d": 3})
+run_experiment(ExperimentConfig(experiment="zerocell-mc",
+                                body={"kind": "ball", "r": 1.0, "center": [0.0, 0.0]},
+                                replicates=3))
+assert deferred() == [], deferred()
+
+tagged_hull_from_points(np.random.default_rng(7).normal(size=(30, 3)))
+Polytope([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+assert "scipy.spatial" in sys.modules
+"""
+
+
+def test_cold_start_defers_scipy_and_the_pool():
+    # importing khull, validating every shipped config, building bodies and
+    # running a planar zero-cell campaign load neither scipy nor the process
+    # pool; the first qhull call loads scipy.spatial
+    src = str(Path(khull.__file__).resolve().parents[1])
+    configs = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+    env = {**os.environ, "KHULL_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", COLD_START, str(configs)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
