@@ -24,8 +24,8 @@ the tagged dual and the cell only when they are read, so these kernels
 stop at the certified dual; `_zerocell_row_disk` and `_zerocell_row_ball3`
 draw the same cells and build their CSV rows. `IntersectionBody`
 builds X and reads its `active` rows, so it times the sample check and
-the prune; `_screen_rows` builds X and reads its `screen` rows, the
-sample check and the screen ahead of the prune.
+the prune; `IntersectionBody.screen` builds X and reads its `screen`
+rows, the sample check and the screen ahead of the prune.
 `_disk_pass` builds X inside the timed call too: X caches its screen and
 hull rows, so a reused X would time them only in the untimed warm-up.
 `_polar_hull` builds X and the polar hull of a unit d = 3 ball
@@ -36,7 +36,11 @@ draws one unit-disk `fvector-mc` replicate of N points and builds its
 row, `_hull_row_large` the same at LARGE_N points, and `_hull_row_ellipse`
 and `_hull_row_ball3` do the same for one replicate of those two polar
 campaigns, all at resolution POLAR_M, so the family route's seam is timed
-on the arc and the polar route.
+on the arc and the polar route. `_convergence_row` draws one unit-disk
+`convergence` replicate of CONVERGENCE_N points band first, as a campaign
+does, and builds its row: the radial polygon, its measure and the exact
+family, where `scaled_sample_statistics` times the same measuring on a
+full `uniform_sample` draw.
 `summarize` summarizes the rows of SUMMARY_ROWS unit-disk zero cells drawn from each
 seed (200, the size of a `zero-cell` `cells-disk` campaign). The two
 `ef0_symmetric` kernels evaluate the expected zero-cell vertex count of
@@ -63,8 +67,9 @@ import numpy as np
 
 from bench_pairs import SIDES, checkouts, git
 
-KERNELS = ("uniform_sample", "IntersectionBody", "_screen_rows", "_disk_pass", "_hull_stage",
-           "_hull_row", "_hull_row_large", "_hull_row_ellipse", "_hull_row_ball3",
+KERNELS = ("uniform_sample", "IntersectionBody", "IntersectionBody.screen", "_disk_pass",
+           "_hull_stage", "_hull_row", "_hull_row_large", "_hull_row_ellipse",
+           "_hull_row_ball3", "_convergence_row",
            "zero_cell_disk", "zero_cell_ball3", "_zerocell_row_disk", "_zerocell_row_ball3",
            "scaled_sample_statistics", "scaled_sample_statistics_ball3", "_polar_hull",
            "_polar_hull_ellipse", "summarize",
@@ -113,6 +118,10 @@ def calls(name: str, pkg, n: int, seeds: list[int]) -> list:
         sampler = K.surface_sampler()
         return [lambda g=g: experiments._zerocell_row(K, sampler, SUMMARY_T0, 0, 0, g())
                 for g in rngs]
+    if name == "_convergence_row":
+        return [lambda g=g: experiments._convergence_row(K, CONVERGENCE_N, None, POLAR_M,
+                                                         0, 0, g())
+                for g in rngs]
     if name.startswith("scaled_sample_statistics"):
         if name.endswith("ball3"):
             K, n = pkg.Ball(1.0, np.zeros(3)), CONVERGENCE_BALL3_N
@@ -152,7 +161,7 @@ def calls(name: str, pkg, n: int, seeds: list[int]) -> list:
     samples = [pkg.uniform_sample(K, n, g()) for g in rngs]
     if name == "IntersectionBody":
         return [lambda p=p: hull.IntersectionBody(K, p).active for p in samples]
-    if name == "_screen_rows":
+    if name == "IntersectionBody.screen":
         return [lambda p=p: hull.IntersectionBody(K, p).screen for p in samples]
     if name == "_disk_pass":
         return [lambda p=p: hull._disk_pass(hull.IntersectionBody(K, p)) for p in samples]

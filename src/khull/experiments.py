@@ -455,6 +455,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         rows, summary = _run_expected_facets(cfg)
         columns = list(rows[0].keys())
     else:
+        if cfg.experiment == "zerocell-mc":
+            key = _body_key(cfg)
+            try:
+                tessellation._layer_mean(_cached_body(key), _cached_sampler(key), cfg.T0)
+            except DomainError as exc:
+                raise ConfigError(str(exc)) from exc
         jobs = _jobs_for(cfg, target is not None)
         workers = _worker_count()
         if workers > 1:

@@ -268,22 +268,17 @@ def _cycle_start(points: Array) -> int | None:
     return int(left[np.argmin(A[left, 1])])
 
 
-def _tagged_cycle(points: Array) -> TaggedPolytope:
-    """tagged_hull_from_points(points) for points that already run
-    counter-clockwise around a convex polygon, every field bit for bit,
-    without the chain's sort and stack.
+def _cycle_order(points: Array) -> Array:
+    """Hull order of points that run counter-clockwise around a convex
+    polygon, as `_monotone_chain` lists it, without the chain's sort and
+    stack: `_polygon_measure(points[_cycle_order(points)])` is the volume
+    and surface of `tagged_hull_from_points(points)`, bit for bit.
 
     When every turn of the cycle is strictly left (`_cycle_start`), each
     point is a hull vertex and the chain lists them counter-clockwise from
     their lexicographic minimum, so the hull order is the cycle rolled to
-    start there; the rest is the same arithmetic. Otherwise (a collinear
-    or repeated point, or fewer than three points) the chain runs."""
-    return _tag_hull_2d(_bare_polygon(points, _cycle_order(points)), np.arange(points.shape[0]))
-
-
-def _cycle_order(points: Array) -> Array:
-    """Hull order of points that run counter-clockwise around a convex
-    polygon, as the chain lists it (see `_tagged_cycle`)."""
+    start there. Otherwise (a collinear or repeated point, or fewer than
+    three points) the chain runs."""
     start = _cycle_start(points)
     if start is None:
         return np.array(_monotone_chain(points))
@@ -627,13 +622,12 @@ def _polar_hull(X: IntersectionBody, m: int = 256) -> TaggedPolytope:
     model, so that vertex is strictly inside the hull. The gaps are exact
     only on a few candidate rows, which hold every winner over the whole
     sample: the rows `_winner_rows` keeps, in d = 2 and 3 alike, from X's
-    `screen` rows (every row, except in a planar sample of
-    PRUNE_SCREEN_MIN rows or more, where the rows strictly inside the
-    hull are dropped: the radius is a convex function of x_i, so on each
-    ray it peaks at a hull vertex). The gauge screen and the score screen
-    of `_winner_rows` keep every row of least gap on some direction, so
-    the winners among the candidates are the gap minimizers over all
-    rows: the members the full family's hull keeps. No sample hull is
+    `screen` rows (every row in d = 3; in d = 2 the rows strictly inside
+    the hull are dropped: the radius is a convex function of x_i, so on
+    each ray it peaks at a hull vertex). The gauge screen and the score
+    screen of `_winner_rows` keep every row of least gap on some
+    direction, so the winners among the candidates are the gap minimizers
+    over all rows: the members the full family's hull keeps. No sample hull is
     built: X's `active` rows are not read.
 
     The grid, K's support on it and h_c come from `_polar_grid`, once per

@@ -57,25 +57,11 @@ def mink_diff_contains(K: ConvexBody, points: Array, x, tol: float = 1e-12) -> b
     return bool(np.all(Kc.gauge_batch((points - c) + x[None, :]) <= 1.0 + tol))
 
 
-# Planar samples of at least this many rows are screened before qhull; on
-# smaller ones the screen costs more than it saves qhull.
-PRUNE_SCREEN_MIN = 1000
 # Directions whose extreme rows span the screening polygon.
 _SCREEN_DIRECTIONS = direction_grid(2, 16)
 # How far inside that polygon, relative to the coordinate scale, a row
 # must be to be dropped; far above the rounding of the test itself.
 PRUNE_SCREEN_MARGIN = 1e-9
-
-
-def _screen_rows(points: Array) -> Array:
-    """Rows of a sample that may be convex-hull vertices, ascending.
-
-    Only planar samples of PRUNE_SCREEN_MIN rows or more are screened, by
-    `_akl_toussaint`; any other sample keeps every row.
-    """
-    if points.shape[1] != 2 or points.shape[0] < PRUNE_SCREEN_MIN:
-        return np.arange(points.shape[0])
-    return _akl_toussaint(points)
 
 
 def _screen_polygon(points: Array, directions: Array = _SCREEN_DIRECTIONS
@@ -129,11 +115,11 @@ def _prune_to_hull(points: Array, rows: Array) -> Array:
 
     The intersection of translates over a point set equals the one over its
     convex hull, so only hull vertices can be active constraints. qhull
-    runs on `rows`, the rows `_screen_rows` keeps, and its vertices are
-    mapped back to the sample: the rows the screen drops lie strictly
-    inside the hull, and on every sample tested the vertices are those of
-    qhull over all rows. Copies are looked for among the kept rows, which
-    hold every one.
+    runs on `rows`, the rows `IntersectionBody.screen` keeps, and its
+    vertices are mapped back to the sample: the rows the screen drops lie
+    strictly inside the hull, and on every sample tested the vertices are
+    those of qhull over all rows. Copies are looked for among the kept
+    rows, which hold every one.
     """
     from scipy.spatial import ConvexHull, QhullError
 
@@ -157,10 +143,11 @@ class IntersectionBody:
     of each row from K's center (its verdict is sqrt(sq) < r, bit for bit
     `Ball._interior_batch`'s), and for a Ball or an Ellipsoid the gauge of
     each row about K's center, which `gauges` hands to the polar hull.
-    `screen` holds the rows `_screen_rows` keeps, a superset of the hull
-    vertices and their copies found with no hull call, unless the body is
-    built with such rows as `_screen` (`_disk_sample` hands over the rows
-    its band screen keeps). `active` holds the rows that can touch X,
+    `screen` holds a superset of the hull vertices and their copies found
+    with no hull call: the rows `_akl_toussaint` keeps of a planar sample
+    of any size, and every row of a d = 3 one, unless the body is built
+    with such rows as `_screen` (`_disk_sample` hands over the rows its
+    band screen keeps). `active` holds the rows that can touch X,
     ascending: the convex-hull vertices of the sample and every row equal
     to one of them, found by qhull over the screen rows. The copies change
     no radial or support value of X, and the disk arc pass dedupes them.
@@ -202,7 +189,11 @@ class IntersectionBody:
 
     @functools.cached_property
     def screen(self) -> Array:
-        return _screen_rows(self.points) if self._screen is None else self._screen
+        if self._screen is not None:
+            return self._screen
+        if self.dim == 2:
+            return _akl_toussaint(self.points)
+        return np.arange(self.points.shape[0])
 
     @functools.cached_property
     def active(self) -> Array:

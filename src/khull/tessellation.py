@@ -53,6 +53,24 @@ def sample_hyperplanes(K: ConvexBody, T: float, rng: np.random.Generator,
     return HyperplaneSample(K, T, t, u)
 
 
+# The largest mean hyperplane count of the first layer `zero_cell` draws;
+# its distances and normals then take about 320 MB in d = 3.
+MAX_LAYER_MEAN = 1e7
+
+
+def _layer_mean(K: ConvexBody, sampler: SurfaceMeasureSampler, T0: float) -> float:
+    """T0 * total_mass / volume, the mean hyperplane count of the first
+    layer of a zero-cell draw; DomainError unless T0 is finite and positive
+    and that mean is at most MAX_LAYER_MEAN."""
+    if not 0.0 < T0 < math.inf:
+        raise DomainError(f"truncation T0 must be finite and positive, got {T0!r}")
+    mean = T0 * sampler.total_mass / K.volume()
+    if not mean <= MAX_LAYER_MEAN:
+        raise DomainError(f"T0 = {T0!r} puts a mean of {mean:.3g} hyperplanes in the first "
+                          f"layer, more than {MAX_LAYER_MEAN:.0e}")
+    return mean
+
+
 def _draw_layer(sampler: SurfaceMeasureSampler, rate: float, lo: float, hi: float,
                 rng: np.random.Generator, d: int) -> tuple[Array, Array]:
     """One Poisson layer of hyperplanes with distances in (lo, hi]: the
@@ -71,11 +89,12 @@ class ZeroCell:
     the polars of its facets, the vertices of Z (see `zero_cell`). The
     rest is read off them, each on first read and then kept: `dual` is
     the tagged hull, vertex owners being hyperplane indices; `cell` is Z
-    itself, read off the dual by polarity: vertex F of Z, owned by F,
-    polarizes dual facet F. `fvector()` and `volumes`, all a CSV row
-    reads, come off the bare hull without either, with the values and the
-    bits that `dual` and `intrinsic_volumes(cell)` give; a d = 3 dual
-    whose triangles qhull merged reads them off `dual` and `cell`.
+    itself, whose vertex zv[F], owned by F, polarizes dual facet F: the
+    hull of zv in d = 2, read off the dual by polarity in d = 3.
+    `fvector()` and `volumes`, all a CSV row reads, come off the bare hull
+    without either, with the values and the bits that `dual` and
+    `intrinsic_volumes(cell)` give; a d = 3 dual whose triangles qhull
+    merged reads them off `dual` and `cell`.
     `certified` records that every vertex of Z has norm at most the
     truncation actually explored, so no unsampled hyperplane could cut
     the cell. It is always True: `zero_cell` raises `NumericError` rather
@@ -95,6 +114,8 @@ class ZeroCell:
 
     @cached_property
     def cell(self) -> TaggedPolytope:
+        if self.zv.shape[1] == 2 or _merged(self.bare):
+            return tagged_hull_from_points(self.zv)
         return _polar_cell(self.bare, self.dual, self.zv)
 
     def fvector(self) -> FVector:
@@ -139,28 +160,24 @@ def zero_cell(K: ConvexBody, rng: np.random.Generator, T0: float = 5.0,
     `cell`; a CSV row's f-vector and intrinsic volumes need neither (see
     `ZeroCell`).
 
-    The cell is built from the tagged dual by polarity, with no second
-    hull (`_polar_cell`): dual facet F = {<a, y> = b} becomes cell vertex
+    In d = 2 the cell is the hull of zv, which reads no dual. In d = 3
+    it is built from the tagged dual by polarity, with no second hull
+    (`_polar_cell`): dual facet F = {<a, y> = b} becomes cell vertex
     zv[F] = a/b with owner F, dual vertex p becomes the cell facet
     {<p, x> = 1}, and each dual edge becomes the cell edge between the
-    vertices of its two facets. In d = 2 the cell is the cycle zv, with
-    the hull order and arithmetic of the hull of zv, so every field is
-    that hull's bit for bit; where a turn of the cycle is not strictly
-    left, the monotone chain runs instead. In d = 3 the vertices, owners,
-    edges and facet vertex sets are those of the hull of zv, the facets
-    come in dual-vertex order with normal p/|p| and offset 1/|p|, and
-    the volume and surface are summed over the edges, so they and V_1
-    differ from that hull's in the last bits. `simplices` fans each facet
-    from its lowest vertex over its edges. A d = 3 dual whose triangles
-    qhull merged as coplanar keeps the hull of zv, since polarity would
-    place its cell only to within the merge tolerance.
+    vertices of its two facets. The vertices, owners, edges and facet
+    vertex sets are those of the hull of zv, the facets come in
+    dual-vertex order with normal p/|p| and offset 1/|p|, and the volume
+    and surface are summed over the edges, so they and V_1 differ from
+    that hull's in the last bits. `simplices` fans each facet from its
+    lowest vertex over its edges. A d = 3 dual whose triangles qhull
+    merged as coplanar keeps the hull of zv, since polarity would place
+    its cell only to within the merge tolerance.
     """
     if sampler is None:
         sampler = K.surface_sampler()
-    if T0 <= 0.0:
-        raise DomainError("truncation T0 must be positive")
+    layer_rate = _layer_mean(K, sampler, T0)
     d = K.dim
-    layer_rate = T0 * sampler.total_mass / K.volume()
 
     t, u = _draw_layer(sampler, layer_rate, 0.0, T0, rng, d)
     T = T0
@@ -231,12 +248,9 @@ def _polar_faces(bare: faces._BareHull, zv: Array) -> _PolarFaces:
 
 
 def _polar_cell(bare: faces._BareHull, dual: TaggedPolytope, zv: Array) -> TaggedPolytope:
-    """The cell polar to a certified dual hull, read off the dual; zv
-    holds the polars of the dual facets (see `zero_cell`)."""
-    if dual.dim == 2:
-        return faces._tagged_cycle(zv)
-    if _merged(bare):
-        return tagged_hull_from_points(zv, owners=np.arange(zv.shape[0]))
+    """The cell polar to a certified d = 3 dual hull with no merged
+    triangles, read off the dual; zv holds the polars of the dual facets
+    (see `zero_cell`)."""
     nf = zv.shape[0]
     polar = _polar_faces(bare, zv)
     nv = polar.offsets.size
@@ -372,8 +386,11 @@ def _scaled_statistics(X: IntersectionBody, n: int, directions: int | None,
     U = direction_grid(d, directions)
     r = X.radial_batch(U) * n
     P = r[:, None] * U  # in d = 2 counter-clockwise, as the grid runs
-    inner = faces._tagged_cycle(P) if d == 2 else tagged_hull_from_points(P)
-    vols = intrinsic_volumes(inner)
+    if d == 2:
+        area, perim = faces._polygon_measure(P[faces._cycle_order(P)])
+        vols = IntrinsicVolumes((1.0, 0.5 * perim, area))
+    else:
+        vols = intrinsic_volumes(tagged_hull_from_points(P))
     r_out = _radial_min(U, X.outer_support_bound_batch(U) * n)
     gap = _radial_volume(r_out, d) - _radial_volume(r, d)
     family = faces._family(X, fvector_resolution)

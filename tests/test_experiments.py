@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -436,14 +437,15 @@ class TestRunExperiment:
     @staticmethod
     def assert_pruned_once(tmp_path, monkeypatch, cfg, prunes: int = 1):
         """Every replicate of the campaign builds its intersection body and
-        screens its sample exactly once, by `_screen_rows` or by the band
-        screen of `_disk_sample`, which hands its rows to X, and runs the
+        screens its sample exactly once, on the first read of X's `screen`
+        or by the band screen of `_disk_sample`, which hands its rows to X,
+        and runs the
         qhull prune `prunes` times, and the CSV bytes are the same serial
         and pooled. A disk replicate sweeps its seed rows and, unless it
         reuses that sweep as X's, its X rows; the hull cycle of a
         `sample-hull` dump is swept after `_family` returns."""
         import khull.experiments as exp
-        calls = {"_screen_rows": [], "_prune_to_hull": [], "IntersectionBody": [],
+        calls = {"screen": [], "_prune_to_hull": [], "IntersectionBody": [],
                  "_arc_sweep": [], "handed": []}
         # the constructor calls __post_init__ through the class, under every binding
         check = exp.hull.IntersectionBody.__post_init__
@@ -455,7 +457,17 @@ class TestRunExperiment:
             check(self)
 
         monkeypatch.setattr(exp.hull.IntersectionBody, "__post_init__", built)
-        for name in ("_screen_rows", "_prune_to_hull", "_arc_sweep"):
+        screen = exp.hull.IntersectionBody.screen
+
+        def screened(self):
+            if self._screen is None:
+                calls["screen"].append(1)
+            return screen.func(self)
+
+        prop = functools.cached_property(screened)
+        prop.__set_name__(exp.hull.IntersectionBody, "screen")
+        monkeypatch.setattr(exp.hull.IntersectionBody, "screen", prop)
+        for name in ("_prune_to_hull", "_arc_sweep"):
             made = calls[name]
             original = getattr(exp.hull, name)
 
@@ -487,7 +499,7 @@ class TestRunExperiment:
         run_experiment(cfg, out_dir=str(tmp_path / "serial"))
         rows = cfg.replicates * len(cfg.schedule())
         assert len(calls["IntersectionBody"]) == rows
-        assert len(calls["_screen_rows"]) + len(calls["handed"]) == rows
+        assert len(calls["screen"]) + len(calls["handed"]) == rows
         assert len(calls["_prune_to_hull"]) == prunes * rows
         if disk:
             assert len(sweeps) == rows
@@ -780,8 +792,10 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("body", [DISK, BALL3], ids=["disk", "ball3"])
     def test_zero_cell_tagged_only_when_written(self, tmp_path, monkeypatch, body):
-        # a zero-cell row reads the certified bare dual alone; the tagged
-        # dual and the polar cell are built for job 0's zero_cell.off
+        # a zero-cell row reads the certified bare dual alone; job 0's
+        # zero_cell.off builds one tagged hull: the tagged dual and the
+        # polar cell in d = 3, the hull of the cell's vertices and no dual
+        # in d = 2
         import khull.experiments as exp
         calls = {"_tag_hull": 0, "_polar_cell": 0}
         for owner, name in ((exp.faces, "_tag_hull"), (exp.tessellation, "_polar_cell")):
@@ -797,7 +811,7 @@ class TestRunExperiment:
         assert run_experiment(cfg)["rows"] == 6
         assert calls == {"_tag_hull": 0, "_polar_cell": 0}
         run_experiment(cfg, out_dir=str(tmp_path))
-        assert calls == {"_tag_hull": 1, "_polar_cell": 1}
+        assert calls == {"_tag_hull": 1, "_polar_cell": int(body is BALL3)}
         assert (tmp_path / "zero_cell.off").exists()
 
     def test_expected_facets_auto(self, tmp_path, monkeypatch):
@@ -926,6 +940,23 @@ class TestCli:
         rc = main(["convergence", "--config", path])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("T0", [1e17, 1e300])
+    def test_huge_t0_exits_two_before_any_draw(self, tmp_path, capsys, monkeypatch, T0):
+        # a first layer of about 2e17 or 2e300 hyperplanes is a config
+        # error, not a memory error or numpy's "lam value too large"
+        import khull.tessellation as tess
+
+        def no_draw(*args):
+            raise AssertionError("a layer was drawn")
+
+        monkeypatch.setattr(tess, "_draw_layer", no_draw)
+        path = write_config(tmp_path, experiment="zerocell-mc", body=DISK, T0=T0)
+        rc = main(["zerocell-mc", "--config", path, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "T0" in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

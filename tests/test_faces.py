@@ -266,12 +266,10 @@ class TestPolarHull:
     @pytest.mark.parametrize("n, m", [(1000, 64), (1000, 256), (5000, 64)])
     @pytest.mark.parametrize("body", [k for k, K in PARITY_BODIES.items() if K.dim == 2])
     def test_matches_full_family_screened(self, body, n, m, rng):
-        # large planar samples are screened before the qhull prune
-        from khull.hull import _screen_rows
-
+        # planar samples are screened before the polar hull reads them
         K = PARITY_BODIES[body]
         pts = uniform_sample(K, n, rng)
-        assert _screen_rows(pts).size < n // 2
+        assert IntersectionBody(K, pts).screen.size < n // 2
         assert_same_polar_hull(K, pts, m)
 
     @pytest.mark.parametrize("n, m", [(1000, 64), (1000, 256), (5000, 64), (5000, 256)])
@@ -324,7 +322,7 @@ class TestPolarHull:
 
     def test_d2_route_does_not_prune(self, monkeypatch, rng):
         # both dimensions pick their rows with `_winner_rows`; a planar
-        # sample of PRUNE_SCREEN_MIN rows or more is screened, not pruned
+        # sample is screened, not pruned
         calls = prune_calls(monkeypatch)
         for body in [k for k, K in PARITY_BODIES.items() if K.dim == 2]:
             K = PARITY_BODIES[body]
@@ -458,6 +456,11 @@ class TestPolarHullParity:
         T = assert_polar_parity(unit_ball3, pts, 256)
         assert {300, 301} <= set(T.owners.tolist())
 
+    # Sample sizes whose screen rows, every row in d = 3, number more than
+    # 2 * PROBE_ROWS: about 250 of 5000 ellipse rows and 170-460 of 50000
+    # square rows survive the planar screen.
+    GAUGE_SCREEN_N = {"ellipse": 5000, "ball3": 900, "square": 50000, "cube": 900}
+
     @pytest.mark.parametrize("body", ["ellipse", "ball3", "square", "cube"])
     def test_gauge_screen_drops_rows(self, monkeypatch, body, rng):
         # the screen runs above 2 * PROBE_ROWS rows and keeps far fewer
@@ -471,11 +474,17 @@ class TestPolarHullParity:
             return rows
 
         monkeypatch.setattr(faces, "_winner_rows", counted)
-        _polar_hull(K, uniform_sample(K, 2 * faces.PROBE_ROWS + 1, rng), 256)
-        # below PRUNE_SCREEN_MIN rows X's screen keeps every planar row
-        _polar_hull(K, uniform_sample(K, 900, rng), 256)
-        assert [n for n, _ in kept] == [2 * faces.PROBE_ROWS + 1, 900]
-        assert kept[1][1] < 500
+        sizes = []
+        for n in (2 * faces.PROBE_ROWS + 1, self.GAUGE_SCREEN_N[body]):
+            X = IntersectionBody(K, uniform_sample(K, n, rng))
+            faces._polar_hull(X, 256)
+            sizes.append(X.screen.size)
+        # the winner screens read X's screen rows, every row in d = 3
+        assert [n for n, _ in kept] == sizes
+        if K.dim == 3:
+            assert sizes == [2 * faces.PROBE_ROWS + 1, 900]
+        assert sizes[1] > 2 * faces.PROBE_ROWS
+        assert kept[1][1] < sizes[1] // 2
 
     def test_grid_cached_read_only(self, ellipse21):
         W, base, hc = faces._polar_grid(ellipse21, 256)
@@ -648,7 +657,11 @@ class TestTaggedHullParity:
         mid = 0.5 * (ring[k] + ring[(k + 1) % n])
         for pts in (ring, np.roll(ring, 3, axis=0), 1e-6 * ring, ring[::-1],
                     np.insert(ring, k + 1, mid, axis=0), np.insert(ring, k + 1, ring[k], axis=0)):
-            oracles.assert_same_polytope(faces._tagged_cycle(pts), oracles.tagged_hull(pts))
+            # the chain's hull order, and its volume and surface, bit for bit
+            T = oracles.tagged_hull(pts)
+            order = faces._cycle_order(pts)
+            np.testing.assert_array_equal(order, T.owners)
+            assert faces._polygon_measure(pts[order]) == (T.volume, T.surface)
 
     def test_owner_tagged_family(self, ellipse21, unit_ball3, rng):
         for K in (ellipse21, unit_ball3):

@@ -138,7 +138,7 @@ class TestIntersectionBody:
         X.radial_batch(U)
         X.outer_support_bound_batch(U)
         hull._disk_pass(X)
-        np.testing.assert_array_equal(X.active, prune(pts, hull._screen_rows(pts)))
+        np.testing.assert_array_equal(X.active, prune(pts, hull._akl_toussaint(pts)))
         assert calls == [1]
 
     def test_off_centre_base_matches_centred(self, ellipse21, rng):
@@ -882,6 +882,20 @@ class TestReachRows:
             assert not self.fell_back(K, pts)
             assert_matches_reference(K, pts)
 
+    # The direct disk passes that fall back, at most, of 200 seeded uniform
+    # samples per n. The planar screen runs at every n, so the certificate
+    # reads no row inside its polygon: over 10^4 samples per n, 14, 2 and 5
+    # fell back at n = 50, 400 and 999, at most 2, 1 and 1 in any 200 in a
+    # row. With the screen cut off below 1000 rows, 22, 20 and 115 of 2000.
+    DIRECT_FALLBACKS = {50: 2, 400: 1, 999: 1}
+
+    @pytest.mark.parametrize("n", sorted(DIRECT_FALLBACKS))
+    def test_direct_samples_rarely_fall_back(self, unit_disk, n):
+        rng = np.random.default_rng(2828 + n)
+        fell = sum(self.fell_back(unit_disk, uniform_sample(unit_disk, n, rng))
+                   for _ in range(200))
+        assert fell <= self.DIRECT_FALLBACKS[n]
+
 
 def _edge_rows(pts: np.ndarray, rng, per_edge: int = 4) -> np.ndarray:
     """Rows on the edges of the polygon the screen spans over `pts`, and
@@ -902,24 +916,22 @@ def _edge_rows(pts: np.ndarray, rng, per_edge: int = 4) -> np.ndarray:
 
 
 class TestPrunePrefilter:
-    """`_prune_to_hull` screens large planar samples before qhull; its
+    """`_prune_to_hull` runs qhull on the rows the planar screen keeps; its
     rows must be the vertices of one qhull call over every row and every
     row equal to one of them."""
 
     @staticmethod
     def assert_parity(pts: np.ndarray) -> None:
-        from khull.hull import _prune_to_hull, _screen_rows
+        from khull.hull import _akl_toussaint, _prune_to_hull
 
         want = oracles.plain_prune(pts)
         copies = np.flatnonzero((pts[:, None] == pts[want]).all(axis=2).any(axis=1))
-        assert np.array_equal(_prune_to_hull(pts, _screen_rows(pts)), copies)
+        assert np.array_equal(_prune_to_hull(pts, _akl_toussaint(pts)), copies)
 
     @staticmethod
     def screened(pts: np.ndarray) -> int:
         """How many rows the screen drops."""
-        from khull.hull import _screen_rows
-
-        return pts.shape[0] - _screen_rows(pts).size
+        return pts.shape[0] - hull._akl_toussaint(pts).size
 
     @pytest.mark.parametrize("n", [1000, 2000, 5000, 20000])
     def test_disk(self, n, unit_disk):
@@ -983,14 +995,19 @@ class TestPrunePrefilter:
         for scale in (1e-6, 1.0, 1e6):
             self.assert_parity(rng.permutation(pts) * scale)
 
-    def test_cut_off(self, unit_disk):
-        from khull.hull import PRUNE_SCREEN_MIN
-
+    def test_screened_at_every_planar_n(self, unit_disk, unit_ball3):
         rng = np.random.default_rng(9800)
-        for n in (PRUNE_SCREEN_MIN - 1, PRUNE_SCREEN_MIN, PRUNE_SCREEN_MIN + 1):
+        for n in (4, 10, 999, 1000):
             pts = uniform_sample(unit_disk, n, rng)
             self.assert_parity(pts)
-            assert (self.screened(pts) > 0) == (n >= PRUNE_SCREEN_MIN)
+            X = IntersectionBody(unit_disk, pts)
+            np.testing.assert_array_equal(X.screen, hull._akl_toussaint(pts))
+            np.testing.assert_array_equal(X.active, oracles.plain_prune(pts))
+            if n >= 999:
+                assert self.screened(pts) > n // 2
+        # a d = 3 sample keeps every row
+        pts = uniform_sample(unit_ball3, 1000, rng)
+        np.testing.assert_array_equal(IntersectionBody(unit_ball3, pts).screen, np.arange(1000))
 
     def test_thin_and_degenerate_samples_keep_every_row(self):
         rng = np.random.default_rng(9900)

@@ -62,6 +62,25 @@ class TestZeroCell:
         with pytest.raises(DomainError):
             zero_cell(unit_disk, rng, T0=-1.0)
 
+    @pytest.mark.parametrize("T0", [math.nan, math.inf, 1e17, 1e300])
+    def test_unusable_t0_rejected_before_any_draw(self, unit_disk, unit_ball3, T0):
+        # NaN and inf are no truncation; 1e17 and 1e300 would put about
+        # 2e17 and 2e300 hyperplanes in the first layer
+        for K in (unit_disk, unit_ball3):
+            rng = np.random.default_rng(5)
+            state = rng.bit_generator.state
+            with pytest.raises(DomainError, match="T0"):
+                zero_cell(K, rng, T0=T0)
+            assert rng.bit_generator.state == state
+
+    def test_first_layer_mean_bound(self, unit_disk):
+        # the disk's layer mean is 2 T0 / r: T0 = 5e6 is the largest allowed
+        sampler = unit_disk.surface_sampler()
+        assert tessellation._layer_mean(unit_disk, sampler, 5.0) == 10.0
+        assert tessellation._layer_mean(unit_disk, sampler, 5e6) == tessellation.MAX_LAYER_MEAN
+        with pytest.raises(DomainError):
+            tessellation._layer_mean(unit_disk, sampler, 5.000001e6)
+
     def test_certification_exhaustion(self, unit_disk, rng):
         with pytest.raises(NumericError):
             zero_cell(unit_disk, rng, T0=1e-6, max_doublings=0)
@@ -333,6 +352,7 @@ class TestBareCertification:
         return calls
 
     def test_simplicial_dual_cell_builds_no_hull(self, unit_disk, unit_ball3, monkeypatch):
+        # a d = 2 cell is the one hull of zv and reads no dual
         hulls = self._counted(monkeypatch, tessellation, "tagged_hull_from_points")
         seen = set()
         # small T0: most cells extend; the seed 390 cell has a merged dual
@@ -343,8 +363,9 @@ class TestBareCertification:
                 hulls.clear()
                 z = zero_cell(K, rng, T0=T0)
                 z.cell  # built on first read
-                merged = len(z.dual.facets) < len(z.dual.simplices)
-                assert len(hulls) == merged
+                assert ("dual" in vars(z)) == (K.dim == 3 and not tessellation._merged(z.bare))
+                merged = K.dim == 3 and len(z.dual.facets) < len(z.dual.simplices)
+                assert len(hulls) == (merged or K.dim == 2)
                 seen.add(merged)
         assert seen == {False, True}
 
@@ -469,27 +490,31 @@ LENS = np.array([[0.999, 1e-4], [-0.999, -2e-4]])
 
 
 class TestRadialPolygon:
-    """The d = 2 radial polygon of `scaled_sample_statistics` is built from
-    the grid's counter-clockwise cycle; V1 and V2 must be those of the
-    monotone chain's hull of the same points, bit for bit."""
+    """The d = 2 radial polygon of `scaled_sample_statistics` is measured
+    in the grid's counter-clockwise cycle order (`_cycle_order`); V1 and V2
+    must be those of the monotone chain's hull of the same points, bit for
+    bit."""
 
     @staticmethod
     def both_routes(K, pts, monkeypatch):
-        starts = []
-        find = faces._cycle_start
+        starts, polygons = [], []
+        find, order = faces._cycle_start, faces._cycle_order
 
         def recording(points):
             starts.append(find(points))
             return starts[-1]
 
+        def ordering(points):
+            polygons.append(points)
+            return order(points)
+
         with monkeypatch.context() as m:
             m.setattr(faces, "_cycle_start", recording)
+            m.setattr(faces, "_cycle_order", ordering)
             got = scaled_sample_statistics(K, pts).volumes
-        with monkeypatch.context() as m:
-            m.setattr(faces, "_tagged_cycle", oracles.tagged_hull)
-            want = scaled_sample_statistics(K, pts).volumes
-        assert (got[1], got[2]) == (want[1], want[2])
-        assert len(starts) == 1
+        assert len(starts) == len(polygons) == 1
+        want = oracles.tagged_hull(polygons[0])
+        assert (got[1], got[2]) == (0.5 * want.surface, want.volume)
         return starts[0] is None
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 2000])
