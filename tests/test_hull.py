@@ -886,7 +886,7 @@ class TestReachRows:
     # samples per n. The planar screen runs at every n, so the certificate
     # reads no row inside its polygon: over 10^4 samples per n, 14, 2 and 5
     # fell back at n = 50, 400 and 999, at most 2, 1 and 1 in any 200 in a
-    # row. With the screen cut off below 1000 rows, 22, 20 and 115 of 2000.
+    # row.
     DIRECT_FALLBACKS = {50: 2, 400: 1, 999: 1}
 
     @pytest.mark.parametrize("n", sorted(DIRECT_FALLBACKS))
