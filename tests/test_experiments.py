@@ -439,9 +439,8 @@ class TestRunExperiment:
         """Every replicate of the campaign builds its intersection body and
         screens its sample exactly once, on the first read of X's `screen`
         or by the band screen of `_disk_sample`, which hands its rows to X,
-        and runs the
-        qhull prune `prunes` times, and the CSV bytes are the same serial
-        and pooled. A disk replicate sweeps its seed rows and, unless it
+        and runs the qhull prune `prunes` times, and the CSV bytes are the
+        same serial and pooled. A disk replicate sweeps its seed rows and, unless it
         reuses that sweep as X's, its X rows; the hull cycle of a
         `sample-hull` dump is swept after `_family` returns."""
         import khull.experiments as exp
