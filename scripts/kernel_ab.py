@@ -22,7 +22,8 @@ d = 3 `convergence` row, and the two `zero_cell` kernels draw one cell of
 the unit disk or the unit d = 3 ball from each seed. `zero_cell` builds
 the tagged dual and the cell only when they are read, so these kernels
 stop at the certified dual; `_zerocell_row_disk` and `_zerocell_row_ball3`
-draw the same cells and build their CSV rows. `IntersectionBody`
+draw the same cells and build their CSV rows, and `_zerocell_row_ellipse`
+does the same for cells of an ellipse with semi-axes (2, 1). `IntersectionBody`
 builds X and reads its `active` rows, so it times the sample check and
 the prune; `IntersectionBody.screen` builds X and reads its `screen`
 rows, the sample check and the screen ahead of the prune.
@@ -42,7 +43,8 @@ does, and builds its row: the radial polygon, its measure and the exact
 family, where `scaled_sample_statistics` times the same measuring on a
 full `uniform_sample` draw.
 `summarize` summarizes the rows of SUMMARY_ROWS unit-disk zero cells drawn from each
-seed (200, the size of a `zero-cell` `cells-disk` campaign). The two
+seed (200, the size of a `zero-cell` `cells-disk` campaign), and `_write_csv`
+writes them to a CSV file in the side's checkout, truncating open included. The two
 `ef0_symmetric` kernels evaluate the expected zero-cell vertex count of
 the unit disk and of the unit d = 3 ball, once per repetition and with
 no sample. Each side runs every kernel REPS times. It prints, per kernel
@@ -71,8 +73,9 @@ KERNELS = ("uniform_sample", "IntersectionBody", "IntersectionBody.screen", "_di
            "_hull_stage", "_hull_row", "_hull_row_large", "_hull_row_ellipse",
            "_hull_row_ball3", "_convergence_row",
            "zero_cell_disk", "zero_cell_ball3", "_zerocell_row_disk", "_zerocell_row_ball3",
+           "_zerocell_row_ellipse",
            "scaled_sample_statistics", "scaled_sample_statistics_ball3", "_polar_hull",
-           "_polar_hull_ellipse", "summarize",
+           "_polar_hull_ellipse", "summarize", "_write_csv",
            "ef0_symmetric_disk", "ef0_symmetric_ball3")
 N = 5000
 LARGE_N = 100_000
@@ -114,7 +117,10 @@ def calls(name: str, pkg, n: int, seeds: list[int]) -> list:
         sampler = K.surface_sampler()
         return [lambda g=g: pkg.zero_cell(K, g(), sampler=sampler) for g in rngs]
     if name.startswith("_zerocell_row"):
-        K = pkg.Ball(1.0, np.zeros(3 if name.endswith("ball3") else 2))
+        if name.endswith("ellipse"):
+            K = pkg.Ellipsoid([2.0, 1.0], np.zeros(2))
+        else:
+            K = pkg.Ball(1.0, np.zeros(3 if name.endswith("ball3") else 2))
         sampler = K.surface_sampler()
         return [lambda g=g: experiments._zerocell_row(K, sampler, SUMMARY_T0, 0, 0, g())
                 for g in rngs]
@@ -141,14 +147,19 @@ def calls(name: str, pkg, n: int, seeds: list[int]) -> list:
         samples = [pkg.uniform_sample(K, n, g()) for g in rngs]
         return [lambda p=p: faces._polar_hull(hull.IntersectionBody(K, p), POLAR_M)
                 for p in samples]
-    if name == "summarize":
+    if name in ("summarize", "_write_csv"):
         sampler = K.surface_sampler()
         tables = []
         for g in rngs:
             rng = g()
             tables.append([experiments._zerocell_row(K, sampler, SUMMARY_T0, i, 0, rng)[0]
                            for i in range(SUMMARY_ROWS)])
-        return [lambda rows=rows: experiments.summarize(rows) for rows in tables]
+        if name == "summarize":
+            return [lambda rows=rows: experiments.summarize(rows) for rows in tables]
+        # the checkout holds src/khull; it is removed with the file on exit
+        path = Path(pkg.__file__).parents[2] / "kernel_ab.csv"
+        return [lambda rows=rows: experiments._write_csv(path, rows, list(rows[0]))
+                for rows in tables]
     if name.startswith("_hull_row"):
         if name.endswith("ellipse"):
             K, n = pkg.Ellipsoid([2.0, 1.0], np.zeros(2)), POLAR_ELLIPSE_N

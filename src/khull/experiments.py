@@ -407,12 +407,26 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _format_column(values: list) -> list[str]:
+    """`_format_cell` of each value, a column at a time: a column of Python
+    floats alone, or of ints alone (bools are not ints here), takes its
+    type's own repr, which is what `_format_cell` returns for each."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return list(map(float.__repr__, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    return list(map(_format_cell, values))
+
+
 def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
+    """The rows under a header of their columns, each cell formatted by
+    `_format_cell`."""
+    cells = [_format_column([row[c] for row in rows]) for c in columns]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in columns])
+        writer.writerows(zip(*cells))
 
 
 def _run_expected_facets(cfg: ExperimentConfig) -> tuple[list[dict], dict]:

@@ -13,7 +13,7 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -199,6 +199,19 @@ class _BareHull:
     qhull: ConvexHull | None = None
     group: Array | None = None            # (F,) facet of each triangle
     pairs: tuple[Array, Array, Array] | None = None  # adjacent (s, k, t), t > s
+    floats: _PolygonFloats | None = None  # a short polygon's float pass
+
+
+class _PolygonFloats(NamedTuple):
+    """What the float pass of a short polygon (`_short_polygon`) reads
+    besides its planes: its largest vertex norm and smallest offset, and,
+    when that offset is positive, the polars normals / offsets of its
+    facets, as an (F, 2) array, and their largest norm."""
+
+    extent: float
+    low: float
+    polars: Array | None
+    radius: float | None
 
 
 def _roll(V: Array) -> Array:
@@ -234,9 +247,26 @@ def _bare_hull_2d(points: Array) -> _BareHull:
     return _bare_polygon(points, keep[_monotone_chain(points[keep])])
 
 
-# Cycles up to this length are tested on Python floats, longer ones on
-# arrays: below it the array calls cost more than the loop.
+# Cycles and polygons up to this length are tested and built on Python
+# floats, longer ones on arrays: below it the array calls cost more than
+# the loop.
 SHORT_CYCLE = 32
+
+# np.add.reduce sums fewer than this many float64 terms one at a time,
+# left to right from 0.0; from 8 terms on it sums in blocks, pairwise
+# (checked on 20,000 random arrays per length). Below it a loop over
+# Python floats rounds such a sum as the reduction does.
+LEFT_SUM_MAX = 8
+
+
+def _left_start(xy: list[list[float]]) -> int | None:
+    """`_cycle_start` of a cycle given as Python floats."""
+    (ox, oy), (ax, ay) = xy[-2], xy[-1]
+    for px, py in xy:
+        if not (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
+            return None
+        ox, oy, ax, ay = ax, ay, px, py
+    return min(range(len(xy)), key=xy.__getitem__)
 
 
 def _cycle_start(points: Array) -> int | None:
@@ -251,13 +281,7 @@ def _cycle_start(points: Array) -> int | None:
     if n < 3:
         return None
     if n <= SHORT_CYCLE:
-        xy = points.tolist()
-        (ox, oy), (ax, ay) = xy[-2], xy[-1]
-        for px, py in xy:
-            if not (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
-                return None
-            ox, oy, ax, ay = ax, ay, px, py
-        return min(range(n), key=xy.__getitem__)
+        return _left_start(points.tolist())
     O = np.concatenate((points[-1:], points[:-1]))
     A, P = points, _roll(points)
     turn = ((A[:, 0] - O[:, 0]) * (P[:, 1] - O[:, 1])
@@ -293,14 +317,79 @@ def _polygon_measure(V: Array) -> tuple[float, float]:
     return area, float(np.add.reduce(_rownorm(W - V)))
 
 
+def _cycle_measure(points: Array) -> tuple[float, float]:
+    """`_polygon_measure(points[_cycle_order(points)])`, bit for bit.
+
+    A strictly left-turning cycle of fewer than LEFT_SUM_MAX points is
+    summed on its Python floats, from its lexicographic minimum and term
+    by term as the arrays round it; any other cycle takes the array route.
+    """
+    if 3 <= points.shape[0] < LEFT_SUM_MAX:
+        xy = points.tolist()
+        start = _left_start(xy)
+        if start is not None:
+            V = xy[start:] + xy[:start]
+            area = perim = 0.0
+            for (x, y), (wx, wy) in zip(V, V[1:] + V[:1]):
+                area += x * wy - wx * y
+                dx = wx - x
+                dy = wy - y
+                perim += math.sqrt(dx * dx + dy * dy)
+            return 0.5 * area, perim
+    return _polygon_measure(points[_cycle_order(points)])
+
+
 def _bare_polygon(points: Array, hull: Array) -> _BareHull:
-    """Bare stage of the polygon points[hull], listed counter-clockwise."""
+    """Bare stage of the polygon points[hull], listed counter-clockwise;
+    one of up to SHORT_CYCLE vertices is built by `_short_polygon`."""
+    if hull.size <= SHORT_CYCLE:
+        return _short_polygon(points, hull)
     V = points[hull]
     evec = _roll(V) - V
     normals = np.column_stack([evec[:, 1], -evec[:, 0]])
     normals /= _rownorm(normals)[:, None]
     offsets = np.add.reduce(normals * V, axis=1)
     return _BareHull(points, hull, normals, offsets)
+
+
+def _short_polygon(points: Array, hull: Array) -> _BareHull:
+    """`_bare_polygon` in one pass over the polygon's Python floats, which
+    also fills its `floats` (a zero-cell attempt reads nothing else).
+
+    Every value is rounded as the array code of `_bare_polygon`, of
+    `tessellation._try_dual_hull` and of `tessellation._polars` rounds it:
+    a row's norm and dot product are two-term sums, which round alike in
+    either order, and adding 0.0 makes a zero offset +0.0, as the array
+    reduction returns it. The largest of non-negative norms is their max.
+    """
+    xy = points[hull].tolist()
+    normals, offsets, polars = [], [], []
+    extent = radius = 0.0
+    for (x, y), (x1, y1) in zip(xy, xy[1:] + xy[:1]):
+        ex = x1 - x
+        ey = y1 - y
+        s = math.sqrt(ey * ey + ex * ex)
+        nx = ey / s
+        ny = -ex / s
+        b = nx * x + ny * y + 0.0
+        normals.append((nx, ny))
+        offsets.append(b)
+        norm = math.sqrt(x * x + y * y)
+        if norm > extent:
+            extent = norm
+        if b > 0.0:
+            zx = nx / b
+            zy = ny / b
+            polars.append((zx, zy))
+            norm = math.sqrt(zx * zx + zy * zy)
+            if norm > radius:
+                radius = norm
+    low = min(offsets)
+    if low > 0.0:
+        floats = _PolygonFloats(extent, low, np.array(polars), radius)
+    else:
+        floats = _PolygonFloats(extent, low, None, None)
+    return _BareHull(points, hull, np.array(normals), np.array(offsets), floats=floats)
 
 
 def _tag_hull_2d(bare: _BareHull, owners: Array) -> TaggedPolytope:

@@ -43,12 +43,11 @@ class HyperplaneSample:
 
 def sample_hyperplanes(K: ConvexBody, T: float, rng: np.random.Generator,
                        sampler: SurfaceMeasureSampler | None = None) -> HyperplaneSample:
-    """Draw the process restricted to distances (0, T]."""
-    if T <= 0.0:
-        raise DomainError("truncation T must be positive")
+    """Draw the process restricted to distances (0, T]; T is checked as
+    `zero_cell` checks T0 (`_layer_mean`), before any draw."""
     if sampler is None:
         sampler = K.surface_sampler()
-    rate = T * sampler.total_mass / K.volume()
+    rate = _layer_mean(K, sampler, T)
     t, u = _draw_layer(sampler, rate, 0.0, T, rng, K.dim)
     return HyperplaneSample(K, T, t, u)
 
@@ -94,7 +93,9 @@ class ZeroCell:
     `fvector()` and `volumes`, all a CSV row reads, come off the bare hull
     without either, with the values and the bits that `dual` and
     `intrinsic_volumes(cell)` give; a d = 3 dual whose triangles qhull
-    merged reads them off `dual` and `cell`.
+    merged reads them off `dual` and `cell`. A d = 2 cell of fewer than
+    `faces.LEFT_SUM_MAX` vertices sums its area and perimeter on the
+    Python floats of zv (`faces._cycle_measure`).
     `certified` records that every vertex of Z has norm at most the
     truncation actually explored, so no unsampled hyperplane could cut
     the cell. It is always True: `zero_cell` raises `NumericError` rather
@@ -132,7 +133,7 @@ class ZeroCell:
     def volumes(self) -> IntrinsicVolumes:
         """`intrinsic_volumes(self.cell)`, bit for bit."""
         if self.zv.shape[1] == 2:
-            area, perim = faces._polygon_measure(self.zv[faces._cycle_order(self.zv)])
+            area, perim = faces._cycle_measure(self.zv)
             return IntrinsicVolumes((1.0, 0.5 * perim, area))
         if _merged(self.bare):
             return intrinsic_volumes(self.cell)
@@ -155,10 +156,12 @@ def zero_cell(K: ConvexBody, rng: np.random.Generator, T0: float = 5.0,
     Each attempt builds only the bare dual hull (its vertices and facet
     planes), which is all the radius test reads. The facet planes are
     those a fully tagged dual would carry, so the verdicts are those of
-    tagging every attempt. The certified bare hull is kept, and the
-    tagged dual and the cell are built on first read of `dual` and
-    `cell`; a CSV row's f-vector and intrinsic volumes need neither (see
-    `ZeroCell`).
+    tagging every attempt. A planar dual of up to `faces.SHORT_CYCLE`
+    vertices is built, tested and polarized in one pass over its Python
+    floats (`faces._short_polygon`), with the bits of the array code. The
+    certified bare hull is kept, and the tagged dual and the cell are
+    built on first read of `dual` and `cell`; a CSV row's f-vector and
+    intrinsic volumes need neither (see `ZeroCell`).
 
     In d = 2 the cell is the hull of zv, which reads no dual. In d = 3
     it is built from the tagged dual by polarity, with no second hull
@@ -184,9 +187,7 @@ def zero_cell(K: ConvexBody, rng: np.random.Generator, T0: float = 5.0,
     for _ in range(max_doublings):
         bare = _try_dual_hull(u, t, d)
         if bare is not None:
-            # each dual facet {<a,y> = b} polarizes to the cell vertex a/b
-            zv = bare.normals / bare.offsets[:, None]
-            radius = float(faces._rownorm(zv).max())
+            zv, radius = _polars(bare)
             if radius <= T:
                 break
         # the measure of (T, 2T] is T
@@ -281,7 +282,8 @@ def _try_dual_hull(u: Array, t: Array, d: int) -> faces._BareHull | None:
 
     The smallest facet offset is compared with the hull's own extent, its
     largest vertex norm: both scale as 1/r when K is scaled by r with
-    T0 proportional to r, so the verdict does not depend on units.
+    T0 proportional to r, so the verdict does not depend on units. A
+    short planar dual brings both from its float pass.
     """
     if t.shape[0] < d + 1:
         return None
@@ -289,10 +291,24 @@ def _try_dual_hull(u: Array, t: Array, d: int) -> faces._BareHull | None:
         dual = faces._bare_hull(u / t[:, None])
     except DomainError:
         return None
-    extent = float(faces._rownorm(dual.points[dual.vertices]).max())
-    if np.min(dual.offsets) <= DUAL_OFFSET_REL * extent:
+    if dual.floats is not None:
+        extent, low = dual.floats.extent, dual.floats.low
+    else:
+        extent = float(faces._rownorm(dual.points[dual.vertices]).max())
+        low = np.min(dual.offsets)
+    if low <= DUAL_OFFSET_REL * extent:
         return None
     return dual
+
+
+def _polars(dual: faces._BareHull) -> tuple[Array, float]:
+    """The polars of the facets of a dual that encloses the origin, the
+    cell's vertices, and their largest norm: each facet {<a, y> = b}
+    polarizes to a/b. A short planar dual has them from its float pass."""
+    if dual.floats is not None:
+        return dual.floats.polars, dual.floats.radius
+    zv = dual.normals / dual.offsets[:, None]
+    return zv, float(faces._rownorm(zv).max())
 
 
 @dataclass(frozen=True)
@@ -363,14 +379,15 @@ def scaled_sample_statistics(K: ConvexBody, points: Array, n_scale: int | None =
     """Statistics of one sample: intrinsic volumes of n X_n and the family
     f-vector of the sample's hull with respect to K.
 
-    X_n is probed radially on the shared direction grid and measured by its
-    inscribed polytope; in d = 2 that polygon is the cycle of the radial
-    points in grid order, with the bits of their hull. The gap to the
-    outer support-bound polytope is reported as the discretization
-    diagnostic. The f-vector is read off X by its body's family route
-    (`faces._family`), exact for planar disks. There a failed X cycle
-    raises its NumericError, and near-degeneracies of X warn
-    GeneralPositionWarning.
+    The f-vector is read off X by its body's family route (`faces._family`),
+    exact for planar disks. There a failed X cycle raises its NumericError,
+    and near-degeneracies of X warn GeneralPositionWarning; V1 and V2 are
+    exact too, read off X's arc cycle (`ArcBoundary.measure`), and the
+    outer gap is 0.0. Any other X is probed radially on the shared direction
+    grid and measured by its inscribed polytope; in d = 2 that polygon is
+    the cycle of the radial points in grid order, with the bits of their
+    hull. The gap to the outer support-bound polytope is reported as the
+    discretization diagnostic.
     """
     X = IntersectionBody(K, points)
     n = X.points.shape[0] if n_scale is None else int(n_scale)
@@ -380,6 +397,25 @@ def scaled_sample_statistics(K: ConvexBody, points: Array, n_scale: int | None =
 def _scaled_statistics(X: IntersectionBody, n: int, directions: int | None,
                        fvector_resolution: int) -> ScaledSampleStatistics:
     """`scaled_sample_statistics` of the sample of X, scaled by n."""
+    family = faces._family(X, fvector_resolution)
+    if family.error is not None:
+        raise family.error
+    if not family.report.ok:
+        warnings.warn(family.report.describe(), GeneralPositionWarning, stacklevel=2)
+    if family.exact:
+        area, perim = family.report.boundary.measure()
+        vols = IntrinsicVolumes((1.0, 0.5 * perim * n, area * n * n))
+        gap = 0.0
+    else:
+        vols, gap = _radial_statistics(X, n, directions)
+    return ScaledSampleStatistics(n=n, volumes=vols, fvector=family.fvector,
+                                  fvector_exact=family.exact, outer_gap=gap)
+
+
+def _radial_statistics(X: IntersectionBody, n: int,
+                       directions: int | None) -> tuple[IntrinsicVolumes, float]:
+    """The intrinsic volumes of the radial polytope of n X, and its gap to
+    the outer support-bound polytope."""
     d = X.dim
     if directions is None:
         directions = 512 if d == 2 else 2048
@@ -392,11 +428,4 @@ def _scaled_statistics(X: IntersectionBody, n: int, directions: int | None,
     else:
         vols = intrinsic_volumes(tagged_hull_from_points(P))
     r_out = _radial_min(U, X.outer_support_bound_batch(U) * n)
-    gap = _radial_volume(r_out, d) - _radial_volume(r, d)
-    family = faces._family(X, fvector_resolution)
-    if family.error is not None:
-        raise family.error
-    if not family.report.ok:
-        warnings.warn(family.report.describe(), GeneralPositionWarning, stacklevel=2)
-    return ScaledSampleStatistics(n=n, volumes=vols, fvector=family.fvector,
-                                  fvector_exact=family.exact, outer_gap=float(gap))
+    return vols, float(_radial_volume(r_out, d) - _radial_volume(r, d))

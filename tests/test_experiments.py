@@ -216,6 +216,73 @@ class TestSummarize:
         assert summarize(rows) == oracles.one_shot_summarize(rows)
 
 
+def _per_cell_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
+    """The CSV writer formatting one cell at a time, as the reference."""
+    import khull.experiments as exp
+
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([exp._format_cell(row[c]) for c in columns])
+
+
+class TestCsvWriter:
+    """`_write_csv` formats a column at a time; its bytes must be those of
+    the per-cell writer."""
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, rows, columns):
+        import khull.experiments as exp
+
+        exp._write_csv(tmp_path / "column.csv", rows, columns)
+        _per_cell_csv(tmp_path / "cell.csv", rows, columns)
+        assert (tmp_path / "column.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+
+    def test_mixed_cells(self, tmp_path):
+        rows = [
+            {"f": 0.1, "i": 3, "b": True, "np_f": np.float64(1e-300), "np_i": np.int64(-7),
+             "np_b": np.bool_(False), "s": "quadrature", "mix": 2, "big": 2 ** 70},
+            {"f": -0.0, "i": -1, "b": False, "np_f": np.float64(math.nan), "np_i": np.int64(0),
+             "np_b": np.bool_(True), "s": 'a "quoted", text', "mix": 2.5, "big": -(2 ** 64)},
+            {"f": math.inf, "i": 0, "b": True, "np_f": np.float32(0.1), "np_i": np.uint64(2 ** 63),
+             "np_b": np.bool_(True), "s": "", "mix": True, "big": 1},
+        ]
+        self.assert_same_bytes(tmp_path, rows, list(rows[0]))
+        self.assert_same_bytes(tmp_path, rows[:0], list(rows[0]))
+
+    @pytest.mark.parametrize("experiment, body, params", [
+        ("sample-hull", DISK, {"n": 50}),
+        ("fvector-mc", DISK, {"n": 50}),
+        ("fvector-mc", ELLIPSE, {"n": 50, "resolution": 64}),
+        ("zerocell-mc", DISK, {"T0": 2}),
+        ("zerocell-mc", BALL3, {}),
+        ("convergence", DISK, {"n_values": (20, 40)}),
+        ("convergence", ELLIPSE, {"n": 30}),
+        ("expected-facets", DISK, {}),
+    ])
+    def test_every_experiment(self, tmp_path, monkeypatch, experiment, body, params):
+        # the zerocell-mc T0 of 2, an int, leaves the T column mixed
+        import khull.experiments as exp
+
+        write = exp._write_csv
+        seen = []
+
+        def both(path, rows, columns):
+            seen.append(len(rows))
+            write(path, rows, columns)
+            _per_cell_csv(tmp_path / "cell.csv", rows, columns)
+            assert path.read_bytes() == (tmp_path / "cell.csv").read_bytes()
+
+        monkeypatch.setattr(exp, "_write_csv", both)
+        monkeypatch.setenv("KHULL_THREADS", "1")
+        replicates = 1 if experiment == "expected-facets" else 4
+        cfg = ExperimentConfig(experiment=experiment, body=body, replicates=replicates,
+                               seed=5, **params)
+        run_experiment(cfg, out_dir=str(tmp_path / "out"))
+        assert seen and seen[0] >= 1
+
+
 class TestRunExperiment:
     def test_zerocell_campaign(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KHULL_THREADS", "1")
@@ -321,10 +388,11 @@ class TestRunExperiment:
             "46e9a24e3d4c60ea41679b68661eed04be12f6c645e240ace6b890d03430c3db",
             "zero_cell.off":
             "eba6c4264f12d287df9aa29de1fbfa0fdc22e658260a187345b78c452283b597"}),
-        # 512 grid directions, the sample drawn band first
+        # V1 and V2 read off X's arc cycle, outer_gap 0.0, the sample drawn
+        # band first
         ("convergence", DISK, {"n": 2000, "replicates": 3}, {
             "convergence.csv":
-            "b58b38aed1854f1dd751c93c3eea6fe9e920bd4ed075a5b130c46bfc4f98c768"}),
+            "921d85e4addd97f85f67bbbab921286654ca0099207cdaba1dc581e6ea8f9cb9"}),
         # 2048 grid directions
         ("convergence", BALL3, {"n": 300, "replicates": 2}, {
             "convergence.csv":
@@ -512,10 +580,11 @@ class TestRunExperiment:
         assert serial == (tmp_path / "pooled" / name).read_bytes()
 
     def test_disk_convergence_prunes_once_per_replicate(self, tmp_path, monkeypatch):
-        # the disk pass reads the prune of the intersection body's build
+        # the volumes are read off X's arc cycle, which needs no hull rows
+        # while the disk pass's certificate holds, as it does on these rows
         cfg = ExperimentConfig(experiment="convergence", body=DISK, n_values=(300, 2000),
                                replicates=4, seed=29)
-        self.assert_pruned_once(tmp_path, monkeypatch, cfg)
+        self.assert_pruned_once(tmp_path, monkeypatch, cfg, prunes=0)
 
     @pytest.mark.parametrize("experiment, body, params, prunes", [
         ("fvector-mc", DISK, {"n": 2000, "replicates": 3}, 0),

@@ -10,7 +10,7 @@ from khull import (Ball, DomainError, Ellipsoid, GeneralPositionError, PNormBall
                    general_position_check_2d, kfacet_count_2d,
                    intrinsic_volumes, khull_boundary_2d, owner_tagged_hull, polar_family,
                    polytope_fvector, tagged_hull_from_points, uniform_sample)
-from khull import IntersectionBody, faces, hull
+from khull import IntersectionBody, faces, hull, tessellation
 
 LENS = np.array([[0.0, 0.6], [0.0, -0.6]])
 
@@ -691,6 +691,93 @@ class TestTaggedHullParity:
                 tagged_hull_from_points(pts)
             with pytest.raises(DomainError):
                 oracles.tagged_hull(pts)
+
+
+def _ring(rng, k, scale, shift):
+    """k points counter-clockwise around an ellipse with random axes,
+    moved by `shift` and scaled by `scale`."""
+    theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
+    ring = np.column_stack([np.cos(theta), np.sin(theta)]) * rng.uniform(0.5, 2.0, 2)
+    return scale * (ring + shift)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestShortPolygonFloats:
+    """The float pass of short planar polygons against the array code it
+    replaces: every plane, extent, offset, polar and measure, bit for bit."""
+
+    @staticmethod
+    def clouds(rng, k):
+        """Rings of k vertices, and the same with a vertex repeated and an
+        edge midpoint added (both dropped by the chain), at scales 1e-6 to
+        1e6, around the origin and off it (the polars then do not exist)."""
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            for shift in (np.zeros(2), rng.uniform(-0.3, 0.3, 2), np.array([4.0, -3.0])):
+                ring = _ring(rng, k, scale, shift)
+                j = int(rng.integers(k))
+                mid = 0.5 * (ring[j] + ring[(j + 1) % k])
+                yield ring
+                yield rng.permutation(np.concatenate([ring, ring[j:j + 1], mid[None]]))
+
+    @pytest.mark.parametrize("k", range(3, faces.SHORT_CYCLE + 2))
+    def test_bare_polygon(self, k, monkeypatch):
+        rng = np.random.default_rng(k)
+        for pts in self.clouds(rng, k):
+            got = faces._bare_hull(pts)
+            with monkeypatch.context() as m:
+                m.setattr(faces, "SHORT_CYCLE", 2)  # every polygon on arrays
+                want = faces._bare_hull(pts)
+            T = oracles.tagged_hull(pts)
+            assert _same_bits(got.vertices, want.vertices)
+            assert _same_bits(got.vertices, T.owners)
+            for a, b in ((got.normals, want.normals), (got.offsets, want.offsets),
+                         (got.normals, T.facet_normals), (got.offsets, T.facet_offsets)):
+                assert _same_bits(a, b)
+            if got.vertices.size > faces.SHORT_CYCLE:
+                assert got.floats is None
+                continue
+            V = pts[want.vertices]
+            assert got.floats.extent == float(faces._rownorm(V).max())
+            assert got.floats.low == np.min(want.offsets)
+            if got.floats.low <= 0.0:
+                assert got.floats.polars is None and got.floats.radius is None
+                continue
+            zv, radius = tessellation._polars(want)
+            assert _same_bits(got.floats.polars, zv)
+            assert got.floats.radius == radius
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8, 9])
+    def test_cycle_measure(self, k):
+        # short strictly convex cycles on floats; repeated, collinear and
+        # longer ones on arrays, with the chain's order
+        rng = np.random.default_rng(100 + k)
+        for ring in (_ring(rng, k, s, rng.uniform(-5.0, 5.0, 2)) for s in (1e-6, 1.0, 1e6)):
+            j = int(rng.integers(k))
+            mid = 0.5 * (ring[j] + ring[(j + 1) % k])
+            for pts in (ring, np.roll(ring, 2, axis=0),
+                        np.insert(ring, j + 1, mid, axis=0),
+                        np.insert(ring, j + 1, ring[j], axis=0)):
+                T = oracles.tagged_hull(pts)
+                want = faces._polygon_measure(pts[faces._cycle_order(pts)])
+                assert want == (T.volume, T.surface)
+                assert _same_bits(faces._cycle_measure(pts), want)
+
+    @pytest.mark.parametrize("n", range(1, faces.LEFT_SUM_MAX))
+    def test_add_reduce_sums_left_to_right(self, n):
+        # the reason for LEFT_SUM_MAX: below it the reduction is a plain
+        # loop from 0.0, so terms of mixed size and sign round alike
+        rng = np.random.default_rng(n)
+        for _ in range(3000):
+            a = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 13, n)
+            a[rng.random(n) < 0.1] = -0.0
+            acc = 0.0
+            for x in a.tolist():
+                acc += x
+            assert _same_bits(np.add.reduce(a), acc)
 
 
 class TestFvectorFromTaggedHull:

@@ -487,6 +487,79 @@ class TestArcBoundaryJson:
             np.testing.assert_allclose(v0.point, v1.point, atol=0.0)
 
 
+# Disk radii and centres, in units of the radius, at which X's measure is checked.
+MEASURE_SCALES = [1e-6, 1.0, 1e6]
+MEASURE_CENTRES = [(0.0, 0.0), (3.0, -2.0)]
+
+
+class TestArcMeasure:
+    """`ArcBoundary.measure`, the area and perimeter of X's disc-polygon,
+    against closed forms and X's radial polygon."""
+
+    @pytest.mark.parametrize("r", MEASURE_SCALES)
+    @pytest.mark.parametrize("centre", MEASURE_CENTRES)
+    def test_single_row_is_the_disk(self, r, centre):
+        c = r * np.array(centre)
+        area, perim = disk_intersection_boundary(Ball(r, c), c + r * np.array([[0.3, -0.2]])
+                                                 ).measure()
+        assert area == pytest.approx(math.pi * r * r, rel=1e-12)
+        assert perim == pytest.approx(2.0 * math.pi * r, rel=1e-12)
+
+    @pytest.mark.parametrize("r", MEASURE_SCALES)
+    @pytest.mark.parametrize("centre", MEASURE_CENTRES)
+    @pytest.mark.parametrize("d", [0.1, 0.8, 1.6, 1.98])
+    def test_two_rows_are_the_lens(self, r, centre, d):
+        # disks of radius r whose centres lie d r apart meet in a lens of
+        # half-angle acos(d / 2) about each centre
+        e = np.array([math.cos(0.3), math.sin(0.3)])
+        c = r * np.array(centre)
+        pts = c + r * np.array([0.5 * d * e, -0.5 * d * e])
+        area, perim = disk_intersection_boundary(Ball(r, c), pts).measure()
+        half = math.acos(0.5 * d)
+        assert area == pytest.approx(r * r * (2.0 * half - 0.5 * d * math.sqrt(4.0 - d * d)),
+                                     rel=1e-12)
+        assert perim == pytest.approx(4.0 * r * half, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 200, 2000])
+    def test_radial_polygon(self, unit_disk, n):
+        # X's radial polygon with X's corners added misses only slivers of
+        # its arcs, by a share that falls as 1/m^2 on m directions, so its
+        # measure at 2^15 and 2^16 directions extrapolates to X's
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            pts = uniform_sample(unit_disk, n, rng)
+            xb = disk_intersection_boundary(unit_disk, pts)
+            X = IntersectionBody(unit_disk, pts)
+            corners = np.array([v.point for v in xb.vertices])
+            est = []
+            for m in (2 ** 15, 2 ** 16):
+                U = direction_grid(2, m)
+                T = oracles.tagged_hull(np.concatenate([X.radial_batch(U)[:, None] * U,
+                                                        corners]))
+                est.append(np.array([T.volume, T.surface]))
+            np.testing.assert_allclose(xb.measure(), (4.0 * est[1] - est[0]) / 3.0,
+                                       rtol=1e-8)
+
+    @pytest.mark.parametrize("n", [10, 2000])
+    def test_scale_and_place_invariant(self, unit_disk, n):
+        # the same unit-disk sample, scaled and moved with the disk; the
+        # corners move by a few ulps of the coordinates
+        u = uniform_sample(unit_disk, n, np.random.default_rng(7))
+        area, perim = disk_intersection_boundary(unit_disk, u).measure()
+        for r in MEASURE_SCALES:
+            for centre in MEASURE_CENTRES:
+                c = r * np.array(centre)
+                got = disk_intersection_boundary(Ball(r, c), c + r * u).measure()
+                assert got[0] == pytest.approx(area * r * r, rel=1e-9)
+                assert got[1] == pytest.approx(perim * r, rel=1e-9)
+
+    def test_degenerate_cycle_measures_zero(self, unit_disk):
+        with pytest.warns(GeneralPositionWarning, match="deduplicated"):
+            qb = khull_boundary_2d(unit_disk, np.array([[0.2, 0.1]] * 3))
+        assert qb.is_degenerate
+        assert qb.measure() == (0.0, 0.0)
+
+
 def _same_cycle(got: ArcBoundary, want: ArcBoundary) -> bool:
     """Identical arcs (owner, a0, a1) and corners (owners, point), exactly."""
     return (len(got.arcs) == len(want.arcs)

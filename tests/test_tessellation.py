@@ -24,6 +24,16 @@ class TestSampleHyperplanes:
         with pytest.raises(DomainError):
             sample_hyperplanes(unit_disk, 0.0, rng)
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf, 1e300, 0.0, -1.0])
+    def test_bad_truncation_rejected_before_any_draw(self, unit_disk, T):
+        # T is checked as zero_cell checks T0, so a NaN, infinite or huge
+        # T fails with DomainError rather than in the Poisson draw
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError):
+            sample_hyperplanes(unit_disk, T, rng)
+        assert rng.bit_generator.state == state
+
     def test_sample_shape(self, unit_disk, rng):
         s = sample_hyperplanes(unit_disk, 10.0, rng)
         assert s.size == s.t.shape[0] == s.u.shape[0]
@@ -387,6 +397,36 @@ class TestBareCertification:
         assert extended >= 10
 
 
+class TestPlanarFloatPass:
+    @pytest.mark.parametrize("K", [
+        Ball(1.0, np.zeros(2)), Ellipsoid([2.0, 1.0], np.zeros(2)),
+        Ball(1e-3, np.array([5.0, -3.0])),
+        Polytope([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]),
+    ], ids=["disk", "ellipse", "small-off-centre-disk", "square"])
+    def test_cells_match_array_route(self, K, monkeypatch):
+        # the float pass of each certification attempt and the float sums
+        # of the volumes against the array code, on the same draws: every
+        # verdict, vertex and volume bit for bit
+        sampler = K.surface_sampler()
+        T0 = 5.0 * (K.radius if isinstance(K, Ball) else 1.0)
+
+        def cells():
+            rng = np.random.default_rng(17)
+            out = []
+            for _ in range(150):
+                z = zero_cell(K, rng, T0=T0, sampler=sampler)
+                out.append((z.truncation, z.n_hyperplanes, z.fvector(), z.zv.tobytes(),
+                            np.array(z.volumes.values).tobytes(), z.bare.vertices.tobytes()))
+            return out
+
+        got = cells()
+        with monkeypatch.context() as m:
+            m.setattr(faces, "SHORT_CYCLE", 2)
+            m.setattr(faces, "LEFT_SUM_MAX", 0)
+            want = cells()
+        assert got == want
+
+
 class TestIntrinsicVolumes:
     def test_unit_square(self):
         T = tagged_hull_from_points(
@@ -490,10 +530,11 @@ LENS = np.array([[0.999, 1e-4], [-0.999, -2e-4]])
 
 
 class TestRadialPolygon:
-    """The d = 2 radial polygon of `scaled_sample_statistics` is measured
-    in the grid's counter-clockwise cycle order (`_cycle_order`); V1 and V2
-    must be those of the monotone chain's hull of the same points, bit for
-    bit."""
+    """The d = 2 radial polygon of `scaled_sample_statistics`, which measures
+    every planar X but a disk's, is measured in the grid's counter-clockwise
+    cycle order (`_cycle_order`); V1 and V2 must be those of the monotone
+    chain's hull of the same points, bit for bit. A disk's X is measured on
+    its arc cycle instead, with no radial probe and no polygon."""
 
     @staticmethod
     def both_routes(K, pts, monkeypatch):
@@ -517,15 +558,36 @@ class TestRadialPolygon:
         assert (got[1], got[2]) == (0.5 * want.surface, want.volume)
         return starts[0] is None
 
+    @staticmethod
+    def exact_route(K, pts, monkeypatch):
+        def unread(*args):
+            raise AssertionError("the exact route reads no radial probe or polygon")
+
+        with monkeypatch.context() as m:
+            for name in ("radial_batch", "outer_support_bound_batch"):
+                m.setattr(IntersectionBody, name, unread)
+            m.setattr(faces, "_cycle_order", unread)
+            stats = scaled_sample_statistics(K, pts)
+        area, perim = faces._family(IntersectionBody(K, pts), 256).report.boundary.measure()
+        n = pts.shape[0]
+        assert stats.volumes.values == (1.0, 0.5 * perim * n, area * n * n)
+        assert stats.outer_gap == 0.0
+
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 2000])
     def test_disk(self, unit_disk, n, monkeypatch):
         rng = np.random.default_rng(n)
         for _ in range(3):
-            pts = uniform_sample(unit_disk, n, rng)
-            assert not self.both_routes(unit_disk, pts, monkeypatch)
+            self.exact_route(unit_disk, uniform_sample(unit_disk, n, rng), monkeypatch)
 
     def test_lens(self, unit_disk, monkeypatch):
-        assert not self.both_routes(unit_disk, LENS, monkeypatch)
+        self.exact_route(unit_disk, LENS, monkeypatch)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 2000])
+    def test_ellipse(self, ellipse21, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            assert not self.both_routes(ellipse21, uniform_sample(ellipse21, n, rng),
+                                        monkeypatch)
 
     @pytest.mark.parametrize("K", [SQUARE, TRIANGLE, PNormBall(8.0, 1.0, np.zeros(2))],
                              ids=["square", "triangle", "pball8"])
