@@ -247,10 +247,18 @@ def _bare_hull_2d(points: Array) -> _BareHull:
     return _bare_polygon(points, keep[_monotone_chain(points[keep])])
 
 
-# Cycles and polygons up to this length are tested and built on Python
-# floats, longer ones on arrays: below it the array calls cost more than
-# the loop.
+# Cycles up to this length are tested on Python floats, longer ones on
+# arrays: below it the array calls cost more than the loop.
 SHORT_CYCLE = 32
+
+# Polygons of at most this many vertices are built by the float pass
+# (`_short_polygon`), larger ones on arrays. The pass costs about 5 us
+# plus 1 us a vertex, the array code about 12 us at any size up to 32. A
+# zero-cell attempt also skips about 10 us of array reads of the extent,
+# the offsets and the polars, so there the pass is the faster up to about
+# 18 vertices; on a polar hull, which reads none of them, up to about 7.
+# A planar zero cell has pi^2 / 2 vertices on average.
+SHORT_POLYGON = 8
 
 # np.add.reduce sums fewer than this many float64 terms one at a time,
 # left to right from 0.0; from 8 terms on it sums in blocks, pairwise
@@ -341,8 +349,8 @@ def _cycle_measure(points: Array) -> tuple[float, float]:
 
 def _bare_polygon(points: Array, hull: Array) -> _BareHull:
     """Bare stage of the polygon points[hull], listed counter-clockwise;
-    one of up to SHORT_CYCLE vertices is built by `_short_polygon`."""
-    if hull.size <= SHORT_CYCLE:
+    one of up to SHORT_POLYGON vertices is built by `_short_polygon`."""
+    if hull.size <= SHORT_POLYGON:
         return _short_polygon(points, hull)
     V = points[hull]
     evec = _roll(V) - V

@@ -156,7 +156,7 @@ def zero_cell(K: ConvexBody, rng: np.random.Generator, T0: float = 5.0,
     Each attempt builds only the bare dual hull (its vertices and facet
     planes), which is all the radius test reads. The facet planes are
     those a fully tagged dual would carry, so the verdicts are those of
-    tagging every attempt. A planar dual of up to `faces.SHORT_CYCLE`
+    tagging every attempt. A planar dual of up to `faces.SHORT_POLYGON`
     vertices is built, tested and polarized in one pass over its Python
     floats (`faces._short_polygon`), with the bits of the array code. The
     certified bare hull is kept, and the tagged dual and the cell are

@@ -729,7 +729,7 @@ class TestShortPolygonFloats:
         for pts in self.clouds(rng, k):
             got = faces._bare_hull(pts)
             with monkeypatch.context() as m:
-                m.setattr(faces, "SHORT_CYCLE", 2)  # every polygon on arrays
+                m.setattr(faces, "SHORT_POLYGON", 2)  # every polygon on arrays
                 want = faces._bare_hull(pts)
             T = oracles.tagged_hull(pts)
             assert _same_bits(got.vertices, want.vertices)
@@ -737,7 +737,7 @@ class TestShortPolygonFloats:
             for a, b in ((got.normals, want.normals), (got.offsets, want.offsets),
                          (got.normals, T.facet_normals), (got.offsets, T.facet_offsets)):
                 assert _same_bits(a, b)
-            if got.vertices.size > faces.SHORT_CYCLE:
+            if got.vertices.size > faces.SHORT_POLYGON:
                 assert got.floats is None
                 continue
             V = pts[want.vertices]

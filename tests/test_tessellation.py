@@ -421,7 +421,7 @@ class TestPlanarFloatPass:
 
         got = cells()
         with monkeypatch.context() as m:
-            m.setattr(faces, "SHORT_CYCLE", 2)
+            m.setattr(faces, "SHORT_POLYGON", 2)
             m.setattr(faces, "LEFT_SUM_MAX", 0)
             want = cells()
         assert got == want
