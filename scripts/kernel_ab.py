@@ -43,8 +43,14 @@ does, and builds its row: the radial polygon, its measure and the exact
 family, where `scaled_sample_statistics` times the same measuring on a
 full `uniform_sample` draw.
 `summarize` summarizes the rows of SUMMARY_ROWS unit-disk zero cells drawn from each
-seed (200, the size of a `zero-cell` `cells-disk` campaign), and `_write_csv`
-writes them to a CSV file in the side's checkout, truncating open included. The two
+seed (200, the size of a `zero-cell` `cells-disk` campaign), and the four
+`_write_csv` kernels write them to a CSV file, opening the file included:
+`_write_csv` rewrites one file in the side's checkout, as a rerun into the
+same output directory does, `_write_csv_fresh` writes a new file name per
+call in a directory made for the kernel, as a campaign does into a fresh
+directory, and `_write_csv_shm` and `_write_csv_shm_fresh` do the same in a
+directory under /dev/shm (tmpfs), removed on exit; they are skipped where
+/dev/shm is absent. The two
 `ef0_symmetric` kernels evaluate the expected zero-cell vertex count of
 the unit disk and of the unit d = 3 ball, once per repetition and with
 no sample. Each side runs every kernel REPS times. It prints, per kernel
@@ -57,6 +63,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import itertools
 import multiprocessing
 import statistics
 import sys
@@ -75,8 +82,10 @@ KERNELS = ("uniform_sample", "IntersectionBody", "IntersectionBody.screen", "_di
            "zero_cell_disk", "zero_cell_ball3", "_zerocell_row_disk", "_zerocell_row_ball3",
            "_zerocell_row_ellipse",
            "scaled_sample_statistics", "scaled_sample_statistics_ball3", "_polar_hull",
-           "_polar_hull_ellipse", "summarize", "_write_csv",
-           "ef0_symmetric_disk", "ef0_symmetric_ball3")
+           "_polar_hull_ellipse", "summarize", "_write_csv", "_write_csv_fresh",
+           "_write_csv_shm", "_write_csv_shm_fresh", "ef0_symmetric_disk",
+           "ef0_symmetric_ball3")
+SHM = Path("/dev/shm")
 N = 5000
 LARGE_N = 100_000
 CONVERGENCE_N = 2000
@@ -103,9 +112,10 @@ def load(name: str, tree: Path):
     return mod
 
 
-def calls(name: str, pkg, n: int, seeds: list[int]) -> list:
+def calls(name: str, pkg, n: int, seeds: list[int], shm: Path | None) -> list:
     """Zero-argument calls of one kernel, one per seeded sample; the inputs
-    are built here, by the side's own package, outside the timing."""
+    are built here, by the side's own package, outside the timing. `shm` is
+    the side's directory under /dev/shm, or None where there is none."""
     hull = importlib.import_module(f"{pkg.__name__}.hull")
     experiments = importlib.import_module(f"{pkg.__name__}.experiments")
     K = pkg.Ball(1.0, np.zeros(2))
@@ -147,7 +157,7 @@ def calls(name: str, pkg, n: int, seeds: list[int]) -> list:
         samples = [pkg.uniform_sample(K, n, g()) for g in rngs]
         return [lambda p=p: faces._polar_hull(hull.IntersectionBody(K, p), POLAR_M)
                 for p in samples]
-    if name in ("summarize", "_write_csv"):
+    if name == "summarize" or name.startswith("_write_csv"):
         sampler = K.surface_sampler()
         tables = []
         for g in rngs:
@@ -156,8 +166,14 @@ def calls(name: str, pkg, n: int, seeds: list[int]) -> list:
                            for i in range(SUMMARY_ROWS)])
         if name == "summarize":
             return [lambda rows=rows: experiments.summarize(rows) for rows in tables]
-        # the checkout holds src/khull; it is removed with the file on exit
-        path = Path(pkg.__file__).parents[2] / "kernel_ab.csv"
+        # the checkout holds src/khull; it is removed with its files on exit
+        folder = shm if "_shm" in name else Path(pkg.__file__).parents[2]
+        if name.endswith("_fresh"):
+            folder = Path(tempfile.mkdtemp(prefix="fresh-", dir=folder))
+            paths = (folder / f"{i}.csv" for i in itertools.count())
+            return [lambda rows=rows: experiments._write_csv(next(paths), rows, list(rows[0]))
+                    for rows in tables]
+        path = folder / "kernel_ab.csv"
         return [lambda rows=rows: experiments._write_csv(path, rows, list(rows[0]))
                 for rows in tables]
     if name.startswith("_hull_row"):
@@ -190,7 +206,7 @@ def per_call_ms(fns: list) -> float:
     return (time.perf_counter() - t0) * 1e3 / len(fns)
 
 
-def serve(side: str, tree: str, seeds: list[int], conn) -> None:
+def serve(side: str, tree: str, seeds: list[int], shm: str | None, conn) -> None:
     """One side's worker: imports the tree's package, then answers the
     driver's requests until it sends None. ("build", kernel) builds the
     kernel's calls and runs them once, untimed; ("time", None) returns
@@ -201,7 +217,7 @@ def serve(side: str, tree: str, seeds: list[int], conn) -> None:
     while (request := conn.recv()) is not None:
         kind, name = request
         if kind == "build":
-            fns = calls(name, pkg, N, seeds)
+            fns = calls(name, pkg, N, seeds, shm and Path(shm))
             per_call_ms(fns)
             conn.send(None)
         else:
@@ -218,12 +234,20 @@ def main(argv=None) -> int:
     revs = {side: git("rev-parse", rev) for side, rev in zip(SIDES, (args.parent, args.change))}
     seeds = list(range(SEED, SEED + SAMPLES))
     ctx = multiprocessing.get_context("spawn")
+    kernels = KERNELS if SHM.is_dir() else tuple(k for k in KERNELS if "_shm" not in k)
     with tempfile.TemporaryDirectory(prefix="kernel_ab-") as workdir, \
-            checkouts(revs, Path(workdir), root) as trees:
+            checkouts(revs, Path(workdir), root) as trees, \
+            tempfile.TemporaryDirectory(prefix="kernel_ab-",
+                                        dir=SHM if SHM.is_dir() else None) as shmdir:
         workers = {}
         for side in SIDES:
+            shm = None
+            if kernels is KERNELS:
+                shm = Path(shmdir) / side
+                shm.mkdir()
             conn, child = ctx.Pipe()
-            proc = ctx.Process(target=serve, args=(side, str(trees[side]), seeds, child))
+            proc = ctx.Process(target=serve, args=(side, str(trees[side]), seeds,
+                                                   shm and str(shm), child))
             proc.start()
             workers[side] = (proc, conn)
 
@@ -236,8 +260,10 @@ def main(argv=None) -> int:
             print(f"parent {revs['parent'][:10]}  change {revs['change'][:10]}  "
                   f"n = {N}, {SAMPLES} samples, {REPS} alternating repetitions, "
                   "one process per side")
+            if kernels is not KERNELS:
+                print(f"{SHM} is absent: the _write_csv_shm kernels are skipped")
             print(f"{'kernel':<32}{'side':<8}{'min ms':>10}{'median ms':>11}")
-            for name in KERNELS:
+            for name in kernels:
                 for side in SIDES:
                     ask(side, ("build", name))
                 times: dict[str, list[float]] = {side: [] for side in SIDES}

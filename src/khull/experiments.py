@@ -10,6 +10,7 @@ aggregation and counted, never silently dropped.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -419,14 +420,40 @@ def _format_column(values: list) -> list[str]:
     return list(map(_format_cell, values))
 
 
+def _write_artifact(path: Path, text: str) -> None:
+    """Write `text` to `path` over the file's old bytes, as `open("w")`
+    would leave them: a new file gets mode 0o666 under the umask, an old
+    one keeps its inode and mode, and a symlink or hard link is written
+    through. A longer old file is first cut to the new length; the file is
+    never truncated to zero and refilled, which costs a rewrite several
+    times more on a file system that discards freed blocks. If a write
+    raises, the file is cut to the bytes already written, so it holds a
+    prefix of `text` and nothing of an earlier run."""
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+        view, done = memoryview(data), 0
+        try:
+            while done < len(data):
+                done += os.write(fd, view[done:])
+        except BaseException:
+            os.ftruncate(fd, done)
+            raise
+    finally:
+        os.close(fd)
+
+
 def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
     """The rows under a header of their columns, each cell formatted by
     `_format_cell`."""
     cells = [_format_column([row[c] for row in rows]) for c in columns]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(zip(*cells))
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(columns)
+    writer.writerows(zip(*cells))
+    _write_artifact(path, text.getvalue())
 
 
 def _run_expected_facets(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
@@ -465,16 +492,24 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     excluded: dict[str, int] = {}
     first_dump = None
 
+    if cfg.experiment == "zerocell-mc":
+        key = _body_key(cfg)
+        try:
+            tessellation._layer_mean(_cached_body(key), _cached_sampler(key), cfg.T0)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
+    if target is not None:
+        # made before any replicate runs, so an unusable one costs no work
+        out_path = Path(target)
+        try:
+            out_path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use output directory {target}: {exc}") from exc
+
     if cfg.experiment == "expected-facets":
         rows, summary = _run_expected_facets(cfg)
         columns = list(rows[0].keys())
     else:
-        if cfg.experiment == "zerocell-mc":
-            key = _body_key(cfg)
-            try:
-                tessellation._layer_mean(_cached_body(key), _cached_sampler(key), cfg.T0)
-            except DomainError as exc:
-                raise ConfigError(str(exc)) from exc
         jobs = _jobs_for(cfg, target is not None)
         workers = _worker_count()
         if workers > 1:
@@ -518,11 +553,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     )
 
     if target is not None:
-        out_path = Path(target)
-        out_path.mkdir(parents=True, exist_ok=True)
         _write_csv(out_path / f"{cfg.experiment}.csv", rows, columns)
-        (out_path / f"{cfg.experiment}_summary.json").write_text(
-            json.dumps(summary, indent=1, sort_keys=True))
+        _write_artifact(out_path / f"{cfg.experiment}_summary.json",
+                        json.dumps(summary, indent=1, sort_keys=True))
         # Replicate 0's geometry is the file its own job returned; when the
         # job could not build it, the campaign fails after the statistics
         # are written.
@@ -530,5 +563,5 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
             if first_dump is None:
                 raise NumericError("replicate 0 was excluded, so its geometry has no file")
             name, text = first_dump
-            (out_path / name).write_text(text)
+            _write_artifact(out_path / name, text)
     return summary

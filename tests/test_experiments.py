@@ -698,6 +698,87 @@ class TestRunExperiment:
                 assert got.pop("runtime") > 0.0 and want.pop("runtime") > 0.0
             assert got == want, name
 
+    @pytest.mark.parametrize("experiment, body, small, large", [
+        ("sample-hull", ELLIPSE, {"n": 400, "replicates": 2}, {"n": 10, "replicates": 9}),
+        ("sample-hull", DISK, {"n": 40, "replicates": 2}, {"n": 3000, "replicates": 9}),
+        ("zerocell-mc", DISK, {"T0": 2.0, "replicates": 2}, {"T0": 5.0, "replicates": 9}),
+    ])
+    def test_rerun_over_shorter_files_matches_fresh_run(self, tmp_path, monkeypatch,
+                                                        experiment, body, small, large):
+        # the mirror of the test above, its two runs in turn: files written
+        # over shorter ones end with the bytes a fresh directory gets
+        monkeypatch.setenv("KHULL_THREADS", "1")
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        run_experiment(ExperimentConfig(experiment=experiment, body=body, seed=32, **small),
+                       out_dir=str(reused))
+        before = {p.name: p.stat().st_size for p in reused.iterdir()}
+        cfg = ExperimentConfig(experiment=experiment, body=body, seed=31, **large)
+        run_experiment(cfg, out_dir=str(reused))
+        run_experiment(cfg, out_dir=str(fresh))
+        names = sorted(p.name for p in fresh.iterdir())
+        assert sorted(before) == names and len(names) == 3
+        for name in names:
+            got, want = (reused / name).read_bytes(), (fresh / name).read_bytes()
+            assert before[name] < len(want), name
+            if name.endswith("_summary.json"):
+                got, want = json.loads(got), json.loads(want)
+                assert got.pop("runtime") > 0.0 and want.pop("runtime") > 0.0
+            assert got == want, name
+
+    def test_failed_write_leaves_a_prefix_of_the_new_bytes(self, tmp_path, monkeypatch):
+        # a disk that fills half way through the CSV leaves the half of the
+        # new bytes that was written, and no row of the longer earlier run
+        import errno
+
+        import khull.experiments as exp
+        monkeypatch.setenv("KHULL_THREADS", "1")
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        run_experiment(ExperimentConfig(experiment="zerocell-mc", body=DISK, T0=5.0,
+                                        replicates=9, seed=31), out_dir=str(reused))
+        old = (reused / "zerocell-mc.csv").read_bytes()
+        cfg = ExperimentConfig(experiment="zerocell-mc", body=DISK, T0=2.0,
+                               replicates=4, seed=32)
+        run_experiment(cfg, out_dir=str(fresh))
+        want = (fresh / "zerocell-mc.csv").read_bytes()
+        assert len(old) > len(want)
+        write, sizes = os.write, []
+
+        def half_then_full_disk(fd, data):
+            sizes.append(len(data))
+            if len(sizes) > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(fd, bytes(data[:len(data) // 2]))
+
+        monkeypatch.setattr(exp.os, "write", half_then_full_disk)
+        with pytest.raises(OSError) as failed:
+            run_experiment(cfg, out_dir=str(reused))
+        monkeypatch.undo()
+        assert failed.value.errno == errno.ENOSPC
+        half = len(want) // 2
+        assert sizes == [len(want), len(want) - half]
+        assert (reused / "zerocell-mc.csv").read_bytes() == want[:half]
+
+    def test_symlinked_artifact_is_written_through(self, tmp_path, monkeypatch):
+        # as with open("w"): the link stays a link, and its target keeps
+        # its inode and mode and ends with the new bytes
+        monkeypatch.setenv("KHULL_THREADS", "1")
+        cfg = ExperimentConfig(experiment="zerocell-mc", body=DISK, T0=2.0,
+                               replicates=3, seed=32)
+        run_experiment(cfg, out_dir=str(tmp_path / "fresh"))
+        want = (tmp_path / "fresh" / "zerocell-mc.csv").read_bytes()
+        target, out = tmp_path / "kept" / "rows.csv", tmp_path / "linked"
+        target.parent.mkdir()
+        target.write_bytes(b"stale row\r\n" * 1000)
+        target.chmod(0o640)
+        inode = target.stat().st_ino
+        out.mkdir()
+        (out / "zerocell-mc.csv").symlink_to(target)
+        run_experiment(cfg, out_dir=str(out))
+        assert (out / "zerocell-mc.csv").is_symlink()
+        assert target.read_bytes() == want
+        assert target.stat().st_ino == inode
+        assert target.stat().st_mode & 0o777 == 0o640
+
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig(experiment="zerocell-mc", body=DISK, T0=2.0,
                                replicates=8, seed=77)
@@ -1025,6 +1106,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and "T0" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_unusable_out_exits_two_before_any_replicate(self, tmp_path, capsys,
+                                                         monkeypatch, below):
+        # an --out that is, or lies under, a regular file is a config error
+        # found before any replicate runs, not a traceback after all of them
+        import khull.experiments as exp
+        run_job, jobs = exp._run_job, []
+
+        def counted(job):
+            jobs.append(job)
+            return run_job(job)
+
+        monkeypatch.setattr(exp, "_run_job", counted)
+        monkeypatch.setenv("KHULL_THREADS", "1")
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        out = blocker / "out" if below else blocker
+        path = write_config(tmp_path, experiment="fvector-mc", body=DISK, n=50,
+                            replicates=3)
+        rc = main(["fvector-mc", "--config", path, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "output directory" in err
+        assert jobs == []
+        assert blocker.read_text() == "not a directory"
 
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
