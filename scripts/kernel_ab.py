@@ -112,10 +112,11 @@ def load(name: str, tree: Path):
     return mod
 
 
-def calls(name: str, pkg, n: int, seeds: list[int], shm: Path | None) -> list:
+def calls(name: str, pkg, n: int, seeds: list[int], shm: Path) -> list:
     """Zero-argument calls of one kernel, one per seeded sample; the inputs
     are built here, by the side's own package, outside the timing. `shm` is
-    the side's directory under /dev/shm, or None where there is none."""
+    the side's directory under /dev/shm (an unused one in the work
+    directory where /dev/shm is absent)."""
     hull = importlib.import_module(f"{pkg.__name__}.hull")
     experiments = importlib.import_module(f"{pkg.__name__}.experiments")
     K = pkg.Ball(1.0, np.zeros(2))
@@ -206,7 +207,7 @@ def per_call_ms(fns: list) -> float:
     return (time.perf_counter() - t0) * 1e3 / len(fns)
 
 
-def serve(side: str, tree: str, seeds: list[int], shm: str | None, conn) -> None:
+def serve(side: str, tree: str, seeds: list[int], shm: str, conn) -> None:
     """One side's worker: imports the tree's package, then answers the
     driver's requests until it sends None. ("build", kernel) builds the
     kernel's calls and runs them once, untimed; ("time", None) returns
@@ -217,7 +218,7 @@ def serve(side: str, tree: str, seeds: list[int], shm: str | None, conn) -> None
     while (request := conn.recv()) is not None:
         kind, name = request
         if kind == "build":
-            fns = calls(name, pkg, N, seeds, shm and Path(shm))
+            fns = calls(name, pkg, N, seeds, Path(shm))
             per_call_ms(fns)
             conn.send(None)
         else:
@@ -234,20 +235,19 @@ def main(argv=None) -> int:
     revs = {side: git("rev-parse", rev) for side, rev in zip(SIDES, (args.parent, args.change))}
     seeds = list(range(SEED, SEED + SAMPLES))
     ctx = multiprocessing.get_context("spawn")
-    kernels = KERNELS if SHM.is_dir() else tuple(k for k in KERNELS if "_shm" not in k)
+    has_shm = SHM.is_dir()
+    kernels = [k for k in KERNELS if has_shm or "_shm" not in k]
     with tempfile.TemporaryDirectory(prefix="kernel_ab-") as workdir, \
             checkouts(revs, Path(workdir), root) as trees, \
             tempfile.TemporaryDirectory(prefix="kernel_ab-",
-                                        dir=SHM if SHM.is_dir() else None) as shmdir:
+                                        dir=SHM if has_shm else workdir) as shmdir:
         workers = {}
         for side in SIDES:
-            shm = None
-            if kernels is KERNELS:
-                shm = Path(shmdir) / side
-                shm.mkdir()
+            shm = Path(shmdir) / side
+            shm.mkdir()
             conn, child = ctx.Pipe()
             proc = ctx.Process(target=serve, args=(side, str(trees[side]), seeds,
-                                                   shm and str(shm), child))
+                                                   str(shm), child))
             proc.start()
             workers[side] = (proc, conn)
 
@@ -260,7 +260,7 @@ def main(argv=None) -> int:
             print(f"parent {revs['parent'][:10]}  change {revs['change'][:10]}  "
                   f"n = {N}, {SAMPLES} samples, {REPS} alternating repetitions, "
                   "one process per side")
-            if kernels is not KERNELS:
+            if not has_shm:
                 print(f"{SHM} is absent: the _write_csv_shm kernels are skipped")
             print(f"{'kernel':<32}{'side':<8}{'min ms':>10}{'median ms':>11}")
             for name in kernels:
