@@ -22,8 +22,10 @@ d = 3 `convergence` row, and the two `zero_cell` kernels draw one cell of
 the unit disk or the unit d = 3 ball from each seed. `zero_cell` builds
 the tagged dual and the cell only when they are read, so these kernels
 stop at the certified dual; `_zerocell_row_disk` and `_zerocell_row_ball3`
-draw the same cells and build their CSV rows, and `_zerocell_row_ellipse`
-does the same for cells of an ellipse with semi-axes (2, 1). `IntersectionBody`
+draw the same cells and build their CSV rows, and `_zerocell_row_ellipse`,
+`_zerocell_row_pball` and `_zerocell_row_square` do the same for cells of
+an ellipse with semi-axes (2, 1), of the unit p = 4 ball and of the square
+[-1, 1]^2, all in the plane. `IntersectionBody`
 builds X and reads its `active` rows, so it times the sample check and
 the prune; `IntersectionBody.screen` builds X and reads its `screen`
 rows, the sample check and the screen ahead of the prune.
@@ -80,7 +82,7 @@ KERNELS = ("uniform_sample", "IntersectionBody", "IntersectionBody.screen", "_di
            "_hull_stage", "_hull_row", "_hull_row_large", "_hull_row_ellipse",
            "_hull_row_ball3", "_convergence_row",
            "zero_cell_disk", "zero_cell_ball3", "_zerocell_row_disk", "_zerocell_row_ball3",
-           "_zerocell_row_ellipse",
+           "_zerocell_row_ellipse", "_zerocell_row_pball", "_zerocell_row_square",
            "scaled_sample_statistics", "scaled_sample_statistics_ball3", "_polar_hull",
            "_polar_hull_ellipse", "summarize", "_write_csv", "_write_csv_fresh",
            "_write_csv_shm", "_write_csv_shm_fresh", "ef0_symmetric_disk",
@@ -130,6 +132,10 @@ def calls(name: str, pkg, n: int, seeds: list[int], shm: Path) -> list:
     if name.startswith("_zerocell_row"):
         if name.endswith("ellipse"):
             K = pkg.Ellipsoid([2.0, 1.0], np.zeros(2))
+        elif name.endswith("pball"):
+            K = pkg.PNormBall(4.0, 1.0, np.zeros(2))
+        elif name.endswith("square"):
+            K = pkg.Polytope([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
         else:
             K = pkg.Ball(1.0, np.zeros(3 if name.endswith("ball3") else 2))
         sampler = K.surface_sampler()

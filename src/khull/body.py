@@ -24,8 +24,7 @@ Array = np.ndarray
 GAUGE_REL_TOL = 1e-12
 # |gauge - 1| window accepted as "on the boundary" by normal_at.
 BOUNDARY_TOL = 1e-9
-# Rows of normal draws per block when an ellipsoid's surface mass is
-# estimated.
+# Rows of normal draws per block in `_surface_mass`.
 SAMPLER_BLOCK = 16384
 # Entries of the (candidates x directions) dot table per block in
 # `_radial_min`.
@@ -146,8 +145,30 @@ class SurfaceMeasureSampler:
         return self.body._surface_normal_draw(rng, size)
 
 
+def _surface_mass(K: "ConvexBody", mass_samples: int) -> SurfaceMeasureSampler:
+    """K's sampler, its mass the mean density at uniform unit w times the
+    sphere's area, drawn SAMPLER_BLOCK rows at a time: the same stream and
+    per-row arithmetic as in one piece, in less memory."""
+    d = K.dim
+    rng = np.random.default_rng(1_234_567)
+    dens = np.empty(mass_samples)
+    for a in range(0, mass_samples, SAMPLER_BLOCK):
+        b = min(a + SAMPLER_BLOCK, mass_samples)
+        W = _unit_rows(rng.standard_normal((b - a, d)))
+        dens[a:b] = K._density(W) * K._density_scale
+    total = float(np.mean(dens)) * sphere_area(d)
+    se = float(np.std(dens, ddof=1) / math.sqrt(mass_samples)) * sphere_area(d)
+    return SurfaceMeasureSampler(K, total, se)
+
+
 class _BodyBase:
-    """Shared conveniences; concrete kinds implement the per-kind oracles."""
+    """Shared conveniences; concrete kinds implement the per-kind oracles.
+
+    A smooth kind's chart is its outer-normal map w -> nu(w) on the unit
+    sphere (`_normal_map`) and the density of S_{d-1}(K, .) there against
+    the uniform measure, g(w) (`_density`) times `_density_scale`."""
+
+    _density_scale = 1.0
 
     @property
     def dim(self) -> int:
@@ -164,6 +185,9 @@ class _BodyBase:
     def contains(self, x, tol: float = 0.0) -> bool:
         x = _as_point(x, self.dim)
         return bool(self._interior_batch(x[None, :], tol)[0])
+
+    def is_origin_symmetric(self, tol: float = 1e-12) -> bool:
+        return float(np.linalg.norm(self.center)) <= tol
 
     def bounding_box(self) -> tuple[Array, Array]:
         """Axis-aligned box [lo, hi] from support values, read-only; built
@@ -231,12 +255,16 @@ class Ball(_BodyBase):
     def volume(self) -> float:
         return kappa(self.dim) * self.radius ** self.dim
 
-    def is_origin_symmetric(self, tol: float = 1e-12) -> bool:
-        return float(np.linalg.norm(self.center)) <= tol
-
     def surface_sampler(self, mass_samples: int = 0) -> SurfaceMeasureSampler:
         total = sphere_area(self.dim) * self.radius ** (self.dim - 1)
         return SurfaceMeasureSampler(self, total, 0.0)
+
+    # Chart w -> center + r w: normal w, density r^(d-1).
+    def _normal_map(self, W: Array) -> Array:
+        return W
+
+    def _density(self, W: Array) -> Array:
+        return np.full(W.shape[0], self.radius ** (self.dim - 1))
 
     def _surface_normal_draw(self, rng: np.random.Generator, size: int) -> Array:
         g = rng.standard_normal((size, self.dim))
@@ -314,8 +342,7 @@ class Ellipsoid(_BodyBase):
 
     def normal_at(self, x, tol: float = BOUNDARY_TOL) -> Array:
         x = _boundary_point(self, x, tol)
-        g = self._Ainv.T @ (self._Ainv @ (x - self.center))
-        return g / np.linalg.norm(g)
+        return self._normal_map((self._Ainv @ (x - self.center))[None, :])[0]
 
     def translate(self, v) -> "Ellipsoid":
         return Ellipsoid(self.axes, self.center + _as_point(v, self.dim), self.rotation)
@@ -326,43 +353,34 @@ class Ellipsoid(_BodyBase):
     def volume(self) -> float:
         return kappa(self.dim) * float(np.prod(self.axes))
 
-    def is_origin_symmetric(self, tol: float = 1e-12) -> bool:
-        return float(np.linalg.norm(self.center)) <= tol
-
     def surface_sampler(self, mass_samples: int = 200_000) -> SurfaceMeasureSampler:
-        # Area element under the sphere chart w -> A w is |det A| * |A^-T w|,
-        # so total mass is Monte Carlo but acceptance tests are exact draws.
-        # The draws are taken SAMPLER_BLOCK rows at a time, the same stream
-        # and the same per-row arithmetic as in one piece, in less memory.
-        d = self.dim
-        rng = np.random.default_rng(1_234_567)
-        Ainv = self._Ainv
-        det = abs(float(np.linalg.det(self._A)))
-        dens = np.empty(mass_samples)
-        for a in range(0, mass_samples, SAMPLER_BLOCK):
-            b = min(a + SAMPLER_BLOCK, mass_samples)
-            W = _unit_rows(rng.standard_normal((b - a, d)))
-            dens[a:b] = np.linalg.norm(W @ Ainv, axis=1) * det
-        total = float(np.mean(dens)) * sphere_area(d)
-        se = float(np.std(dens, ddof=1) / math.sqrt(mass_samples)) * sphere_area(d)
-        return SurfaceMeasureSampler(self, total, se)
+        return _surface_mass(self, mass_samples)
+
+    # Chart w -> center + A w: normal A^-T w / |A^-T w|, density |det A| |A^-T w|.
+    def _normal_map(self, W: Array) -> Array:
+        return _unit_rows(W @ self._Ainv)
+
+    def _density(self, W: Array) -> Array:
+        return np.linalg.norm(W @ self._Ainv, axis=1)
+
+    @functools.cached_property
+    def _density_scale(self) -> float:
+        return abs(float(np.linalg.det(self._A)))
 
     def _surface_normal_draw(self, rng: np.random.Generator, size: int) -> Array:
-        # Rejection with the exact density |A^-T w|; envelope 1/min(axes).
+        # Rejection on g(w) = |A^-T w|, whose exact maximum is 1/min(axes).
         d = self.dim
-        Minv = self._Ainv
         env = 1.0 / float(np.min(self.axes))
         out = np.empty((size, d))
         filled = 0
         while filled < size:
             batch = max(64, int(1.5 * (size - filled)))
             W = _unit_rows(rng.standard_normal((batch, d)))
-            dens = np.linalg.norm(W @ Minv, axis=1)
+            dens = self._density(W)
             keep = rng.uniform(0.0, 1.0, batch) * env < dens
             Wk = W[keep]
             take = min(size - filled, Wk.shape[0])
-            N = Wk[:take] @ Minv
-            out[filled : filled + take] = _unit_rows(N)
+            out[filled : filled + take] = self._normal_map(Wk[:take])
             filled += take
         return out
 
@@ -413,27 +431,19 @@ class PNormBall(_BodyBase):
         c, s, p = self.center, self.scale, self.p
         if float(np.linalg.norm(c)) == 0.0:
             return _pnorm(X, p) / s
-        # Convex in t, one sign change on [0, hi]; bisect to GAUGE_REL_TOL.
+        # Convex in t, one sign change on [0, hi].
         norms = _pnorm(X, p)
         hi = np.maximum(norms / (s - _pnorm(c[None, :], p)[0]), 1e-300)
-        lo = np.zeros_like(hi)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            inside = _pnorm(X - mid[:, None] * c[None, :], p) - mid * s <= 0.0
-            hi = np.where(inside, mid, hi)
-            lo = np.where(inside, lo, mid)
-            if np.all(hi - lo <= GAUGE_REL_TOL * np.maximum(hi, 1.0)):
-                break
-        return np.where(norms == 0.0, 0.0, 0.5 * (lo + hi))
+        t = _bisect(lambda mid: _pnorm(X - mid[:, None] * c[None, :], p) - mid * s <= 0.0,
+                    np.zeros_like(hi), hi)
+        return np.where(norms == 0.0, 0.0, t)
 
     def _interior_batch(self, X: Array, tol: float = 0.0) -> Array:
         return _pnorm((X - self.center) / self.scale, self.p) < 1.0 + tol
 
     def normal_at(self, x, tol: float = BOUNDARY_TOL) -> Array:
         x = _boundary_point(self, x, tol)
-        w = (x - self.center) / self.scale
-        g = np.sign(w) * np.abs(w) ** (self.p - 1.0)
-        return g / np.linalg.norm(g)
+        return self._normal_map((x - self.center)[None, :])[0]  # nu is homogeneous
 
     def translate(self, v) -> "PNormBall":
         return PNormBall(self.p, self.scale, self.center + _as_point(v, self.dim))
@@ -445,11 +455,12 @@ class PNormBall(_BodyBase):
         d, p = self.dim, self.p
         return (2.0 * self.scale * math.gamma(1.0 + 1.0 / p)) ** d / math.gamma(1.0 + d / p)
 
-    def is_origin_symmetric(self, tol: float = 1e-12) -> bool:
-        return float(np.linalg.norm(self.center)) <= tol
+    # Chart w -> center + rho(w) w, the boundary as a radial graph: normal
+    # the gradient of |x|_p^p, density rho^(d-2) sqrt(rho^2 + |grad_S rho|^2).
+    def _normal_map(self, W: Array) -> Array:
+        return _unit_rows(np.sign(W) * np.abs(W) ** (self.p - 1.0))
 
-    def _surface_jacobian(self, U: Array) -> Array:
-        # Boundary as a radial graph rho(u) u: dS = rho^(d-2) sqrt(rho^2 + |grad_S rho|^2).
+    def _density(self, U: Array) -> Array:
         d, p, s = self.dim, self.p, self.scale
         np_ = _pnorm(U, p)
         rho = s / np_
@@ -459,55 +470,55 @@ class PNormBall(_BodyBase):
         return rho ** (d - 2) * np.sqrt(rho**2 + np.sum(tang * tang, axis=1))
 
     def surface_sampler(self, mass_samples: int = 200_000) -> SurfaceMeasureSampler:
-        d = self.dim
-        rng = np.random.default_rng(1_234_567)
-        W = _unit_rows(rng.standard_normal((mass_samples, d)))
-        dens = self._surface_jacobian(W)
-        total = float(np.mean(dens)) * sphere_area(d)
-        se = float(np.std(dens, ddof=1) / math.sqrt(mass_samples)) * sphere_area(d)
-        return SurfaceMeasureSampler(self, total, se)
+        return _surface_mass(self, mass_samples)
+
+    @functools.cached_property
+    def _envelope(self) -> float:
+        # 1.5 times the largest density on 8192 grid directions
+        return 1.5 * float(np.max(self._density(direction_grid(self.dim, 8192))))
 
     def _surface_normal_draw(self, rng: np.random.Generator, size: int) -> Array:
         d = self.dim
-        probes = self._surface_jacobian(direction_grid(d, 8192))
-        env = 1.5 * float(np.max(probes))
+        env = self._envelope
         out = np.empty((size, d))
         filled = 0
         while filled < size:
             batch = max(64, int(2.0 * (size - filled)))
             W = _unit_rows(rng.standard_normal((batch, d)))
-            dens = self._surface_jacobian(W)
+            dens = self._density(W)
             if np.any(dens > env):
                 raise NumericError("surface sampler envelope exceeded; refusing biased draws")
             keep = rng.uniform(0.0, 1.0, batch) * env < dens
             Wk = W[keep]
             take = min(size - filled, Wk.shape[0])
-            G = np.sign(Wk[:take]) * np.abs(Wk[:take]) ** (self.p - 1.0)
-            out[filled : filled + take] = _unit_rows(G)
+            out[filled : filled + take] = self._normal_map(Wk[:take])
             filled += take
         return out
 
     def ray_exit_batch(self, Xi: Array, U: Array) -> Array:
-        # No closed form; vectorized bisection bracketed by the support bound.
-        m, k = U.shape[0], Xi.shape[0]
-        hi = self.support_batch(U)[:, None] - U @ Xi.T
-        lo = np.zeros((m, k))
-        hi = np.maximum(hi, 1e-300)
+        # No closed form; bisection bracketed by the support bound.
+        hi = np.maximum(self.support_batch(U)[:, None] - U @ Xi.T, 1e-300)
         P = Xi[None, :, :]  # (1, k, d)
         D = U[:, None, :]   # (m, 1, d)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            pts = P + mid[:, :, None] * D
-            inside = _pnorm(pts - self.center, self.p) <= self.scale
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
-            if np.all(hi - lo <= GAUGE_REL_TOL * np.maximum(hi, 1.0)):
-                break
-        return 0.5 * (lo + hi)
+        return _bisect(lambda mid: _pnorm(P + mid[:, :, None] * D - self.center, self.p)
+                       > self.scale, np.zeros_like(hi), hi)
 
 
 def _pnorm(X: Array, p: float) -> Array:
     return np.sum(np.abs(X) ** p, axis=-1) ** (1.0 / p)
+
+
+def _bisect(past, lo: Array, hi: Array) -> Array:
+    """Midpoints of root brackets [lo, hi], halved up to 80 times until within
+    GAUGE_REL_TOL; past(mid) is true where the root lies below mid."""
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = past(mid)
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid)
+        if np.all(hi - lo <= GAUGE_REL_TOL * np.maximum(hi, 1.0)):
+            break
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -597,13 +608,14 @@ class Polytope(_BodyBase):
         return Polytope(self._facet_normals / self._facet_offsets[:, None])
 
     def surface_sampler(self, mass_samples: int = 0) -> SurfaceMeasureSampler:
-        normals, weights = self._facet_atoms()
+        normals, weights = self._facet_atoms
         total = float(weights.sum())
         return SurfaceMeasureSampler(self, total, 0.0, atoms=(normals, weights))
 
+    @functools.cached_property
     def _facet_atoms(self) -> tuple[Array, Array]:
-        """Atoms of the surface measure: facet normals weighted by areas,
-        merged over coplanar triangulation pieces."""
+        """Atoms of the surface measure, read-only: facet normals weighted
+        by areas, merged over coplanar triangulation pieces."""
         hull = self._hull
         V = self.vertices
         sims = hull.simplices
@@ -614,19 +626,17 @@ class Polytope(_BodyBase):
             e1 = V[sims[:, 1]] - V[sims[:, 0]]
             e2 = V[sims[:, 2]] - V[sims[:, 0]]
             areas = 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
+        # a group's areas summed in simplex order, its normal its last piece's
         key = np.round(eqs, 9)
-        _, inverse = np.unique(key, axis=0, return_inverse=True)
-        n_groups = int(inverse.max()) + 1
-        weights = np.zeros(n_groups)
-        normals = np.zeros((n_groups, self.dim))
-        for s in range(sims.shape[0]):
-            g = inverse[s]
-            weights[g] += areas[s]
-            normals[g] = eqs[s, :-1]
-        return _unit_rows(normals), weights
+        _, last, inverse = np.unique(key[::-1], axis=0, return_index=True, return_inverse=True)
+        weights = np.bincount(inverse[::-1], weights=areas)
+        normals = _unit_rows(eqs[::-1][last, :-1])
+        for a in (normals, weights):
+            a.setflags(write=False)
+        return normals, weights
 
     def _surface_normal_draw(self, rng: np.random.Generator, size: int) -> Array:
-        normals, weights = self._facet_atoms()
+        normals, weights = self._facet_atoms
         idx = rng.choice(normals.shape[0], size=size, p=weights / weights.sum())
         return normals[idx]
 

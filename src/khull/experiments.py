@@ -15,7 +15,6 @@ import json
 import math
 import os
 import time
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -25,8 +24,7 @@ import numpy as np
 from . import faces, formulas, hull, tessellation
 from .body import (Ball, ConvexBody, Ellipsoid, PNormBall, Polytope,
                    SurfaceMeasureSampler, uniform_sample)
-from .errors import (ConfigError, DomainError, GeneralPositionError,
-                     GeneralPositionWarning, NumericError)
+from .errors import ConfigError, DomainError, GeneralPositionError, NumericError
 
 EXPERIMENTS = ("sample-hull", "fvector-mc", "zerocell-mc", "expected-facets",
                "convergence")
@@ -165,6 +163,10 @@ class ExperimentConfig:
             raise ConfigError("n_values entries must be at least 1")
         if self.estimator not in ("auto", "symmetric", "general"):
             raise ConfigError("estimator must be auto, symmetric or general")
+        try:
+            formulas.QuadratureSpec(self.sphere_nodes, self.mc_inner_samples)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def schedule(self) -> tuple[int, ...]:
         return self.n_values if self.n_values else (self.n,)
@@ -189,6 +191,8 @@ def load_config(path, experiment: str | None = None,
         raise ConfigError('config needs a "body" object')
     kwargs = dict(raw)
     if "T" in kwargs:  # accepted alias
+        if "T0" in kwargs:
+            raise ConfigError('config gives both "T" and "T0"; give one of them')
         kwargs["T0"] = kwargs.pop("T")
     if "n_values" in kwargs:
         if not isinstance(kwargs["n_values"], list):
@@ -282,16 +286,13 @@ def _zerocell_row(K: ConvexBody, sampler: SurfaceMeasureSampler, T0: float,
 def _convergence_row(K: ConvexBody, n: int, directions: int | None,
                      resolution: int, replicate: int, seed_word: int,
                      rng) -> dict:
-    X = _draw(K, n, rng)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        stats = tessellation._scaled_statistics(X, n, directions, resolution)
-    flagged = any(issubclass(w.category, GeneralPositionWarning) for w in caught)
+    stats, report = tessellation._scaled_statistics(_draw(K, n, rng), n, directions,
+                                                    resolution)
     row = {"replicate": replicate, "seed": seed_word, "n": n}
     row.update({f"f{k}": stats.fvector[k] for k in range(len(stats.fvector))})
     row.update({f"V{j}": float(stats.volumes[j]) for j in range(K.dim + 1)})
     row["outer_gap"] = stats.outer_gap
-    row["gp_ok"] = not flagged
+    row["gp_ok"] = report.ok
     return row
 
 

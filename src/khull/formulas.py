@@ -29,9 +29,9 @@ class QuadratureSpec:
 
     sphere_nodes defaults to 4096 angular nodes for d=2 and 1e5 Monte Carlo
     sphere nodes for d=3. mc_inner_samples is the shared draw pool for
-    surface-measure integrals, split into `batches` groups for the standard
-    error. error_mode "fail_above" turns a standard error larger than
-    error_tol into a hard failure instead of a reported number.
+    surface-measure integrals, split into `batches` nonempty groups for the
+    standard error. error_mode "fail_above" turns a standard error larger
+    than error_tol into a hard failure instead of a reported number.
     """
 
     sphere_nodes: int | None = None
@@ -44,8 +44,9 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if self.sphere_nodes is not None and self.sphere_nodes < 1:
             raise DomainError("sphere_nodes must be positive")
-        if self.mc_inner_samples < 1 or self.batches < 1:
-            raise DomainError("sample counts must be positive")
+        if not 1 <= self.batches <= self.mc_inner_samples:
+            raise DomainError(f"need 1 <= batches <= mc_inner_samples, got batches = "
+                              f"{self.batches} and mc_inner_samples = {self.mc_inner_samples}")
         if self.error_mode not in ("report_se", "fail_above"):
             raise DomainError("error_mode must be 'report_se' or 'fail_above'")
         if self.error_mode == "fail_above" and self.error_tol is None:
@@ -89,27 +90,15 @@ def _scale_body(K: ConvexBody, c: float) -> ConvexBody:
 
 def _weighted_surface_draws(K: ConvexBody, n: int, rng: np.random.Generator
                             ) -> tuple[Array, Array]:
-    """Importance draws for the surface measure: normals N uniform on the
-    sphere after mapping, weights W with  integral f dS  =  E[f(N) W].
+    """Importance draws on K's chart: normals N = nu(w) at uniform unit w,
+    weights W with  integral f dS  =  E[f(N) W].
 
     Avoids rejection: the uniform-sphere density is divided out exactly,
     which is cheaper than the accept/reject sampler and equivalent in
     expectation.
     """
-    d = K.dim
-    Wdir = _unit_rows(rng.standard_normal((n, d)))
-    area = sphere_area(d)
-    if isinstance(K, Ball):
-        return Wdir, np.full(n, K.radius ** (d - 1) * area)
-    if isinstance(K, Ellipsoid):
-        img = Wdir @ K._Ainv
-        dens = np.linalg.norm(img, axis=1) * abs(float(np.linalg.det(K._A)))
-        return _unit_rows(img), dens * area
-    if isinstance(K, PNormBall):
-        dens = K._surface_jacobian(Wdir)
-        grads = np.sign(Wdir) * np.abs(Wdir) ** (K.p - 1.0)
-        return _unit_rows(grads), dens * area
-    raise DomainError("weighted surface draws cover the smooth kinds only")
+    Wdir = _unit_rows(rng.standard_normal((n, K.dim)))
+    return K._normal_map(Wdir), K._density(Wdir) * K._density_scale * sphere_area(K.dim)
 
 
 def projection_body_support(K: ConvexBody, x,
@@ -126,7 +115,7 @@ def projection_body_support(K: ConvexBody, x,
         val = kappa(d - 1) * K.radius ** (d - 1) * float(np.linalg.norm(x))
         return ExpectationEstimate(val, 0.0, "closed_form")
     if isinstance(K, Polytope):
-        normals, weights = K._facet_atoms()
+        normals, weights = K._facet_atoms
         val = 0.5 * float(np.sum(weights * np.abs(normals @ x)))
         return ExpectationEstimate(val, 0.0, "closed_form")
     spec = spec or QuadratureSpec()
@@ -134,10 +123,14 @@ def projection_body_support(K: ConvexBody, x,
     N, W = _weighted_surface_draws(K, spec.mc_inner_samples, rng)
     vals = 0.5 * np.abs(N @ x) * W
     parts = np.array([float(np.mean(p)) for p in np.array_split(vals, spec.batches)])
-    est = ExpectationEstimate(float(np.mean(parts)),
-                              float(np.std(parts, ddof=1) / math.sqrt(spec.batches)),
-                              "monte_carlo")
-    return spec.check(est)
+    return _batch_estimate(spec, parts)
+
+
+def _batch_estimate(spec: QuadratureSpec, ests: Array) -> ExpectationEstimate:
+    """The mean of per-batch estimates with its standard error, checked."""
+    return spec.check(ExpectationEstimate(float(np.mean(ests)),
+                                          float(np.std(ests, ddof=1) / math.sqrt(ests.size)),
+                                          "monte_carlo"))
 
 
 def _pk_support_curves(K: ConvexBody, U: Array, spec: QuadratureSpec) -> Array:
@@ -147,7 +140,7 @@ def _pk_support_curves(K: ConvexBody, U: Array, spec: QuadratureSpec) -> Array:
     if isinstance(K, Ball):
         return np.full((1, U.shape[0]), kappa(d - 1) * K.radius ** (d - 1))
     if isinstance(K, Polytope):
-        normals, weights = K._facet_atoms()
+        normals, weights = K._facet_atoms
         return (0.5 * np.abs(U @ normals.T) @ weights)[None, :]
     rng = np.random.default_rng(spec.seed + 1)
     N, W = _weighted_surface_draws(K, spec.mc_inner_samples, rng)
@@ -238,7 +231,7 @@ def ef0_symmetric(K: ConvexBody, spec: QuadratureSpec | None = None) -> Expectat
         # PK is a zonotope generated by the weighted facet normals, so its
         # volume is exact; the radial-min estimate is only first-order
         # accurate at a polytopal PK's own facet normals.
-        normals, weights = K._facet_atoms()
+        normals, weights = K._facet_atoms
         exact_v_pk = _zonotope_volume(weights[:, None] * normals)
     ests = []
     for hv in curves:
@@ -252,10 +245,7 @@ def ef0_symmetric(K: ConvexBody, spec: QuadratureSpec | None = None) -> Expectat
     ests = np.array(ests)
     if ests.size == 1:
         return ExpectationEstimate(float(ests[0]), 0.0, "quadrature")
-    est = ExpectationEstimate(float(np.mean(ests)),
-                              float(np.std(ests, ddof=1) / math.sqrt(ests.size)),
-                              "monte_carlo")
-    return spec.check(est)
+    return _batch_estimate(spec, ests)
 
 
 def halfspace_determinant_integral(K: ConvexBody, X: Array,
@@ -272,7 +262,7 @@ def halfspace_determinant_integral(K: ConvexBody, X: Array,
     X = np.atleast_2d(np.asarray(X, dtype=float))
     m = X.shape[0]
     if isinstance(K, Polytope):
-        normals, weights = K._facet_atoms()
+        normals, weights = K._facet_atoms
         ind = (X @ normals.T >= 0.0).astype(float).T          # (atoms, m)
         if d == 2:
             dets = np.abs(normals[:, None, 0] * normals[None, :, 1]
@@ -348,7 +338,4 @@ def ef0_general(K: ConvexBody, spec: QuadratureSpec | None = None) -> Expectatio
         ests[b] = (1.0 / d) * float(hv ** (-float(d)) @ jv) * node_w
     if B == 1:
         return ExpectationEstimate(float(ests[0]), 0.0, "quadrature")
-    est = ExpectationEstimate(float(np.mean(ests)),
-                              float(np.std(ests, ddof=1) / math.sqrt(B)),
-                              "monte_carlo")
-    return spec.check(est)
+    return _batch_estimate(spec, ests)

@@ -391,17 +391,18 @@ def scaled_sample_statistics(K: ConvexBody, points: Array, n_scale: int | None =
     """
     X = IntersectionBody(K, points)
     n = X.points.shape[0] if n_scale is None else int(n_scale)
-    return _scaled_statistics(X, n, directions, fvector_resolution)
+    stats, report = _scaled_statistics(X, n, directions, fvector_resolution)
+    if not report.ok:
+        warnings.warn(report.describe(), GeneralPositionWarning, stacklevel=2)
+    return stats
 
 
-def _scaled_statistics(X: IntersectionBody, n: int, directions: int | None,
-                       fvector_resolution: int) -> ScaledSampleStatistics:
-    """`scaled_sample_statistics` of the sample of X, scaled by n."""
+def _scaled_statistics(X: IntersectionBody, n: int, directions: int | None, fvector_resolution: int
+                       ) -> tuple[ScaledSampleStatistics, faces.GeneralPositionReport]:
+    """`scaled_sample_statistics` of X's sample scaled by n, and its family's report."""
     family = faces._family(X, fvector_resolution)
     if family.error is not None:
         raise family.error
-    if not family.report.ok:
-        warnings.warn(family.report.describe(), GeneralPositionWarning, stacklevel=2)
     if family.exact:
         area, perim = family.report.boundary.measure()
         vols = IntrinsicVolumes((1.0, 0.5 * perim * n, area * n * n))
@@ -409,7 +410,7 @@ def _scaled_statistics(X: IntersectionBody, n: int, directions: int | None,
     else:
         vols, gap = _radial_statistics(X, n, directions)
     return ScaledSampleStatistics(n=n, volumes=vols, fvector=family.fvector,
-                                  fvector_exact=family.exact, outer_gap=gap)
+                                  fvector_exact=family.exact, outer_gap=gap), family.report
 
 
 def _radial_statistics(X: IntersectionBody, n: int,

@@ -16,7 +16,8 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 from scipy.special import ellipe
 
-from khull.body import Ball, ConvexBody, _unit_rows, direction_grid, sphere_area
+from khull.body import (Ball, ConvexBody, PNormBall, _unit_rows, direction_grid,
+                        sphere_area)
 from khull.errors import DomainError, NumericError
 from khull.faces import COPLANAR_TOL, TaggedPolytope
 from khull.hull import (EPS_GEO, EPS_GP, TWO_PI, Arc, ArcBoundary, ArcVertex,
@@ -735,12 +736,24 @@ def one_shot_summarize(rows: list[dict]) -> dict:
 
 
 def one_shot_surface_mass(E, mass_samples: int = 200_000) -> tuple[float, float]:
-    """(total_mass, total_mass_se) of `Ellipsoid.surface_sampler`, from all
-    the normal draws at once."""
+    """(total_mass, total_mass_se) of `Ellipsoid.surface_sampler` or
+    `PNormBall.surface_sampler`, from all the normal draws at once: the
+    ellipsoid's area element |det A| |A^-T w| under the chart w -> A w,
+    the p-ball's rho^(d-2) sqrt(rho^2 + |grad_S rho|^2) of its boundary
+    as the radial graph rho(w) w."""
     d = E.dim
     rng = np.random.default_rng(1_234_567)
     W = _unit_rows(rng.standard_normal((mass_samples, d)))
-    dens = np.linalg.norm(W @ E._Ainv, axis=1) * abs(float(np.linalg.det(E._A)))
+    if isinstance(E, PNormBall):
+        p, s = E.p, E.scale
+        np_ = np.sum(np.abs(W) ** p, axis=-1) ** (1.0 / p)
+        rho = s / np_
+        gnorm = np.sign(W) * np.abs(W) ** (p - 1.0) / np_[:, None] ** (p - 1.0)
+        grad = -s / np_[:, None] ** 2 * gnorm
+        tang = grad - np.sum(grad * W, axis=1)[:, None] * W
+        dens = rho ** (d - 2) * np.sqrt(rho**2 + np.sum(tang * tang, axis=1))
+    else:
+        dens = np.linalg.norm(W @ E._Ainv, axis=1) * abs(float(np.linalg.det(E._A)))
     total = float(np.mean(dens)) * sphere_area(d)
     se = float(np.std(dens, ddof=1) / math.sqrt(mass_samples)) * sphere_area(d)
     return total, se

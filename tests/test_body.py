@@ -286,6 +286,23 @@ class TestSurfaceSampler:
             s = E.surface_sampler(size)
             assert (s.total_mass, s.total_mass_se) == oracles.one_shot_surface_mass(E, size)
 
+    @pytest.mark.parametrize("p, scale, center", [
+        (4.0, 1.0, [0.0, 0.0]),
+        (4.0, 1.0, [0.0, 0.0, 0.0]),
+        (1.5, 2.5, [0.3, -0.2]),
+        (7.0, 0.4, [0.1, 0.0, -0.1]),
+    ])
+    def test_blocked_pball_mass_matches_one_shot(self, monkeypatch, p, scale, center):
+        import khull.body as body
+
+        K = PNormBall(p, scale, center)
+        s = K.surface_sampler()
+        assert (s.total_mass, s.total_mass_se) == oracles.one_shot_surface_mass(K)
+        monkeypatch.setattr(body, "SAMPLER_BLOCK", 1000)
+        for size in (999, 1000, 1001, 4500):
+            s = K.surface_sampler(size)
+            assert (s.total_mass, s.total_mass_se) == oracles.one_shot_surface_mass(K, size)
+
     def test_ball_draws_uniform_chi_square(self, unit_disk, rng):
         draws = unit_disk.surface_sampler().draw(rng, 100_000)
         np.testing.assert_allclose(np.linalg.norm(draws, axis=1), 1.0, atol=1e-12)

@@ -14,7 +14,7 @@ import pytest
 import oracles
 
 from khull import (Ball, ConfigError, DomainError, Ellipsoid, ExperimentConfig,
-                   NumericError, Polytope, body_from_spec, load_config,
+                   NumericError, PNormBall, Polytope, body_from_spec, load_config,
                    run_experiment, summarize, uniform_sample)
 import khull
 from khull.cli import main
@@ -24,6 +24,10 @@ DISK = {"kind": "ball", "r": 1.0, "center": [0.0, 0.0]}
 ELLIPSE = {"kind": "ellipsoid", "axes": [2.0, 1.0], "center": [0.0, 0.0]}
 BALL3 = {"kind": "ball", "r": 1.0, "center": [0.0, 0.0, 0.0]}
 SQUARE = {"kind": "polytope", "vertices": [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]}
+CUBE = {"kind": "polytope", "vertices": [[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0)
+                                         for z in (-1.0, 1.0)]}
+PBALL4 = {"kind": "pball", "p": 4.0, "scale": 1.0, "center": [0.0, 0.0]}
+PBALL4_3D = {"kind": "pball", "p": 4.0, "scale": 1.0, "center": [0.0, 0.0, 0.0]}
 
 
 def write_config(tmp_path, name="config.json", **payload):
@@ -118,6 +122,12 @@ class TestLoadConfig:
         path = write_config(tmp_path, experiment="zerocell-mc", body=DISK,
                             T=7.5)
         assert load_config(path).T0 == 7.5
+
+    def test_t_and_t0_together_rejected(self, tmp_path):
+        path = write_config(tmp_path, experiment="zerocell-mc", body=DISK,
+                            T=1.0, T0=5.0)
+        with pytest.raises(ConfigError, match='"T" and "T0"'):
+            load_config(path)
 
     def test_subcommand_mismatch(self, tmp_path):
         path = write_config(tmp_path, experiment="zerocell-mc", body=DISK)
@@ -404,6 +414,28 @@ class TestRunExperiment:
             "39782ef05ffb1eec4eab81222b1e3d49886bc3cdd85c626ba2f994a51de39b1b",
             "boundary.json":
             "9deaacd427a46f69992c408896cd9da6b3412fc269be3eca17849df6f402f0ee"}),
+        # the p-ball's rejection sampler and blocked mass, the polytopes'
+        # facet atoms
+        ("zerocell-mc", PBALL4, {"replicates": 4}, {
+            "zerocell-mc.csv":
+            "6e3a6b63ae7563471429ba7019e3e964d2dec6ee69f44626b0d4b56fde21e75c",
+            "zero_cell.off":
+            "c231fcf792a197ee0aec6e3ed7ea16c72843dd845d67cd8e7290359b0687f216"}),
+        ("zerocell-mc", PBALL4_3D, {"replicates": 4}, {
+            "zerocell-mc.csv":
+            "7f4bf20c4a504c2d5752d9ecdc92fef781cc76ef7c36e5ebfa6f81bb44599798",
+            "zero_cell.off":
+            "b735a01f0640a7e15c62b69740dbc7b9b33c928d5086009c761b83bc39aaba99"}),
+        ("zerocell-mc", SQUARE, {"replicates": 4}, {
+            "zerocell-mc.csv":
+            "51f5efd6d60040b7caddfa9a37b1ef679d89e08b4c56a44fefd168a59b6272aa",
+            "zero_cell.off":
+            "00bfd12bb2dc2ac630ced3900674fc4b059c7648ee13f26be7d779d30c03fa6b"}),
+        ("zerocell-mc", CUBE, {"replicates": 4}, {
+            "zerocell-mc.csv":
+            "7b48da8dff618d4cfc28e1508e993bb1f82b9bee92acdde005f1e60cd3bf50c7",
+            "zero_cell.off":
+            "a9a561777a7f643788ceebe60dc813f68b92f555ff1f831416d84f44a0d4e5fe"}),
     ])
     def test_frozen_seed_zero_cell_digest(self, tmp_path, monkeypatch, experiment,
                                           body, params, digests):
@@ -417,6 +449,46 @@ class TestRunExperiment:
         for name, digest in digests.items():
             data = (tmp_path / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("body, digest", [
+        (ELLIPSE, "ec3c4cddc762847f18a6b49861d73afbc588dbf0dc373f584df72871a5380b9d"),
+        (PBALL4, "122b454e1975ef72d7bc519a8fd4bf0f6aa05087778abde5990d0ecbc3f3ef5d"),
+        (SQUARE, "0990dac1250a0ca4ceea801c80411035087a71adfce4574b9407dc7e96871009"),
+    ])
+    def test_frozen_seed_expected_facets_digest(self, tmp_path, body, digest):
+        # repr'd value and standard error pin the weighted surface draws
+        # (ellipse, p-ball) and the facet atom sums (square)
+        cfg = ExperimentConfig(experiment="expected-facets", body=body, seed=2024,
+                               mc_inner_samples=2000, sphere_nodes=128)
+        run_experiment(cfg, out_dir=str(tmp_path))
+        data = (tmp_path / "expected-facets.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("body, cls, name", [
+        (SQUARE, Polytope, "_facet_atoms"),
+        (CUBE, Polytope, "_facet_atoms"),
+        (PBALL4, PNormBall, "_envelope"),
+    ])
+    def test_surface_constants_built_once_per_body(self, tmp_path, monkeypatch, body, cls,
+                                                   name):
+        # the facet atoms and the rejection envelope are read by the sampler
+        # and by every draw of every replicate, and built on first read
+        import khull.experiments as exp
+        prop = cls.__dict__[name]
+        built = []
+
+        def counted(K, build=prop.func):
+            built.append(K)
+            return build(K)
+
+        monkeypatch.setattr(prop, "func", counted)
+        monkeypatch.setenv("KHULL_THREADS", "1")
+        exp._cached_body.cache_clear()
+        exp._cached_sampler.cache_clear()
+        cfg = ExperimentConfig(experiment="zerocell-mc", body=body, replicates=20, seed=19)
+        summary = run_experiment(cfg, out_dir=str(tmp_path))
+        assert summary["rows"] == 20
+        assert len(built) == 1
 
     def test_surface_sampler_built_once(self, tmp_path, monkeypatch):
         import khull.experiments as exp
@@ -858,6 +930,18 @@ class TestRunExperiment:
         assert row["replicate"] == 1444 and row["n"] == 2000
         assert row["gp_ok"] is False
 
+    def test_old_probe_sample_convergence_row_is_flagged(self, monkeypatch):
+        # job 0 of master seed 256 drawn by `uniform_sample`, the sample
+        # test_faces pins as near-cocircular: the row is kept and flagged
+        import khull.experiments as exp
+
+        K = Ball(1.0, np.zeros(2))
+        pts = uniform_sample(K, 5000, exp._replicate_rng(256, 0)[0])
+        monkeypatch.setattr(exp.hull, "_disk_sample",
+                            lambda K, n, rng: exp.hull.IntersectionBody(K, pts))
+        row = exp._convergence_row(K, 5000, None, 256, 0, 0, None)
+        assert row["gp_ok"] is False
+
     def test_repeated_hull_row_convergence_row_is_kept(self, monkeypatch):
         # a copy of a hull vertex is dropped with a duplicate witness: the
         # convergence row keeps the f-vector of the sample without it, flagged
@@ -1089,6 +1173,43 @@ class TestCli:
         rc = main(["convergence", "--config", path])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body, quadrature, match", [
+        # ten standard-error batches of 5 draws leave empty batches
+        (ELLIPSE, {"mc_inner_samples": 5}, "mc_inner_samples"),
+        (ELLIPSE, {"mc_inner_samples": 9}, "mc_inner_samples"),
+        (DISK, {"mc_inner_samples": 0}, "mc_inner_samples"),
+        (DISK, {"sphere_nodes": 0}, "sphere_nodes"),
+    ], ids=["ellipse-5", "ellipse-9", "disk-mc-0", "disk-nodes-0"])
+    def test_unusable_quadrature_exits_two_before_any_estimator(self, tmp_path, capsys,
+                                                               monkeypatch, body,
+                                                               quadrature, match):
+        import khull.experiments as exp
+
+        def no_estimate(*args):
+            raise AssertionError("an estimator ran")
+
+        monkeypatch.setattr(exp, "_run_expected_facets", no_estimate)
+        path = write_config(tmp_path, experiment="expected-facets", body=body,
+                            **quadrature)
+        rc = main(["expected-facets", "--config", path, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and match in err
+        assert not (tmp_path / "out").exists()
+
+    def test_fewest_usable_inner_samples_run(self, tmp_path, capsys):
+        # one draw per standard-error batch
+        path = write_config(tmp_path, experiment="expected-facets", body=ELLIPSE,
+                            mc_inner_samples=10, sphere_nodes=64)
+        assert main(["expected-facets", "--config", path]) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == "monte_carlo"
+
+    def test_t_and_t0_together_exit_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, experiment="zerocell-mc", body=DISK, T=1.0, T0=5.0)
+        assert main(["zerocell-mc", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and '"T" and "T0"' in err
 
     @pytest.mark.parametrize("T0", [1e17, 1e300])
     def test_huge_t0_exits_two_before_any_draw(self, tmp_path, capsys, monkeypatch, T0):

@@ -27,6 +27,12 @@ class TestQuadratureSpec:
             QuadratureSpec(mc_inner_samples=0)
         with pytest.raises(DomainError):
             QuadratureSpec(batches=0)
+        # every standard-error batch needs a draw
+        with pytest.raises(DomainError, match="mc_inner_samples"):
+            QuadratureSpec(mc_inner_samples=9)
+        with pytest.raises(DomainError, match="mc_inner_samples"):
+            QuadratureSpec(mc_inner_samples=2, batches=3)
+        assert QuadratureSpec(mc_inner_samples=3, batches=3).mc_inner_samples == 3
         with pytest.raises(DomainError):
             QuadratureSpec(error_mode="explode")
         with pytest.raises(DomainError):
