@@ -132,7 +132,7 @@ class SurfaceMeasureSampler:
 
     total_mass is the full surface measure; it is exact for balls and
     polytopes and Monte Carlo estimated (with standard error) otherwise.
-    For polytopes the measure is atomic and the atoms are exposed.
+    For polytopes the measure is atomic and the atoms are exposed, read-only.
     """
 
     body: "ConvexBody"
@@ -455,8 +455,7 @@ class PNormBall(_BodyBase):
         d, p = self.dim, self.p
         return (2.0 * self.scale * math.gamma(1.0 + 1.0 / p)) ** d / math.gamma(1.0 + d / p)
 
-    # Chart w -> center + rho(w) w, the boundary as a radial graph: normal
-    # the gradient of |x|_p^p, density rho^(d-2) sqrt(rho^2 + |grad_S rho|^2).
+    # Chart w -> center + rho(w) w, a radial graph: dS = rho^(d-2) sqrt(rho^2 + |grad_S rho|^2).
     def _normal_map(self, W: Array) -> Array:
         return _unit_rows(np.sign(W) * np.abs(W) ** (self.p - 1.0))
 
@@ -474,7 +473,6 @@ class PNormBall(_BodyBase):
 
     @functools.cached_property
     def _envelope(self) -> float:
-        # 1.5 times the largest density on 8192 grid directions
         return 1.5 * float(np.max(self._density(direction_grid(self.dim, 8192))))
 
     def _surface_normal_draw(self, rng: np.random.Generator, size: int) -> Array:
@@ -608,9 +606,8 @@ class Polytope(_BodyBase):
         return Polytope(self._facet_normals / self._facet_offsets[:, None])
 
     def surface_sampler(self, mass_samples: int = 0) -> SurfaceMeasureSampler:
-        normals, weights = self._facet_atoms
-        total = float(weights.sum())
-        return SurfaceMeasureSampler(self, total, 0.0, atoms=(normals, weights))
+        atoms = self._facet_atoms
+        return SurfaceMeasureSampler(self, float(atoms[1].sum()), 0.0, atoms=atoms)
 
     @functools.cached_property
     def _facet_atoms(self) -> tuple[Array, Array]:

@@ -164,7 +164,8 @@ class ExperimentConfig:
         if self.estimator not in ("auto", "symmetric", "general"):
             raise ConfigError("estimator must be auto, symmetric or general")
         try:
-            formulas.QuadratureSpec(self.sphere_nodes, self.mc_inner_samples)
+            formulas.QuadratureSpec(sphere_nodes=self.sphere_nodes,
+                                    mc_inner_samples=self.mc_inner_samples)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 

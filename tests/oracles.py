@@ -757,3 +757,25 @@ def one_shot_surface_mass(E, mass_samples: int = 200_000) -> tuple[float, float]
     total = float(np.mean(dens)) * sphere_area(d)
     se = float(np.std(dens, ddof=1) / math.sqrt(mass_samples)) * sphere_area(d)
     return total, se
+
+
+def loop_facet_atoms(P) -> tuple[np.ndarray, np.ndarray]:
+    """`Polytope._facet_atoms` by a loop over the hull simplices: each
+    group of rows of equal rounded equation sums its areas in simplex
+    order and takes the normal of its last simplex."""
+    hull, V = P._hull, P.vertices
+    sims, eqs = hull.simplices, hull.equations
+    if P.dim == 2:
+        areas = np.linalg.norm(V[sims[:, 0]] - V[sims[:, 1]], axis=1)
+    else:
+        areas = 0.5 * np.linalg.norm(np.cross(V[sims[:, 1]] - V[sims[:, 0]],
+                                              V[sims[:, 2]] - V[sims[:, 0]]), axis=1)
+    _, inverse = np.unique(np.round(eqs, 9), axis=0, return_inverse=True)
+    n_groups = int(inverse.max()) + 1
+    weights = np.zeros(n_groups)
+    normals = np.zeros((n_groups, P.dim))
+    for s in range(sims.shape[0]):
+        g = inverse[s]
+        weights[g] += areas[s]
+        normals[g] = eqs[s, :-1]
+    return _unit_rows(normals), weights

@@ -259,6 +259,24 @@ class TestSurfaceSampler:
         np.testing.assert_allclose(weights, 2.0, atol=1e-9)
         assert s.total_mass == pytest.approx(8.0, abs=1e-9)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_facet_atoms_match_loop(self, d):
+        # lattice vertices and a prism put several simplices in one facet
+        rng = np.random.default_rng(30 + d)
+        t = 2.0 * math.pi * np.arange(6) / 6
+        hexagon = np.column_stack([np.cos(t), np.sin(t)])
+        shapes = [rng.standard_normal((30, d)), np.round(2.0 * rng.standard_normal((40, d))),
+                  hexagon if d == 2 else np.vstack([np.column_stack([hexagon, z * np.ones(6)])
+                                                    for z in (-1.0, 1.0)])]
+        for V in shapes:
+            P = Polytope(V)
+            normals, weights = P._facet_atoms
+            ref_normals, ref_weights = oracles.loop_facet_atoms(P)
+            assert normals.tobytes() == ref_normals.tobytes()
+            assert weights.tobytes() == ref_weights.tobytes()
+            assert not (normals.flags.writeable or weights.flags.writeable)
+            assert P.surface_sampler().atoms[0] is normals
+
     def test_ellipse_total_mass_is_perimeter(self, ellipse21):
         s = ellipse21.surface_sampler()
         perimeter = 9.688448220547675

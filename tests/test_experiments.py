@@ -454,10 +454,13 @@ class TestRunExperiment:
         (ELLIPSE, "ec3c4cddc762847f18a6b49861d73afbc588dbf0dc373f584df72871a5380b9d"),
         (PBALL4, "122b454e1975ef72d7bc519a8fd4bf0f6aa05087778abde5990d0ecbc3f3ef5d"),
         (SQUARE, "0990dac1250a0ca4ceea801c80411035087a71adfce4574b9407dc7e96871009"),
+        ({"kind": "ball", "r": 1.0, "center": [0.25, -0.1]},
+         "d041d406f7b339d8d05ff29e6bcde57e4774859f605d58f241a39728af6e933c"),
     ])
     def test_frozen_seed_expected_facets_digest(self, tmp_path, body, digest):
         # repr'd value and standard error pin the weighted surface draws
-        # (ellipse, p-ball) and the facet atom sums (square)
+        # (ellipse, p-ball, and the off-centre disk's general estimator)
+        # and the facet atom sums (square)
         cfg = ExperimentConfig(experiment="expected-facets", body=body, seed=2024,
                                mc_inner_samples=2000, sphere_nodes=128)
         run_experiment(cfg, out_dir=str(tmp_path))
